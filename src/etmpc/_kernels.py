@@ -1,18 +1,16 @@
-"""Inner numerical loops, compiled with numba when available.
+"""Inner loops of the LDL^T factorization and its triangular solves,
+compiled with numba when available.
 
 Every function here is written as plain Python over numpy arrays so the
-package still works (slowly) without a working numba install. The executor
-relies on ``nogil=True`` so worker threads can overlap kernel execution.
+package still works (slowly) without a working numba install.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 try:
     from numba import njit
 
-    _jit = njit(cache=True, nogil=True)
+    _jit = njit(cache=True)
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba
     def _jit(fn):
@@ -170,196 +168,3 @@ def solve_bs(Lp, Li, Lx, x):
         for p in range(Lp[j], Lp[j + 1]):
             s -= Lx[p] * x[Li[p]]
         x[j] = s
-
-
-@_jit
-def solve_fe_batch(Lp, Li, Lx, x):
-    n = Lp.shape[0] - 1
-    k = x.shape[1]
-    for j in range(n):
-        for p in range(Lp[j], Lp[j + 1]):
-            i = Li[p]
-            v = Lx[p]
-            for r in range(k):
-                x[i, r] -= v * x[j, r]
-
-
-@_jit
-def solve_bs_batch(Lp, Li, Lx, x):
-    n = Lp.shape[0] - 1
-    k = x.shape[1]
-    for j in range(n - 1, -1, -1):
-        for p in range(Lp[j], Lp[j + 1]):
-            i = Li[p]
-            v = Lx[p]
-            for r in range(k):
-                x[j, r] -= v * x[i, r]
-
-
-# ---- sparse matrix-vector products (hot ADMM path) -------------------------
-
-
-@_jit
-def csc_matvec(colptr, rowidx, vals, x, out):
-    out[:] = 0.0
-    n = colptr.shape[0] - 1
-    for j in range(n):
-        xj = x[j]
-        if xj != 0.0:
-            for p in range(colptr[j], colptr[j + 1]):
-                out[rowidx[p]] += vals[p] * xj
-
-
-@_jit
-def csc_rmatvec(colptr, rowidx, vals, x, out):
-    n = colptr.shape[0] - 1
-    for j in range(n):
-        s = 0.0
-        for p in range(colptr[j], colptr[j + 1]):
-            s += vals[p] * x[rowidx[p]]
-        out[j] = s
-
-
-@_jit
-def csc_symmetric_matvec_upper(colptr, rowidx, vals, x, out):
-    """y = M x with M given by its upper triangle (diagonal included once)."""
-    out[:] = 0.0
-    n = colptr.shape[0] - 1
-    for j in range(n):
-        xj = x[j]
-        for p in range(colptr[j], colptr[j + 1]):
-            i = rowidx[p]
-            v = vals[p]
-            out[i] += v * xj
-            if i != j:
-                out[j] += v * x[i]
-
-
-# ---- executor element kernels ----------------------------------------------
-# These run concurrently on worker threads; each call touches only indices
-# owned by one worker in the current barrier phase.
-
-
-@_jit
-def fe_updates(bx, rows, cols, vals):
-    """bx[r] -= v * bx[c] for owned elements; columns hold final values."""
-    k = bx.shape[1]
-    for t in range(rows.shape[0]):
-        r = rows[t]
-        c = cols[t]
-        v = vals[t]
-        for q in range(k):
-            bx[r, q] -= v * bx[c, q]
-
-
-@_jit
-def bs_updates(bx, rows, cols, vals):
-    """bx[c] -= v * bx[r]: the fan-in mirror of fe_updates."""
-    k = bx.shape[1]
-    for t in range(rows.shape[0]):
-        r = rows[t]
-        c = cols[t]
-        v = vals[t]
-        for q in range(k):
-            bx[c, q] -= v * bx[r, q]
-
-
-@_jit
-def fe_updates_reduce(buf, base, rows, cols, vals, bx):
-    """Accumulate updates into a private buffer (phase 1 of a reduction)."""
-    k = bx.shape[1]
-    for t in range(rows.shape[0]):
-        r = rows[t] - base
-        c = cols[t]
-        v = vals[t]
-        for q in range(k):
-            buf[r, q] += v * bx[c, q]
-
-
-@_jit
-def bs_updates_reduce(buf, base, rows, cols, vals, bx):
-    k = bx.shape[1]
-    for t in range(rows.shape[0]):
-        c = cols[t] - base
-        r = rows[t]
-        v = vals[t]
-        for q in range(k):
-            buf[c, q] += v * bx[r, q]
-
-
-@_jit
-def reduce_combine(bx, bufs, base, lo, hi):
-    """Phase 2 of a reduction: fold worker buffers into owned output rows."""
-    k = bx.shape[1]
-    nw = bufs.shape[0]
-    for i in range(lo, hi):
-        for w in range(nw):
-            for q in range(k):
-                bx[i, q] -= bufs[w, i - base, q]
-                bufs[w, i - base, q] = 0.0
-
-
-@_jit
-def diaginv_fe_serial(bx, inv, idx):
-    """x = inv @ x on the triangle's index set, descending rows in place."""
-    m = idx.shape[0]
-    k = bx.shape[1]
-    for r in range(m - 1, -1, -1):
-        for q in range(k):
-            s = bx[idx[r], q]
-            for c in range(r):
-                s += inv[r, c] * bx[idx[c], q]
-            bx[idx[r], q] = s
-
-
-@_jit
-def diaginv_bs_serial(bx, inv, idx):
-    """x = inv.T @ x on the triangle's index set, ascending rows in place."""
-    m = idx.shape[0]
-    k = bx.shape[1]
-    for c in range(m):
-        for q in range(k):
-            s = bx[idx[c], q]
-            for r in range(c + 1, m):
-                s += inv[r, c] * bx[idx[r], q]
-            bx[idx[c], q] = s
-
-
-@_jit
-def diaginv_fe_scratch(bx, inv, idx, scratch, lo, hi):
-    """Phase 1 of a parallel triangle apply: owned rows into scratch."""
-    k = bx.shape[1]
-    for r in range(lo, hi):
-        for q in range(k):
-            s = bx[idx[r], q]
-            for c in range(r):
-                s += inv[r, c] * bx[idx[c], q]
-            scratch[r, q] = s
-
-
-@_jit
-def diaginv_bs_scratch(bx, inv, idx, scratch, lo, hi):
-    m = idx.shape[0]
-    k = bx.shape[1]
-    for c in range(lo, hi):
-        for q in range(k):
-            s = bx[idx[c], q]
-            for r in range(c + 1, m):
-                s += inv[r, c] * bx[idx[r], q]
-            scratch[c, q] = s
-
-
-@_jit
-def scratch_writeback(bx, idx, scratch, lo, hi):
-    k = bx.shape[1]
-    for r in range(lo, hi):
-        for q in range(k):
-            bx[idx[r], q] = scratch[r, q]
-
-
-@_jit
-def diag_scale_range(bx, dinv, lo, hi):
-    k = bx.shape[1]
-    for i in range(lo, hi):
-        for q in range(k):
-            bx[i, q] *= dinv[i]

@@ -1,13 +1,15 @@
 """Compressed-sparse-column matrices.
 
 CSC is the universal carrier for the objective/constraint matrices, the KKT
-system, and the triangular factor. Indices are 0-based int32 in memory;
-Matrix Market files use 1-based indices on disk.
+system, and the triangular factor. Indices are 0-based int32. Its raw arrays
+feed the factorization and triangular-solve kernels; every other sparse
+product goes through the zero-copy ``scipy.sparse`` view.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 INDEX_DTYPE = np.int32
 
@@ -74,7 +76,7 @@ class SparseCSC:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def from_coo(cls, nrows, ncols, rows, cols, vals, dtype=np.float64, sum_duplicates=True):
+    def from_coo(cls, nrows, ncols, rows, cols, vals, dtype=np.float64):
         """Build from triplets; duplicate entries are summed."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -83,7 +85,7 @@ class SparseCSC:
             raise DimensionError("triplet arrays must have equal length")
         order = np.lexsort((rows, cols))
         rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and rows.size:
+        if rows.size:
             keep = np.empty(rows.size, dtype=bool)
             keep[0] = True
             np.not_equal(rows[1:], rows[:-1], out=keep[1:])
@@ -97,11 +99,11 @@ class SparseCSC:
         return cls(nrows, ncols, colptr, rows, vals)
 
     @classmethod
-    def from_dense(cls, a, dtype=None, tol=0.0):
+    def from_dense(cls, a, dtype=None):
         a = np.asarray(a)
         if dtype is None:
             dtype = a.dtype if a.dtype.kind == "f" else np.float64
-        rows, cols = np.nonzero(np.abs(a) > tol)
+        rows, cols = np.nonzero(a)
         return cls.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols], dtype=dtype)
 
     @classmethod
@@ -122,126 +124,19 @@ class SparseCSC:
 
     # ---- conversions ---------------------------------------------------
 
+    @property
+    def csc(self):
+        """``scipy.sparse.csc_array`` sharing this matrix's arrays (no copy)."""
+        return scipy.sparse.csc_array((self.values, self.rowidx, self.colptr),
+                                      shape=self.shape, copy=False)
+
     def to_dense(self):
-        a = np.zeros((self.nrows, self.ncols), dtype=self.dtype)
-        for j in range(self.ncols):
-            lo, hi = self.colptr[j], self.colptr[j + 1]
-            a[self.rowidx[lo:hi], j] = self.values[lo:hi]
-        return a
-
-    def copy(self):
-        return SparseCSC(self.nrows, self.ncols, self.colptr.copy(),
-                         self.rowidx.copy(), self.values.copy(), check=False)
-
-    def astype(self, dtype):
-        out = self.copy()
-        out.values = out.values.astype(dtype)
-        return out
-
-    def transpose(self):
-        cols = np.repeat(np.arange(self.ncols, dtype=np.int64), np.diff(self.colptr))
-        return SparseCSC.from_coo(self.ncols, self.nrows, cols, self.rowidx,
-                                  self.values, dtype=self.dtype, sum_duplicates=False)
+        return self.csc.toarray()
 
     def triplets(self):
         """(rows, cols, values) in column-major order."""
         cols = np.repeat(np.arange(self.ncols, dtype=INDEX_DTYPE), np.diff(self.colptr))
         return self.rowidx.copy(), cols, self.values.copy()
 
-    # ---- arithmetic ----------------------------------------------------
-
-    def matvec(self, x):
-        x = np.asarray(x)
-        if x.shape[0] != self.ncols:
-            raise DimensionError("matvec length mismatch")
-        y = np.zeros((self.nrows,) + x.shape[1:], dtype=np.result_type(self.dtype, x.dtype))
-        for j in range(self.ncols):
-            lo, hi = self.colptr[j], self.colptr[j + 1]
-            if hi > lo:
-                y[self.rowidx[lo:hi]] += np.multiply.outer(self.values[lo:hi], x[j])
-        return y
-
-    def rmatvec(self, x):
-        """Transpose-matvec: returns ``A.T @ x``."""
-        x = np.asarray(x)
-        if x.shape[0] != self.nrows:
-            raise DimensionError("rmatvec length mismatch")
-        y = np.zeros((self.ncols,) + x.shape[1:], dtype=np.result_type(self.dtype, x.dtype))
-        for j in range(self.ncols):
-            lo, hi = self.colptr[j], self.colptr[j + 1]
-            if hi > lo:
-                y[j] = np.tensordot(self.values[lo:hi], x[self.rowidx[lo:hi]], axes=(0, 0))
-        return y
-
-    def symmetric_matvec_upper(self, x):
-        """Matvec treating self as the upper triangle of a symmetric matrix."""
-        if self.nrows != self.ncols:
-            raise DimensionError("symmetric matvec needs a square matrix")
-        x = np.asarray(x)
-        y = self.matvec(x)
-        rows, cols, vals = self.triplets()
-        off = rows != cols
-        if np.any(off):
-            contrib = np.zeros_like(y)
-            np.add.at(contrib, cols[off], vals[off] * x[rows[off]])
-            y = y + contrib
-        return y
-
-    def symmetrized_pattern(self):
-        """Structural symmetrization: pattern of A + A.T (values ignored, diag kept)."""
-        rows, cols, _ = self.triplets()
-        r = np.concatenate([rows, cols])
-        c = np.concatenate([cols, rows])
-        v = np.ones(r.size, dtype=np.float64)
-        return SparseCSC.from_coo(self.nrows, self.ncols, r, c, v)
-
-    def scale_values(self, f):
-        out = self.copy()
-        out.values = out.values * f
-        return out
-
     def __repr__(self):
         return f"SparseCSC({self.nrows}x{self.ncols}, nnz={self.nnz}, dtype={self.dtype})"
-
-
-# ---- Matrix Market coordinate I/O ---------------------------------------
-
-
-def write_matrix_market(path, mat: SparseCSC, comment=""):
-    rows, cols, vals = mat.triplets()
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            fh.write(f"%{comment}\n")
-        fh.write(f"{mat.nrows} {mat.ncols} {mat.nnz}\n")
-        for r, c, v in zip(rows, cols, vals):
-            fh.write(f"{r + 1} {c + 1} {float(v):.17g}\n")
-
-
-def read_matrix_market(path, dtype=np.float64) -> SparseCSC:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("%%MatrixMarket"):
-            raise ValueError(f"{path}: not a Matrix Market file")
-        tokens = header.lower().split()
-        if "coordinate" not in tokens:
-            raise ValueError(f"{path}: only coordinate format is supported")
-        symmetric = "symmetric" in tokens
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        nrows, ncols, nnz = (int(t) for t in line.split())
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=dtype)
-        for k in range(nnz):
-            parts = fh.readline().split()
-            rows[k] = int(parts[0]) - 1
-            cols[k] = int(parts[1]) - 1
-            vals[k] = float(parts[2]) if len(parts) > 2 else 1.0
-    if symmetric:
-        off = rows != cols
-        rows, cols = (np.concatenate([rows, cols[off]]),
-                      np.concatenate([cols, rows[off]]))
-        vals = np.concatenate([vals, vals[off]])
-    return SparseCSC.from_coo(nrows, ncols, rows, cols, vals, dtype=dtype)

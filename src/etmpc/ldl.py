@@ -147,28 +147,20 @@ def factorize(upper: SparseCSC, perm: Permutation | None = None,
     return ldl_numeric(upper, ldl_symbolic(upper, perm), pivot_tol)
 
 
-# Reference sequential solves; the executor must reproduce these exactly.
+# Sequential reference solves of one right-hand side.
 
 
 def sptrsv_fe(L: SparseCSC, b):
     """Solve (I+L) x = b with L strictly lower triangular."""
-    _check_strictly_lower(L, b)
-    x = np.array(b, dtype=L.dtype, copy=True)
-    if x.ndim == 1:
-        K.solve_fe(L.colptr, L.rowidx, L.values, x)
-    else:
-        K.solve_fe_batch(L.colptr, L.rowidx, L.values, x)
+    x = _rhs_copy(L, b)
+    K.solve_fe(L.colptr, L.rowidx, L.values, x)
     return x
 
 
 def sptrsv_bs(L: SparseCSC, b):
     """Solve (I+L)^T x = b."""
-    _check_strictly_lower(L, b)
-    x = np.array(b, dtype=L.dtype, copy=True)
-    if x.ndim == 1:
-        K.solve_bs(L.colptr, L.rowidx, L.values, x)
-    else:
-        K.solve_bs_batch(L.colptr, L.rowidx, L.values, x)
+    x = _rhs_copy(L, b)
+    K.solve_bs(L.colptr, L.rowidx, L.values, x)
     return x
 
 
@@ -182,8 +174,11 @@ def diag_scale(dinv, b):
     return dinv[:, None] * b
 
 
-def _check_strictly_lower(L: SparseCSC, b):
+def _rhs_copy(L: SparseCSC, b):
+    """b as a fresh vector in L's precision, after checking the shapes."""
     if L.nrows != L.ncols:
         raise DimensionError("triangular solve needs a square matrix")
-    if np.asarray(b).shape[0] != L.nrows:
-        raise DimensionError("rhs length mismatch")
+    x = np.array(b, dtype=L.dtype, copy=True)
+    if x.shape != (L.nrows,):
+        raise DimensionError(f"rhs must be a vector of length {L.nrows}, got shape {x.shape}")
+    return x

@@ -177,7 +177,7 @@ def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
     """Write the time-varying data for one controller step.
 
     Touches only q, l, u; P and A stay frozen so the cached KKT
-    factorization (and any schedule derived from it) remains valid.
+    factorization remains valid.
     """
     idx = mpcqp.index
     qp = mpcqp.qp

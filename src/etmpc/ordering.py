@@ -59,12 +59,12 @@ def amd_order(pattern: SparseCSC) -> Permutation:
     if n == 0:
         return Permutation.identity(0)
 
-    sym = pattern.symmetrized_pattern()
     adj = [set() for _ in range(n)]
-    rows, cols, _ = sym.triplets()
+    rows, cols, _ = pattern.triplets()
     for r, c in zip(rows.tolist(), cols.tolist()):
         if r != c:
             adj[c].add(r)
+            adj[r].add(c)
 
     elem_of = [set() for _ in range(n)]      # elements adjacent to each variable
     elements: dict[int, set] = {}            # element id -> variable set

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
-from . import _kernels as kn
 from .csc import SparseCSC, DimensionError
 from .ldl import DEFAULT_PIVOT_TOL, LdlFactor, ldl_numeric, ldl_symbolic
 from .ordering import Permutation, amd_order
@@ -64,9 +64,6 @@ class QpProblem:
             raise ValueError("l > u in some row")
         return self
 
-    def objective(self, x):
-        return 0.5 * x @ self.P.symmetric_matvec_upper(x) + self.q @ x
-
     def nnz_total(self):
         return self.P.nnz + self.A.nnz
 
@@ -82,7 +79,6 @@ class AdmmSettings:
     check_interval: int = 1
     warm_start: bool = True
     termination_mode: str = "fixed_iterations"  # or "residual"
-    residual_norm: str = "inf"                  # or "l2sq" for the squared 2-norm test
     precision: str = "fp64"
     divergence_limit: float = 1e12
     pivot_tol: float | None = None
@@ -122,39 +118,48 @@ class AdmmState:
 
 
 class KktSystem:
-    """The quasi-definite KKT matrix with its cached factorization.
+    """P and A frozen in storage precision, the quasi-definite KKT matrix
+    assembled from them, and its cached factorization.
 
-    ``factor_count`` exists so tests can assert the factorization is never
-    silently recomputed across solver iterations or controller steps.
+    ``P`` (both triangles), ``A`` and ``At`` are the ``scipy.sparse``
+    operators of the residual products. q, l and u are not held here: they
+    are read from the problem at every use, through ``stored``.
     """
 
-    def __init__(self, K: SparseCSC, perm: Permutation, factor: LdlFactor, n: int, m: int):
+    def __init__(self, K: SparseCSC, perm: Permutation, factor: LdlFactor,
+                 P_upper, A, precision: str):
         self.K = K
         self.perm = perm
         self.factor = factor
-        self.n = n
-        self.m = m
-        self.factor_count = 1
+        self.P = (P_upper + scipy.sparse.triu(P_upper, k=1).T).tocsc()
+        self.A = A
+        self.At = A.T
+        self.precision = precision
 
-    def solve_kkt(self, rhs):
-        return self.factor.solve(rhs)
+    def stored(self, vec):
+        """q, l or u in storage precision (fp16emu: rounded through float16)."""
+        if self.precision == "fp16emu":
+            return _round_fp16(vec)
+        return vec.astype(DTYPES[self.precision])
 
 
 def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
                  perm: Permutation | None = None) -> KktSystem:
-    """Build and factor [[P+sigma I, A'], [A, -I/rho]] (upper triangle)."""
+    """Build and factor [[P+sigma I, A'], [A, -I/rho]] (upper triangle),
+    with P and A copied once into storage precision."""
     problem.validate()
     n, m = problem.n, problem.m
     dtype = settings.dtype
+    P, A = problem.P.csc.astype(dtype), problem.A.csc.astype(dtype)
     if settings.precision == "fp16emu":
-        problem = round_problem_fp16(problem)
-    prows, pcols, pvals = problem.P.triplets()
-    arows, acols, avals = problem.A.triplets()
+        P.data, A.data = _round_fp16(P.data), _round_fp16(A.data)
+    prows, pcols, _ = problem.P.triplets()
+    arows, acols, _ = problem.A.triplets()
     rows = np.concatenate([prows, np.arange(n), acols, n + np.arange(m)])
     cols = np.concatenate([pcols, np.arange(n), n + arows, n + np.arange(m)])
     vals = np.concatenate([
-        pvals, np.full(n, settings.sigma),
-        avals, np.full(m, -1.0 / settings.rho),
+        P.data, np.full(n, settings.sigma),
+        A.data, np.full(m, -1.0 / settings.rho),
     ]).astype(dtype)
     K = SparseCSC.from_coo(n + m, n + m, rows, cols, vals, dtype=dtype)
     if perm is None:
@@ -167,71 +172,36 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
         factor.L.values = _round_fp16(factor.L.values)
         factor.dinv = _round_fp16(factor.dinv)
         factor.d = _round_fp16(factor.d)
-    return KktSystem(K, perm, factor, n, m)
+    return KktSystem(K, perm, factor, P, A, settings.precision)
 
 
 def _round_fp16(a):
     return np.asarray(a).astype(np.float16).astype(np.float64)
 
 
-def round_problem_fp16(problem: QpProblem) -> QpProblem:
-    p = QpProblem(problem.P.copy(), _round_fp16(problem.q), problem.A.copy(),
-                  _round_fp16(problem.l), _round_fp16(problem.u))
-    p.P.values = _round_fp16(p.P.values)
-    p.A.values = _round_fp16(p.A.values)
-    return p
-
-
-def residuals(state: AdmmState, problem: QpProblem, norm: str = "inf"):
-    """(r_prim, r_dual) = (|Ax - z|, |Px + q + A'y|) under the chosen norm."""
-    ax = _a_matvec(problem, state.x)
-    px = _p_matvec(problem, state.x)
-    aty = _at_matvec(problem, state.y)
-    rp = ax - state.z
-    rd = px + problem.q.astype(px.dtype) + aty
-    if norm == "l2sq":
-        return float(rp @ rp), float(rd @ rd)
+def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem):
+    """(r_prim, r_dual) = (|Ax - z|, |Px + q + A'y|) in the infinity norm."""
+    rp = kkt.A @ state.x - state.z
+    rd = kkt.P @ state.x + kkt.stored(problem.q) + kkt.At @ state.y
     return float(np.max(np.abs(rp), initial=0.0)), float(np.max(np.abs(rd), initial=0.0))
 
 
-def _p_matvec(problem, x):
-    out = np.empty(problem.n, dtype=x.dtype)
-    kn.csc_symmetric_matvec_upper(problem.P.colptr, problem.P.rowidx,
-                                  problem.P.values.astype(x.dtype), x, out)
-    return out
-
-
-def _a_matvec(problem, x):
-    out = np.empty(problem.m, dtype=x.dtype)
-    kn.csc_matvec(problem.A.colptr, problem.A.rowidx,
-                  problem.A.values.astype(x.dtype), x, out)
-    return out
-
-
-def _at_matvec(problem, y):
-    out = np.empty(problem.n, dtype=y.dtype)
-    kn.csc_rmatvec(problem.A.colptr, problem.A.rowidx,
-                   problem.A.values.astype(y.dtype), y, out)
-    return out
-
-
-def admm_step(state: AdmmState, problem: QpProblem, kkt, settings: AdmmSettings):
+def admm_step(state: AdmmState, problem: QpProblem, kkt: KktSystem, settings: AdmmSettings):
     """One relaxed splitting iteration, in place."""
     rho, alpha = settings.rho, settings.alpha
     rho_inv = 1.0 / rho
     n = problem.n
     rhs = np.concatenate([
-        settings.sigma * state.x - problem.q.astype(state.x.dtype),
+        settings.sigma * state.x - kkt.stored(problem.q),
         state.z - rho_inv * state.y,
     ])
-    sol = kkt.solve_kkt(rhs)
+    sol = kkt.factor.solve(rhs)
     state.xtilde = sol[:n]
     state.nu = sol[n:]
     state.ztilde = state.z + rho_inv * (state.nu - state.y)
     state.x = alpha * state.xtilde + (1.0 - alpha) * state.x
     z_pre = alpha * state.ztilde + (1.0 - alpha) * state.z
-    z_new = np.clip(z_pre + rho_inv * state.y,
-                    problem.l.astype(z_pre.dtype), problem.u.astype(z_pre.dtype))
+    z_new = np.clip(z_pre + rho_inv * state.y, kkt.stored(problem.l), kkt.stored(problem.u))
     state.y = state.y + rho * (z_pre - z_new)
     state.z = z_new
     state.iterations += 1
@@ -262,29 +232,15 @@ class SolveResult:
 class AdmmSolver:
     """Holds the frozen problem structure and reusable iterate state.
 
-    The KKT factorization (and any attached triangular-solve backend) is
-    built once; subsequent calls reuse it even if q, l, u were updated in
-    place. A backend only needs a ``solve_kkt(rhs) -> x`` method.
+    P, A and the KKT factorization are fixed when the solver is built;
+    q, l and u may be updated in place between solves.
     """
 
-    def __init__(self, problem: QpProblem, settings: AdmmSettings | None = None,
-                 backend=None):
+    def __init__(self, problem: QpProblem, settings: AdmmSettings | None = None):
         self.settings = settings or AdmmSettings()
         self.problem = problem.validate()
-        if self.settings.precision == "fp16emu":
-            # storage emulation owns a rounded copy of the problem data
-            self.problem = round_problem_fp16(problem)
         self.kkt = assemble_kkt(self.problem, self.settings)
-        self._backend = backend
         self._last = None
-
-    def set_backend(self, backend):
-        self._backend = backend
-
-    def solve_kkt(self, rhs):
-        if self._backend is not None:
-            return self._backend.solve_kkt(rhs)
-        return self.kkt.solve_kkt(rhs)
 
     def solve(self, initial_guess=None, warm_start=None) -> SolveResult:
         settings = self.settings
@@ -304,12 +260,11 @@ class AdmmSolver:
         status = None
         it = 0
         while it < settings.max_iter:
-            admm_step(state, self.problem, self, settings)
+            admm_step(state, self.problem, self.kkt, settings)
             it = state.iterations
             check_now = (it % settings.check_interval == 0) or it == settings.max_iter
             if check_now:
-                state.r_prim, state.r_dual = residuals(
-                    state, self.problem, settings.residual_norm)
+                state.r_prim, state.r_dual = residuals(state, self.problem, self.kkt)
                 trace.append((it, state.r_prim, state.r_dual))
                 if not np.isfinite(state.r_prim) or \
                         max(np.max(np.abs(state.x), initial=0.0),
@@ -337,10 +292,7 @@ def precision_emulate(problem: QpProblem, settings: AdmmSettings,
     traces = {}
     for prec in precisions:
         s = replace(settings, precision=prec, warm_start=False)
-        solver = AdmmSolver(QpProblem(problem.P.copy(), problem.q.copy(),
-                                      problem.A.copy(), problem.l.copy(),
-                                      problem.u.copy()), s)
-        traces[prec] = solver.solve().trace
+        traces[prec] = AdmmSolver(problem, s).solve().trace
     return traces
 
 
@@ -360,8 +312,6 @@ PROBLEM_VERSION = 1
 def save_problem(path, problem: QpProblem):
     """Single structured-text file: matrix blocks in coordinate form plus
     the dense vectors, under a versioned header."""
-    from .csc import write_matrix_market  # local import to avoid cycle at init
-
     def mm_lines(mat):
         rows, cols, vals = mat.triplets()
         out = [f"{mat.nrows} {mat.ncols} {mat.nnz}"]

@@ -161,7 +161,7 @@ def mpc_solver_settings(**overrides) -> AdmmSettings:
 def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
                     controller_model: ThermalPlantModel | None = None,
                     solver_settings: AdmmSettings | None = None,
-                    backend=None, weights=None, mpcqp: MpcQp | None = None,
+                    weights=None, mpcqp: MpcQp | None = None,
                     initial_state=None) -> RunTrace:
     """Simulate the three-stage controller against the nonlinear plant.
 
@@ -179,7 +179,7 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
     if mpcqp is None:
         mpcqp = build_mpc_qp(controller_model, spec, params_, weights=weights)
     settings = solver_settings or mpc_solver_settings()
-    solver = AdmmSolver(mpcqp.qp, settings, backend=backend)
+    solver = AdmmSolver(mpcqp.qp, settings)
     rng = np.random.default_rng(scenario.seed)
 
     nc = spec.n_pe
@@ -290,22 +290,6 @@ def rmse_series(trace: RunTrace):
     return out
 
 
-def rmse_difference(trace_a: RunTrace, trace_b: RunTrace):
-    return rmse_series(trace_a) - rmse_series(trace_b)
-
-
-@dataclass
-class RmseReport:
-    rmse: np.ndarray
-    mean: float
-    peak: float
-
-    @classmethod
-    def from_trace(cls, trace):
-        series = rmse_series(trace)
-        return cls(series, float(series.mean()), float(series.max()))
-
-
 def write_trace_csv(path, trace: RunTrace):
     nc = trace.plant_si.shape[1]
     cols = ["time", "status", "iterations", "budget"]
@@ -320,26 +304,4 @@ def write_trace_csv(path, trace: RunTrace):
             row += [f"{v:.4f}" for v in trace.plant_si[k]]
             row += [f"{v:.5f}" for v in trace.dispatched_power[k]]
             row += [f"{v:.5f}" for v in trace.target_power[k]]
-            fh.write(",".join(row) + "\n")
-
-
-def write_scenario_csv(path, scenario: Scenario, n_pe):
-    """Tabular scenario export: one row per breakpoint union."""
-    times = sorted({t for tl in (scenario.freq_targets, scenario.classes,
-                                 scenario.budget, scenario.domain_budgets)
-                    for t, _ in tl})
-    with open(path, "w") as fh:
-        nd = len(scenario.domain_budgets[0][1]) if scenario.domain_budgets else 0
-        head = ["time", "budget"] + [f"budget_d{j}" for j in range(nd)]
-        head += [f"class_{i}" for i in range(n_pe)] + [f"f_{i}" for i in range(n_pe)]
-        fh.write(",".join(head) + "\n")
-        for t in times:
-            row = [f"{t:.6f}"]
-            row.append(f"{timeline_value(scenario.budget, t):.6g}" if scenario.budget else "inf")
-            if nd:
-                row += [f"{b:.6g}" for b in timeline_value(scenario.domain_budgets, t)]
-            cls = timeline_value(scenario.classes, t)
-            frq = timeline_value(scenario.freq_targets, t)
-            row += [str(int(c)) for c in cls]
-            row += [f"{f:.6g}" for f in frq]
             fh.write(",".join(row) + "\n")

@@ -64,13 +64,26 @@ def test_kkt_nnz_recount():
     assert kkt.K.nnz == expect
 
 
-def test_factor_cached_across_solves():
+def test_factor_cached_across_solves(ldl_numeric_calls):
     p = box_problem()
     solver = AdmmSolver(p, residual_settings())
     solver.solve()
-    p.q[:] = [-0.5, -0.25]
-    solver.solve()
-    assert solver.kkt.factor_count == 1
+    for q in ([-0.5, -0.25], [0.3, -2.0], [-1.0, -1.0]):
+        p.q[:] = q
+        solver.solve()
+    assert len(ldl_numeric_calls) == 1
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16emu"])
+def test_in_place_q_update_reaches_the_solver(precision):
+    p = box_problem()
+    solver = AdmmSolver(p, AdmmSettings(precision=precision, max_iter=100, warm_start=False))
+    before = solver.solve()
+    p.q[:] = [-0.25, -0.5]   # moves the unconstrained minimizer to (0.25, 0.5)
+    after = solver.solve()
+    assert before.status == after.status == "solved"
+    np.testing.assert_allclose(before.x, [0.5, 1.0], atol=1e-2)
+    np.testing.assert_allclose(after.x, [0.25, 0.5], atol=1e-2)
 
 
 def test_admm_step_fixed_point():
@@ -82,7 +95,7 @@ def test_admm_step_fixed_point():
     state.x = np.array([1.0])
     state.z = np.array([1.0])
     state.y = np.array([0.0])
-    admm_step(state, solver.problem, solver, settings)
+    admm_step(state, solver.problem, solver.kkt, settings)
     np.testing.assert_allclose(state.x, [1.0], atol=1e-9)
     np.testing.assert_allclose(state.z, [1.0], atol=1e-9)
     np.testing.assert_allclose(state.y, [0.0], atol=1e-9)
@@ -112,15 +125,38 @@ def test_warm_start_at_solution_terminates_fast():
 def test_residuals_zero_state():
     p = make_problem([[1.0]], [0.0], [[1.0]], [-1.0], [1.0])
     state = AdmmState.zeros(1, 1)
-    assert residuals(state, p) == (0.0, 0.0)
+    assert residuals(state, p, assemble_kkt(p, AdmmSettings())) == (0.0, 0.0)
 
 
 def test_residual_unit_violation():
     p = make_problem([[0.0]], [0.0], [[1.0]], [-5.0], [5.0])
     state = AdmmState.zeros(1, 1)
     state.x = np.array([1.0])  # Ax - z = 1
-    rp, rd = residuals(state, p)
+    rp, rd = residuals(state, p, assemble_kkt(p, AdmmSettings()))
     assert rp == 1.0
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_residuals_match_dense_oracle(precision):
+    tol = {"fp64": 1e-13, "fp32": 1e-5}[precision]
+    rng = np.random.default_rng(12)
+    P, q, A, l, u = random_qp(rng, 7, 6)
+    assert np.count_nonzero(np.triu(P, 1)) > 0   # exercises the upper-stored symmetric P
+    p = make_problem(P, q, A, l, u)
+    kkt = assemble_kkt(p, AdmmSettings(precision=precision))
+    dtype = np.float64 if precision == "fp64" else np.float32
+    state = AdmmState.zeros(p.n, p.m, dtype)
+    state.x = rng.standard_normal(p.n).astype(dtype)
+    state.z = rng.standard_normal(p.m).astype(dtype)
+    state.y = rng.standard_normal(p.m).astype(dtype)
+    x, z, y = (v.astype(np.float64) for v in (state.x, state.z, state.y))
+    rp_ref = np.max(np.abs(A @ x - z))
+    rd_ref = np.max(np.abs(P @ x + q + A.T @ y))
+    rp, rd = residuals(state, p, kkt)
+    assert abs(rp - rp_ref) <= tol * max(1.0, rp_ref)
+    assert abs(rd - rd_ref) <= tol * max(1.0, rd_ref)
+    # the products run in storage precision
+    assert (kkt.A @ state.x).dtype == (kkt.P @ state.x).dtype == (kkt.At @ state.y).dtype == dtype
 
 
 def test_projection_invariant_every_iteration():
@@ -131,7 +167,7 @@ def test_projection_invariant_every_iteration():
     solver = AdmmSolver(p, settings)
     state = AdmmState.zeros(p.n, p.m)
     for _ in range(40):
-        admm_step(state, solver.problem, solver, settings)
+        admm_step(state, solver.problem, solver.kkt, settings)
         assert np.all(state.z >= p.l - 1e-12) and np.all(state.z <= p.u + 1e-12)
 
 

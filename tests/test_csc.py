@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from etmpc.csc import SparseCSC, DimensionError, read_matrix_market, write_matrix_market
+from etmpc.csc import SparseCSC, DimensionError
+from etmpc.qp import AdmmSettings, QpProblem, assemble_kkt
 
 
 def test_from_dense_round_trip():
@@ -10,6 +11,7 @@ def test_from_dense_round_trip():
     a[rng.random((7, 5)) < 0.6] = 0.0
     m = SparseCSC.from_dense(a)
     np.testing.assert_array_equal(m.to_dense(), a)
+    assert np.shares_memory(m.csc.data, m.values)  # the scipy view copies nothing
 
 
 def test_from_coo_sums_duplicates():
@@ -40,40 +42,20 @@ def test_matvec_and_rmatvec_match_dense():
     m = SparseCSC.from_dense(a)
     x = rng.standard_normal(4)
     y = rng.standard_normal(6)
-    np.testing.assert_allclose(m.matvec(x), a @ x, atol=1e-14)
-    np.testing.assert_allclose(m.rmatvec(y), a.T @ y, atol=1e-14)
+    np.testing.assert_allclose(m.csc @ x, a @ x, atol=1e-14)
+    np.testing.assert_allclose(m.csc.T @ y, a.T @ y, atol=1e-14)
 
 
 def test_symmetric_matvec_upper():
+    # the residual operator KktSystem.P rebuilds both triangles of an upper-stored P
     rng = np.random.default_rng(2)
-    s = rng.standard_normal((5, 5))
-    s = s + s.T
-    upper = SparseCSC.from_dense(np.triu(s))
+    b = rng.standard_normal((5, 5))
+    s = b @ b.T + np.eye(5)
+    problem = QpProblem(SparseCSC.from_dense(np.triu(s)), np.zeros(5),
+                        SparseCSC.identity(5), -np.ones(5), np.ones(5))
+    kkt = assemble_kkt(problem, AdmmSettings())
     x = rng.standard_normal(5)
-    np.testing.assert_allclose(upper.symmetric_matvec_upper(x), s @ x, atol=1e-14)
-
-
-def test_transpose():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 6))
-    a[rng.random((4, 6)) < 0.5] = 0.0
-    m = SparseCSC.from_dense(a)
-    np.testing.assert_array_equal(m.transpose().to_dense(), a.T)
-
-
-def test_matrix_market_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((5, 3))
-    a[rng.random((5, 3)) < 0.4] = 0.0
-    m = SparseCSC.from_dense(a)
-    path = tmp_path / "m.mtx"
-    write_matrix_market(path, m)
-    back = read_matrix_market(path)
-    np.testing.assert_array_equal(back.to_dense(), a)
-    # indices are 1-based on disk
-    body = path.read_text().splitlines()
-    first = body[1].split()
-    assert int(first[0]) >= 1 and int(first[1]) >= 1
+    np.testing.assert_allclose(kkt.P @ x, s @ x, atol=1e-13)
 
 
 def test_identity_and_diag():

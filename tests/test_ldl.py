@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etmpc.csc import SparseCSC
+from etmpc.csc import DimensionError, SparseCSC
 from etmpc.ldl import (
     FactorizationError,
     diag_scale,
@@ -115,16 +115,13 @@ def test_fe_bs_random_50_matches_dense_oracle():
     assert rel(sptrsv_bs(L, b), xb) < 1e-12
 
 
-def test_fe_bs_batched_match_single():
-    rng = np.random.default_rng(6)
-    ldense = np.tril(rng.standard_normal((20, 20)), -1)
-    ldense[np.abs(ldense) < 0.8] = 0.0
-    L = SparseCSC.from_dense(ldense)
-    B = rng.standard_normal((20, 4))
-    fe_cols = np.column_stack([sptrsv_fe(L, B[:, j]) for j in range(4)])
-    np.testing.assert_allclose(sptrsv_fe(L, B), fe_cols, atol=1e-14)
-    bs_cols = np.column_stack([sptrsv_bs(L, B[:, j]) for j in range(4)])
-    np.testing.assert_allclose(sptrsv_bs(L, B), bs_cols, atol=1e-14)
+@pytest.mark.parametrize("solve", [sptrsv_fe, sptrsv_bs])
+def test_fe_bs_reject_matrix_rhs(solve):
+    L = SparseCSC.from_coo(2, 2, [1], [0], [0.5])
+    with pytest.raises(DimensionError):
+        solve(L, np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        solve(L, np.ones(3))
 
 
 def test_diag_scale():

@@ -1,0 +1,52 @@
+import numpy as np
+import pytest
+
+from etmpc.power import PowerModelParams
+from etmpc.pruning import DEFAULT_CUTOFF, prune_model
+from etmpc.simulate import default_scenario, mpc_solver_settings, run_closed_loop
+from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
+
+STEPS = 30
+
+# Recorded from the hand-written sparse kernels the scipy.sparse products
+# replaced; the trajectories must not move by a bit. Per mode: sum of the
+# plant silicon temperatures, sum of the dispatched power, iterations per
+# step, and the status counts.
+REFERENCE = {
+    "fixed": (5679.720250451588, 198.6019334436939, [15] * STEPS,
+              {"max_iter": 10, "solved": 20}),
+    "residual": (5679.614456086652, 198.60419855287816,
+                 [51, 47, 43, 43, 43, 39, 35, 31, 35, 35, 35, 35, 39, 31, 31,
+                  116, 43, 39, 39, 35, 36, 35, 30, 31, 23, 17, 31, 35, 39, 21],
+                 {"solved": 30}),
+}
+
+MODES = {
+    "fixed": (dict(), 0.0),
+    "residual": (dict(termination_mode="residual", eps_prim=1e-3, eps_dual=1e-3,
+                      max_iter=500), 0.05),
+}
+
+
+def p2x2_loop(mode):
+    spec = GridSpec(2, 2, hp=2, domains=default_domains(2, 2))
+    params = PowerModelParams()
+    model = build_thermal_model(spec)
+    discretize(model)
+    scenario = default_scenario(spec, params, duration=STEPS * spec.ts)
+    overrides, sigma = MODES[mode]
+    scenario.noise_sigma = sigma
+    scenario.seed = 7
+    return run_closed_loop(model, scenario, controller_model=prune_model(model, DEFAULT_CUTOFF),
+                           solver_settings=mpc_solver_settings(**overrides))
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_p2x2_closed_loop_trajectory_is_unchanged(mode):
+    tr = p2x2_loop(mode)
+    si_sum, p_sum, iterations, status = REFERENCE[mode]
+    assert tr.n_steps == STEPS
+    np.testing.assert_allclose(tr.plant_si.sum(), si_sum, rtol=1e-12)
+    np.testing.assert_allclose(tr.dispatched_power.sum(), p_sum, rtol=1e-12)
+    assert tr.iterations.tolist() == iterations
+    assert {s: tr.status.count(s) for s in set(tr.status)} == status
