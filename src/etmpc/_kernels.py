@@ -11,15 +11,12 @@ try:
     from numba import njit
 
     _jit = njit(cache=True)
-    HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba
     def _jit(fn):
         return fn
 
-    HAVE_NUMBA = False
 
-
-# ---- elimination tree and factor pattern ---------------------------------
+# ---- elimination tree and factorization ------------------------------------
 
 
 @_jit
@@ -52,49 +49,13 @@ def etree_and_counts(n, Ap, Ai, parent, lnz, work):
 
 
 @_jit
-def ldl_pattern(n, Ap, Ai, parent, Lp, Li, flag, pattern, next_slot):
-    """Row-by-row pattern of L given the elimination tree.
-
-    ``Lp`` must already hold the column pointers (cumulative lnz).
-    """
-    for j in range(n):
-        next_slot[j] = Lp[j]
-        flag[j] = -1
-    for k in range(n):
-        flag[k] = k
-        top = 0
-        for p in range(Ap[k], Ap[k + 1]):
-            i = Ai[p]
-            if i == k:
-                continue
-            depth = 0
-            while flag[i] != k:
-                flag[i] = k
-                pattern[top + depth] = i
-                depth += 1
-                i = parent[i]
-            # reverse the freshly walked path onto the stack
-            lo, hi = top, top + depth - 1
-            while lo < hi:
-                tmp = pattern[lo]
-                pattern[lo] = pattern[hi]
-                pattern[hi] = tmp
-                lo += 1
-                hi -= 1
-            top += depth
-        # row k of L touches every column on the stack
-        for t in range(top):
-            c = pattern[t]
-            Li[next_slot[c]] = k
-            next_slot[c] += 1
-
-
-@_jit
 def ldl_factor(n, Ap, Ai, Ax, parent, Lp, Li, Lx, d, dinv,
                y, flag, pattern, next_slot, pivot_tol):
     """Up-looking LDL^T of an upper-triangular CSC matrix.
 
-    L is strictly lower with the unit diagonal implicit; row entries are
+    ``Lp`` holds the column pointers from ``etree_and_counts``; the row
+    indices ``Li`` are written here, as each row of L is computed. L is
+    strictly lower with the unit diagonal implicit; row entries are
     divided by their pivot and the reciprocal pivots land in ``dinv``.
     Returns -1 on success, else the column with a near-zero pivot.
     """

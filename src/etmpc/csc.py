@@ -77,26 +77,19 @@ class SparseCSC:
 
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, vals, dtype=np.float64):
-        """Build from triplets; duplicate entries are summed."""
+        """Build from triplets; duplicate entries are summed, explicit zeros kept.
+
+        Negative or out-of-range indices raise ``ValueError``. The result is
+        canonical by construction, so it is not validated again.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=dtype)
         if not (rows.shape == cols.shape == vals.shape):
             raise DimensionError("triplet arrays must have equal length")
-        order = np.lexsort((rows, cols))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            keep = np.empty(rows.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(rows[1:], rows[:-1], out=keep[1:])
-            keep[1:] |= cols[1:] != cols[:-1]
-            idx = np.flatnonzero(keep)
-            vals = np.add.reduceat(vals, idx) if idx.size else vals
-            rows, cols = rows[keep], cols[keep]
-        colptr = np.zeros(ncols + 1, dtype=INDEX_DTYPE)
-        np.add.at(colptr, cols + 1, 1)
-        np.cumsum(colptr, out=colptr)
-        return cls(nrows, ncols, colptr, rows, vals)
+        mat = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsc()
+        mat.sum_duplicates()
+        return cls(nrows, ncols, mat.indptr, mat.indices, mat.data, check=False)
 
     @classmethod
     def from_dense(cls, a, dtype=None):

@@ -1,9 +1,11 @@
 """Sparse LDL^T factorization of quasi-definite matrices.
 
 The input is the upper triangle of a symmetric matrix in CSC form. The
-factor stores L strictly lower (unit diagonal implicit) with each row
-divided by its pivot, and the reciprocal pivots separately, so the
-triangular solves are division-free.
+symbolic step permutes it and computes only the elimination tree and the
+column counts of L; the numeric step writes L's row pattern and values
+together, row by row. The factor stores L strictly lower (unit diagonal
+implicit) with each row divided by its pivot, and the reciprocal pivots
+separately, so the triangular solves are division-free.
 """
 
 from __future__ import annotations
@@ -27,20 +29,18 @@ class FactorizationError(RuntimeError):
 
 @dataclass
 class SymbolicFactor:
+    """The permuted matrix and the structure that sizes its factor:
+    elimination tree and column pointers of L (from the column counts)."""
+
     n: int
     perm: Permutation
     parent: np.ndarray          # elimination tree, -1 for roots
     colptr: np.ndarray          # column pointers of L
-    rowidx: np.ndarray          # row pattern of L
     permuted_upper: SparseCSC   # upper triangle of P K P^T (pattern + values)
 
     @property
     def l_nnz(self) -> int:
         return int(self.colptr[-1])
-
-    def pattern(self) -> SparseCSC:
-        return SparseCSC(self.n, self.n, self.colptr, self.rowidx,
-                         np.ones(self.l_nnz), check=False)
 
 
 @dataclass
@@ -71,14 +71,6 @@ class LdlFactor:
         return (ldense * self.d) @ ldense.T
 
 
-def upper_triangle(mat: SparseCSC) -> SparseCSC:
-    """Keep entries on or above the diagonal."""
-    rows, cols, vals = mat.triplets()
-    keep = rows <= cols
-    return SparseCSC.from_coo(mat.nrows, mat.ncols, rows[keep], cols[keep],
-                              vals[keep], dtype=mat.dtype)
-
-
 def permute_upper(upper: SparseCSC, perm: Permutation) -> SparseCSC:
     """Upper triangle of P K P^T given the upper triangle of K."""
     rows, cols, vals = upper.triplets()
@@ -91,7 +83,8 @@ def permute_upper(upper: SparseCSC, perm: Permutation) -> SparseCSC:
 
 
 def ldl_symbolic(upper: SparseCSC, perm: Permutation | None = None) -> SymbolicFactor:
-    """Exact nonzero pattern of L for P K P^T, plus the elimination tree."""
+    """Permute K to P K P^T and compute its elimination tree and the
+    column counts of L."""
     if upper.nrows != upper.ncols:
         raise DimensionError("factorization needs a square matrix")
     n = upper.nrows
@@ -106,35 +99,27 @@ def ldl_symbolic(upper: SparseCSC, perm: Permutation | None = None) -> SymbolicF
         raise ValueError("input matrix is not upper triangular")
     colptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
     np.cumsum(lnz, out=colptr[1:])
-    rowidx = np.empty(total, dtype=INDEX_DTYPE)
-    K.ldl_pattern(n, pk.colptr, pk.rowidx, parent, colptr, rowidx,
-                  work, np.empty(n, dtype=INDEX_DTYPE),
-                  np.empty(n, dtype=INDEX_DTYPE))
-    return SymbolicFactor(n, perm, parent, colptr, rowidx, pk)
+    return SymbolicFactor(n, perm, parent, colptr, pk)
 
 
-def ldl_numeric(upper: SparseCSC, symbolic: SymbolicFactor,
-                pivot_tol: float | None = None) -> LdlFactor:
-    """Numerical factorization over a previously computed pattern.
-
-    ``upper`` may carry fresh values on the same pattern used for the
-    symbolic pass; it is re-permuted here.
-    """
+def ldl_numeric(symbolic: SymbolicFactor, pivot_tol: float | None = None) -> LdlFactor:
+    """Numerical factorization of ``symbolic.permuted_upper``; writes the
+    row pattern and values of L in one pass."""
     n = symbolic.n
-    dtype = upper.dtype
+    pk = symbolic.permuted_upper
+    dtype = pk.dtype
     if pivot_tol is None:
-        pivot_tol = DEFAULT_PIVOT_TOL.get(np.dtype(dtype), 1e-12)
-    pk = permute_upper(upper, symbolic.perm)
+        pivot_tol = DEFAULT_PIVOT_TOL.get(dtype, 1e-12)
     lx = np.empty(symbolic.l_nnz, dtype=dtype)
     rowidx = np.empty(symbolic.l_nnz, dtype=INDEX_DTYPE)
     d = np.empty(n, dtype=dtype)
     dinv = np.empty(n, dtype=dtype)
     fail = K.ldl_factor(
-        n, pk.colptr, pk.rowidx, pk.values.astype(dtype), symbolic.parent,
+        n, pk.colptr, pk.rowidx, pk.values, symbolic.parent,
         symbolic.colptr, rowidx, lx, d, dinv,
         np.zeros(n, dtype=dtype), np.empty(n, dtype=INDEX_DTYPE),
         np.empty(n, dtype=INDEX_DTYPE), np.empty(n, dtype=INDEX_DTYPE),
-        dtype.type(pivot_tol) if hasattr(dtype, "type") else pivot_tol,
+        dtype.type(pivot_tol),
     )
     if fail >= 0:
         raise FactorizationError(fail)
@@ -144,7 +129,7 @@ def ldl_numeric(upper: SparseCSC, symbolic: SymbolicFactor,
 
 def factorize(upper: SparseCSC, perm: Permutation | None = None,
               pivot_tol: float | None = None) -> LdlFactor:
-    return ldl_numeric(upper, ldl_symbolic(upper, perm), pivot_tol)
+    return ldl_numeric(ldl_symbolic(upper, perm), pivot_tol)
 
 
 # Sequential reference solves of one right-hand side.
@@ -162,16 +147,6 @@ def sptrsv_bs(L: SparseCSC, b):
     x = _rhs_copy(L, b)
     K.solve_bs(L.colptr, L.rowidx, L.values, x)
     return x
-
-
-def diag_scale(dinv, b):
-    dinv = np.asarray(dinv)
-    b = np.asarray(b)
-    if dinv.shape[0] != b.shape[0]:
-        raise DimensionError("length mismatch")
-    if b.ndim == 1:
-        return dinv * b
-    return dinv[:, None] * b
 
 
 def _rhs_copy(L: SparseCSC, b):

@@ -49,15 +49,25 @@ class MpcQp:
     weights: np.ndarray
 
 
+def _tile(block, row0, row_step, col0, col_step, stages):
+    """Triplets of the nonzeros of dense ``block`` placed once per stage h
+    at row offset ``row0 + h*row_step`` and column offset ``col0 + h*col_step``."""
+    r, c = np.nonzero(block)
+    h = np.arange(stages)[:, None]
+    return ((row0 + h * row_step + r).ravel(), (col0 + h * col_step + c).ravel(),
+            np.tile(block[r, c], stages))
+
+
 def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelParams,
                  weights=None) -> MpcQp:
     """Assemble P, A and the static parts of q, l, u.
 
-    Constraint rows, in order: dynamics equalities per stage, the initial
-    state equality, silicon thermal caps for stages 1..hp, per-element
-    power boxes, one total-budget row per stage, then per-domain budget
-    rows. Infeasible static bounds only warn: tighter time-varying budgets
-    may still admit solutions.
+    Constraint rows follow one layout table, in order: dynamics equalities
+    per stage, the initial state equality, silicon thermal caps for stages
+    1..hp, per-element power boxes, one total-budget row per stage, then
+    per-domain budget rows (domain-major, row ``j*hp + h`` of the block).
+    Infeasible static bounds only warn: tighter time-varying budgets may
+    still admit solutions.
     """
     if model.d is None:
         raise ValueError("model must be discretized first")
@@ -66,93 +76,44 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     nc = spec.n_pe
     n_domains = len(spec.domains)
     n = n_x * (hp + 1) + n_u * hp
-    m = n_x * hp + n_x + nc * hp + n_u * hp + hp + n_domains * hp
 
     if weights is None:
         weights = np.ones(n_u)
     weights = np.asarray(weights, dtype=np.float64)
 
-    idx = MpcIndexMap(
-        n_x=n_x, n_u=n_u, hp=hp,
-        rows_dynamics=slice(0, n_x * hp),
-        rows_init=slice(n_x * hp, n_x * hp + n_x),
-        rows_caps=slice(n_x * hp + n_x, n_x * hp + n_x + nc * hp),
-        rows_boxes=slice(n_x * hp + n_x + nc * hp, n_x * hp + n_x + nc * hp + n_u * hp),
-        rows_budget=slice(n_x * hp + n_x + nc * hp + n_u * hp,
-                          n_x * hp + n_x + nc * hp + n_u * hp + hp),
-        rows_domains=slice(n_x * hp + n_x + nc * hp + n_u * hp + hp, m),
-        n_domains=n_domains,
-    )
+    layout = [("dynamics", n_x * hp), ("init", n_x), ("caps", nc * hp),
+              ("boxes", n_u * hp), ("budget", hp), ("domains", n_domains * hp)]
+    row_slices = {}
+    m = 0
+    for name, size in layout:
+        row_slices[f"rows_{name}"] = slice(m, m + size)
+        m += size
+    idx = MpcIndexMap(n_x=n_x, n_u=n_u, hp=hp, n_domains=n_domains, **row_slices)
 
-    rows, cols, vals = [], [], []
-
-    def put(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    d, e = model.d, model.e
-    d_nz = np.nonzero(d)
-    e_nz = np.nonzero(e)
-
-    # dynamics: x_{h+1} - D x_h - E u_h = 0
-    for h in range(hp):
-        r0 = idx.rows_dynamics.start + h * n_x
-        xh = idx.state_offset(h)
-        xh1 = idx.state_offset(h + 1)
-        uh = idx.input_offset(h)
-        for i in range(n_x):
-            put(r0 + i, xh1 + i, 1.0)
-        for i, j in zip(*d_nz):
-            put(r0 + i, xh + j, -d[i, j])
-        for i, j in zip(*e_nz):
-            put(r0 + i, uh + j, -e[i, j])
-
-    # initial state equality
-    for i in range(n_x):
-        put(idx.rows_init.start + i, idx.state_offset(0) + i, 1.0)
-
-    # thermal caps on predicted silicon states (c_t selects them)
-    c_nz = np.nonzero(model.c_t)
-    for h in range(1, hp + 1):
-        r0 = idx.rows_caps.start + (h - 1) * nc
-        xh = idx.state_offset(h)
-        for i, j in zip(*c_nz):
-            put(r0 + i, xh + j, model.c_t[i, j])
-
-    # per-element power boxes
-    for h in range(hp):
-        r0 = idx.rows_boxes.start + h * n_u
-        uh = idx.input_offset(h)
-        for i in range(n_u):
-            put(r0 + i, uh + i, 1.0)
-
-    # total budget per stage
-    for h in range(hp):
-        r = idx.rows_budget.start + h
-        uh = idx.input_offset(h)
-        for i in range(n_u):
-            put(r, uh + i, 1.0)
-
+    x1, u0 = idx.state_offset(1), idx.input_offset(0)
+    blocks = [
+        # dynamics: x_{h+1} - D x_h - E u_h = 0
+        _tile(np.eye(n_x), idx.rows_dynamics.start, n_x, x1, n_x, hp),
+        _tile(-model.d, idx.rows_dynamics.start, n_x, 0, n_x, hp),
+        _tile(-model.e, idx.rows_dynamics.start, n_x, u0, n_u, hp),
+        # initial state equality
+        _tile(np.eye(n_x), idx.rows_init.start, 0, 0, 0, 1),
+        # thermal caps on predicted silicon states (c_t selects them)
+        _tile(model.c_t, idx.rows_caps.start, nc, x1, n_x, hp),
+        # per-element power boxes, total budget per stage
+        _tile(np.eye(n_u), idx.rows_boxes.start, n_u, u0, n_u, hp),
+        _tile(np.ones((1, n_u)), idx.rows_budget.start, 1, u0, n_u, hp),
+    ]
     # per-domain budgets per stage
     for j, members in enumerate(spec.domains):
-        for h in range(hp):
-            r = idx.rows_domains.start + j * hp + h
-            uh = idx.input_offset(h)
-            for i in members:
-                put(r, uh + i, 1.0)
-
-    A = SparseCSC.from_coo(m, n, rows, cols, vals)
+        member_row = np.zeros((1, n_u))
+        member_row[0, members] = 1.0
+        blocks.append(_tile(member_row, idx.rows_domains.start + j * hp, 1, u0, n_u, hp))
+    A = SparseCSC.from_coo(m, n, *(np.concatenate(part) for part in zip(*blocks)))
 
     # objective: sum_h (u_h - p*)' D (u_h - p*); states unweighted
-    p_rows = []
-    p_vals = []
-    for h in range(hp):
-        uh = idx.input_offset(h)
-        for i in range(n_u):
-            p_rows.append(uh + i)
-            p_vals.append(2.0 * weights[i])
-    P = SparseCSC.from_coo(n, n, p_rows, p_rows, p_vals)
+    u_cols = np.arange(u0, n)
+    P = SparseCSC.from_coo(n, n, u_cols, u_cols, np.tile(2.0 * weights, hp))
 
     q = np.zeros(n)
     l = np.full(m, -INF)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 
 from .csc import SparseCSC, DimensionError
-from .ldl import DEFAULT_PIVOT_TOL, LdlFactor, ldl_numeric, ldl_symbolic
+from .ldl import LdlFactor, ldl_numeric, ldl_symbolic
 from .ordering import Permutation, amd_order
 
 INF = np.inf
@@ -146,7 +146,8 @@ class KktSystem:
 def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
                  perm: Permutation | None = None) -> KktSystem:
     """Build and factor [[P+sigma I, A'], [A, -I/rho]] (upper triangle),
-    with P and A copied once into storage precision."""
+    with P and A copied once into storage precision. Under fp16emu a factor
+    that overflows float16 raises ``Fp16RangeError``."""
     problem.validate()
     n, m = problem.n, problem.m
     dtype = settings.dtype
@@ -164,19 +165,36 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
     K = SparseCSC.from_coo(n + m, n + m, rows, cols, vals, dtype=dtype)
     if perm is None:
         perm = amd_order(K)
-    tol = settings.pivot_tol
-    if tol is None:
-        tol = DEFAULT_PIVOT_TOL.get(np.dtype(dtype), 1e-12)
-    factor = ldl_numeric(K, ldl_symbolic(K, perm), pivot_tol=tol)
+    factor = ldl_numeric(ldl_symbolic(K, perm), pivot_tol=settings.pivot_tol)
     if settings.precision == "fp16emu":
         factor.L.values = _round_fp16(factor.L.values)
         factor.dinv = _round_fp16(factor.dinv)
         factor.d = _round_fp16(factor.d)
+        _check_fp16_range(factor)
     return KktSystem(K, perm, factor, P, A, settings.precision)
 
 
 def _round_fp16(a):
     return np.asarray(a).astype(np.float16).astype(np.float64)
+
+
+class Fp16RangeError(ArithmeticError):
+    """The KKT factor does not fit float16: a pivot, its reciprocal or an
+    entry of L rounds to inf."""
+
+    def __init__(self, column):
+        super().__init__(f"KKT factor overflows float16 at (permuted) column {column}")
+        self.column = column
+
+
+def _check_fp16_range(factor: LdlFactor):
+    _, cols, _ = factor.L.triplets()
+    bad = np.concatenate([
+        np.flatnonzero(~(np.isfinite(factor.d) & np.isfinite(factor.dinv))),
+        cols[~np.isfinite(factor.L.values)],
+    ])
+    if bad.size:
+        raise Fp16RangeError(int(bad.min()))
 
 
 def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem):

@@ -289,19 +289,3 @@ def rmse_series(trace: RunTrace):
         out[k] = float(np.sqrt(np.mean(err * err)))
     return out
 
-
-def write_trace_csv(path, trace: RunTrace):
-    nc = trace.plant_si.shape[1]
-    cols = ["time", "status", "iterations", "budget"]
-    cols += [f"t_si_{i}" for i in range(nc)]
-    cols += [f"p_disp_{i}" for i in range(nc)]
-    cols += [f"p_star_{i}" for i in range(nc)]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(trace.n_steps):
-            row = [f"{trace.times[k]:.6f}", trace.status[k], str(trace.iterations[k]),
-                   f"{trace.budget_active[k]:.6g}"]
-            row += [f"{v:.4f}" for v in trace.plant_si[k]]
-            row += [f"{v:.5f}" for v in trace.dispatched_power[k]]
-            row += [f"{v:.5f}" for v in trace.target_power[k]]
-            fh.write(",".join(row) + "\n")

@@ -140,3 +140,54 @@ def random_kkt_upper(rng, n, m, rho=0.1, sigma=1e-6, density=0.3):
     K[:n, n:] = A.T
     K[n:, n:] = -np.eye(m) / rho
     return np.triu(K)
+
+
+def dense_mpc_matrices(d, e, c_t, domains, hp, weights):
+    """Dense A and P of the condensed MPC QP, each block placed by slicing.
+
+    Columns: x_0..x_hp, then u_0..u_{hp-1}. Rows, in order: dynamics
+    x_{h+1} - D x_h - E u_h = 0 per stage, the initial state, the silicon
+    caps C x_h for h = 1..hp, the power boxes u_h, one budget row per
+    stage, then one row per domain and stage (domain-major). P holds
+    2*weights on the diagonal of every input block.
+    """
+    n_x, n_u = e.shape
+    nc = c_t.shape[0]
+    n = n_x * (hp + 1) + n_u * hp
+    m = n_x * hp + n_x + nc * hp + n_u * hp + hp + len(domains) * hp
+
+    def x(h):
+        return slice(h * n_x, (h + 1) * n_x)
+
+    def u(h):
+        start = n_x * (hp + 1) + h * n_u
+        return slice(start, start + n_u)
+
+    A = np.zeros((m, n))
+    r = 0
+    for h in range(hp):
+        A[r:r + n_x, x(h + 1)] = np.eye(n_x)
+        A[r:r + n_x, x(h)] = -d
+        A[r:r + n_x, u(h)] = -e
+        r += n_x
+    A[r:r + n_x, x(0)] = np.eye(n_x)
+    r += n_x
+    for h in range(1, hp + 1):
+        A[r:r + nc, x(h)] = c_t
+        r += nc
+    for h in range(hp):
+        A[r:r + n_u, u(h)] = np.eye(n_u)
+        r += n_u
+    for h in range(hp):
+        A[r, u(h)] = 1.0
+        r += 1
+    for members in domains:
+        for h in range(hp):
+            A[r, u(h).start + np.asarray(members, dtype=int)] = 1.0
+            r += 1
+    assert r == m
+
+    P = np.zeros((n, n))
+    for h in range(hp):
+        P[u(h), u(h)] = np.diag(2.0 * np.asarray(weights, dtype=np.float64))
+    return A, P

@@ -15,9 +15,24 @@ def test_from_dense_round_trip():
 
 
 def test_from_coo_sums_duplicates():
-    m = SparseCSC.from_coo(3, 3, [0, 0, 2], [1, 1, 2], [1.0, 2.0, 5.0])
-    assert m.nnz == 2
-    assert m.to_dense()[0, 1] == 3.0
+    m = SparseCSC.from_coo(3, 3, [0, 2, 0, 1], [1, 2, 1, 0], [1.0, 5.0, 2.0, 0.0])
+    assert m.nnz == 3  # the explicit zero at (1, 0) stays stored
+    np.testing.assert_array_equal(m.colptr, [0, 1, 2, 3])
+    np.testing.assert_array_equal(m.rowidx, [1, 0, 2])
+    np.testing.assert_array_equal(m.values, [0.0, 3.0, 5.0])
+    assert m.colptr.dtype == m.rowidx.dtype == np.int32
+
+
+@pytest.mark.parametrize("rows, cols", [([-1], [0]), ([0], [-1]), ([3], [0]), ([0], [2])],
+                         ids=["negative-row", "negative-col", "row-too-large", "col-too-large"])
+def test_from_coo_rejects_out_of_range_index(rows, cols):
+    with pytest.raises(ValueError):
+        SparseCSC.from_coo(3, 2, rows, cols, [1.0])
+
+
+def test_from_coo_rejects_unequal_triplet_lengths():
+    with pytest.raises(DimensionError):
+        SparseCSC.from_coo(3, 3, [0, 1], [0, 1], [1.0])
 
 
 def test_validate_rejects_bad_colptr():

@@ -4,13 +4,11 @@ import pytest
 from etmpc.csc import DimensionError, SparseCSC
 from etmpc.ldl import (
     FactorizationError,
-    diag_scale,
     factorize,
     ldl_numeric,
     ldl_symbolic,
     sptrsv_bs,
     sptrsv_fe,
-    upper_triangle,
 )
 from etmpc.ordering import amd_order, Permutation
 
@@ -19,6 +17,14 @@ from oracles import dense_ldl, dense_lower_pattern_after_elimination, random_kkt
 
 def upper_csc(dense):
     return SparseCSC.from_dense(np.triu(dense))
+
+
+def index_pattern(L):
+    """Dense boolean pattern of L read from its indices alone, not its values."""
+    rows, cols, _ = L.triplets()
+    pattern = np.zeros(L.shape, dtype=bool)
+    pattern[rows, cols] = True
+    return pattern
 
 
 def test_2x2_by_hand():
@@ -46,7 +52,7 @@ def test_reconstruction_random_kkt():
     k = random_kkt_upper(rng, 12, 8)
     upper = SparseCSC.from_dense(k)
     perm = amd_order(upper)
-    f = ldl_numeric(upper, ldl_symbolic(upper, perm))
+    f = ldl_numeric(ldl_symbolic(upper, perm))
     full = np.triu(k) + np.triu(k, 1).T
     pkp = full[np.ix_(perm.perm, perm.perm)]
     err = np.max(np.abs(pkp - f.reconstruct_permuted()))
@@ -60,9 +66,9 @@ def test_symbolic_pattern_matches_dense_oracle_arrow():
     k[:, 0] = 1.0
     k[0, 0] = n
     sym = ldl_symbolic(upper_csc(k), Permutation.identity(n))
-    got = sym.pattern().to_dense() != 0
-    expect = dense_lower_pattern_after_elimination(k)
-    np.testing.assert_array_equal(got, expect)
+    L = ldl_numeric(sym).L
+    np.testing.assert_array_equal(index_pattern(L), dense_lower_pattern_after_elimination(k))
+    np.testing.assert_array_equal(L.colptr, sym.colptr)
 
 
 def test_symbolic_pattern_chain_no_fill():
@@ -71,9 +77,9 @@ def test_symbolic_pattern_chain_no_fill():
     k[1, 2] = k[2, 1] = 1.0
     k[2, 3] = k[3, 2] = 1.0
     sym = ldl_symbolic(upper_csc(k), Permutation.identity(4))
-    pat = sym.pattern().to_dense()
-    assert pat[2, 1] != 0 and pat[3, 2] != 0
-    assert sym.l_nnz == 2
+    L = ldl_numeric(sym).L
+    np.testing.assert_array_equal(index_pattern(L), dense_lower_pattern_after_elimination(k))
+    assert sym.l_nnz == L.nnz == 2
 
 
 def test_numeric_structural_nonzeros_subset_of_symbolic():
@@ -82,9 +88,11 @@ def test_numeric_structural_nonzeros_subset_of_symbolic():
     upper = SparseCSC.from_dense(k)
     perm = amd_order(upper)
     sym = ldl_symbolic(upper, perm)
-    f = ldl_numeric(upper, sym)
-    np.testing.assert_array_equal(f.L.colptr, sym.colptr)
-    np.testing.assert_array_equal(f.L.rowidx, sym.rowidx)
+    L = ldl_numeric(sym).L
+    np.testing.assert_array_equal(L.colptr, sym.colptr)
+    assert sym.l_nnz == L.nnz
+    pkp = k[np.ix_(perm.perm, perm.perm)]
+    np.testing.assert_array_equal(index_pattern(L), dense_lower_pattern_after_elimination(pkp))
 
 
 def test_fe_bs_tiny_example():
@@ -124,10 +132,6 @@ def test_fe_bs_reject_matrix_rhs(solve):
         solve(L, np.ones(3))
 
 
-def test_diag_scale():
-    np.testing.assert_allclose(diag_scale([0.5, 2.0], [4.0, 4.0]), [2.0, 8.0])
-
-
 def test_solve_round_trip_fuzz():
     rng = np.random.default_rng(42)
     for trial in range(100):
@@ -151,8 +155,3 @@ def test_dense_ldl_oracle_agreement():
     np.testing.assert_allclose(f.L.to_dense() + np.eye(10), L_o, atol=1e-9)
     np.testing.assert_allclose(f.d, d_o, atol=1e-9)
 
-
-def test_upper_triangle_helper():
-    a = np.arange(9.0).reshape(3, 3)
-    np.testing.assert_array_equal(upper_triangle(SparseCSC.from_dense(a)).to_dense(),
-                                  np.triu(a))

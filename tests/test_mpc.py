@@ -6,18 +6,20 @@ import pytest
 from etmpc.mpc import build_mpc_qp, stage_inputs, update_mpc_step
 from etmpc.power import PowerModelParams
 from etmpc.pruning import prune_model
-from etmpc.qp import AdmmSettings, AdmmSolver
-from etmpc.simulate import default_scenario, run_closed_loop
+from etmpc.qp import AdmmSettings, AdmmSolver, Fp16RangeError
+from etmpc.simulate import default_scenario, mpc_solver_settings, run_closed_loop
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
+from oracles import dense_mpc_matrices
 
-def make_mpcqp(nw=1, nh=1, hp=1, domains=None, cutoff=None):
+
+def make_mpcqp(nw=1, nh=1, hp=1, domains=None, cutoff=None, weights=None):
     spec = GridSpec(nw, nh, hp=hp, domains=domains or [])
     model = build_thermal_model(spec)
     discretize(model)
     if cutoff is not None:
         model = prune_model(model, cutoff)
-    return build_mpc_qp(model, spec, PowerModelParams()), model
+    return build_mpc_qp(model, spec, PowerModelParams(), weights=weights), model
 
 
 def checksum(arr):
@@ -29,6 +31,38 @@ def test_1x1_hp1_row_and_column_counts():
     n_x = model.n_x
     assert mpcqp.qp.n == n_x * 2 + 1
     assert mpcqp.qp.m == n_x + n_x + 1 + 1 + 1
+
+
+@pytest.mark.parametrize("nw, nh, hp, domains, cutoff, weights", [
+    (1, 1, 1, None, None, None),
+    (3, 2, 3, None, None, None),
+    (2, 2, 2, default_domains(2, 2), None, [1.0, 0.0, 2.5, 0.0]),
+    (4, 4, 2, default_domains(4, 4), 0.005, None),
+], ids=["P1x1_H1", "P3x2_H3", "P2x2_H2_zero_weights", "P4x4_H2_pruned"])
+def test_matrices_match_dense_oracle(nw, nh, hp, domains, cutoff, weights):
+    mpcqp, model = make_mpcqp(nw, nh, hp=hp, domains=domains, cutoff=cutoff, weights=weights)
+    w = np.ones(model.n_u) if weights is None else np.asarray(weights)
+    A_ref, P_ref = dense_mpc_matrices(model.d, model.e, model.c_t, domains or [], hp, w)
+    qp = mpcqp.qp
+    np.testing.assert_array_equal(qp.A.to_dense(), A_ref)
+    np.testing.assert_array_equal(qp.P.to_dense(), P_ref)
+    assert qp.A.nnz == np.count_nonzero(A_ref)
+    # a zero weight is stored as an explicit zero on P's diagonal
+    assert qp.P.nnz == np.count_nonzero(P_ref) + hp * np.count_nonzero(w == 0)
+    idx = mpcqp.index
+    blocks = [idx.rows_dynamics, idx.rows_init, idx.rows_caps, idx.rows_boxes,
+              idx.rows_budget, idx.rows_domains]
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == qp.m
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_fp16emu_factor_overflow_raises():
+    # the 1/sigma = 1e6 pivots of the unweighted states exceed float16's range
+    mpcqp, _ = make_mpcqp(2, 2, hp=2, domains=default_domains(2, 2), cutoff=0.005)
+    with pytest.raises(Fp16RangeError) as e:
+        AdmmSolver(mpcqp.qp, mpc_solver_settings(precision="fp16emu"))
+    assert 0 <= e.value.column < mpcqp.qp.n + mpcqp.qp.m
 
 
 def test_equality_rows_have_l_equal_u():
