@@ -6,6 +6,13 @@ column counts of L; the numeric step writes L's row pattern and values
 together, row by row. The factor stores L strictly lower (unit diagonal
 implicit) with each row divided by its pivot, and the reciprocal pivots
 separately, so the triangular solves are division-free.
+
+Both steps run once per model, ahead of time, as plain Python over lists:
+each call converts its arrays with ``tolist`` once and builds the results
+with ``np.array`` at the end. The numeric step computes in double
+precision whatever the storage precision and rounds L, d and dinv to it
+once. numba, when installed, compiles only the reference triangular
+solves in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -74,6 +81,8 @@ class LdlFactor:
 def permute_upper(upper: SparseCSC, perm: Permutation) -> SparseCSC:
     """Upper triangle of P K P^T given the upper triangle of K."""
     rows, cols, vals = upper.triplets()
+    if np.any(rows > cols):
+        raise ValueError("input matrix is not upper triangular")
     pr = perm.inv_perm[rows]
     pc = perm.inv_perm[cols]
     lo = np.minimum(pr, pc)
@@ -84,47 +93,106 @@ def permute_upper(upper: SparseCSC, perm: Permutation) -> SparseCSC:
 
 def ldl_symbolic(upper: SparseCSC, perm: Permutation | None = None) -> SymbolicFactor:
     """Permute K to P K P^T and compute its elimination tree and the
-    column counts of L."""
+    column counts of L. An entry of ``upper`` below the diagonal raises
+    ``ValueError``."""
     if upper.nrows != upper.ncols:
         raise DimensionError("factorization needs a square matrix")
     n = upper.nrows
     if perm is None:
         perm = Permutation.identity(n)
     pk = permute_upper(upper, perm)
-    parent = np.empty(n, dtype=INDEX_DTYPE)
-    lnz = np.empty(n, dtype=INDEX_DTYPE)
-    work = np.empty(n, dtype=INDEX_DTYPE)
-    total = K.etree_and_counts(n, pk.colptr, pk.rowidx, parent, lnz, work)
-    if total < 0:
-        raise ValueError("input matrix is not upper triangular")
+    parent, lnz = _etree_and_counts(n, pk.colptr.tolist(), pk.rowidx.tolist())
     colptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
     np.cumsum(lnz, out=colptr[1:])
-    return SymbolicFactor(n, perm, parent, colptr, pk)
+    return SymbolicFactor(n, perm, np.array(parent, dtype=INDEX_DTYPE), colptr, pk)
+
+
+def _etree_and_counts(n, Ap, Ai):
+    """Elimination tree (-1 for roots) and nonzeros per column of L of an
+    upper-triangular CSC matrix."""
+    parent = [-1] * n
+    lnz = [0] * n
+    work = [-1] * n
+    for j in range(n):
+        work[j] = j
+        for i in Ai[Ap[j]:Ap[j + 1]]:
+            while work[i] != j:
+                if parent[i] == -1:
+                    parent[i] = j
+                lnz[i] += 1
+                work[i] = j
+                i = parent[i]
+    return parent, lnz
 
 
 def ldl_numeric(symbolic: SymbolicFactor, pivot_tol: float | None = None) -> LdlFactor:
     """Numerical factorization of ``symbolic.permuted_upper``; writes the
-    row pattern and values of L in one pass."""
+    row pattern and values of L in one pass, in double precision, and
+    rounds L, d and dinv to the storage precision once. The pivot
+    tolerance is rounded to the storage precision."""
     n = symbolic.n
     pk = symbolic.permuted_upper
     dtype = pk.dtype
     if pivot_tol is None:
         pivot_tol = DEFAULT_PIVOT_TOL.get(dtype, 1e-12)
-    lx = np.empty(symbolic.l_nnz, dtype=dtype)
-    rowidx = np.empty(symbolic.l_nnz, dtype=INDEX_DTYPE)
-    d = np.empty(n, dtype=dtype)
-    dinv = np.empty(n, dtype=dtype)
-    fail = K.ldl_factor(
-        n, pk.colptr, pk.rowidx, pk.values, symbolic.parent,
-        symbolic.colptr, rowidx, lx, d, dinv,
-        np.zeros(n, dtype=dtype), np.empty(n, dtype=INDEX_DTYPE),
-        np.empty(n, dtype=INDEX_DTYPE), np.empty(n, dtype=INDEX_DTYPE),
-        dtype.type(pivot_tol),
-    )
-    if fail >= 0:
-        raise FactorizationError(fail)
-    L = SparseCSC(n, n, symbolic.colptr.copy(), rowidx, lx, check=False)
-    return LdlFactor(L, d, dinv, symbolic.perm)
+    Li, Lx, d, dinv = _ldl_factor(
+        n, pk.colptr.tolist(), pk.rowidx.tolist(), pk.values.tolist(),
+        symbolic.parent.tolist(), symbolic.colptr.tolist(), float(dtype.type(pivot_tol)))
+    L = SparseCSC(n, n, symbolic.colptr.copy(), np.array(Li, dtype=INDEX_DTYPE),
+                  np.array(Lx, dtype=dtype), check=False)
+    return LdlFactor(L, np.array(d, dtype=dtype), np.array(dinv, dtype=dtype), symbolic.perm)
+
+
+def _ldl_factor(n, Ap, Ai, Ax, parent, Lp, pivot_tol):
+    """Up-looking LDL^T of an upper-triangular CSC matrix.
+
+    ``Lp`` holds the column pointers from the column counts; the row
+    indices of L are written here, as each row of L is computed. L is
+    strictly lower with the unit diagonal implicit; row entries are
+    divided by their pivot. Returns (Li, Lx, d, dinv); a pivot below
+    ``pivot_tol`` in magnitude raises ``FactorizationError``.
+    """
+    Li = [0] * Lp[n]
+    Lx = [0.0] * Lp[n]
+    d = [0.0] * n
+    dinv = [0.0] * n
+    y = [0.0] * n
+    flag = [-1] * n
+    next_slot = Lp[:n]
+    for k in range(n):
+        flag[k] = k
+        pattern = []
+        dk = 0.0
+        for p in range(Ap[k], Ap[k + 1]):
+            i = Ai[p]
+            if i == k:
+                dk = Ax[p]
+                continue
+            y[i] = Ax[p]
+            path = []
+            while flag[i] != k:
+                flag[i] = k
+                path.append(i)
+                i = parent[i]
+            path.reverse()
+            pattern += path
+        # sparse solve across the stacked pattern, deepest column first
+        for c in reversed(pattern):
+            yc = y[c]
+            lo, hi = Lp[c], next_slot[c]
+            for r, v in zip(Li[lo:hi], Lx[lo:hi]):
+                y[r] -= v * yc
+            lkc = yc * dinv[c]
+            Li[hi] = k
+            Lx[hi] = lkc
+            dk -= yc * lkc
+            next_slot[c] = hi + 1
+            y[c] = 0.0
+        d[k] = dk
+        if abs(dk) < pivot_tol:
+            raise FactorizationError(k)
+        dinv[k] = 1.0 / dk
+    return Li, Lx, d, dinv
 
 
 def factorize(upper: SparseCSC, perm: Permutation | None = None,

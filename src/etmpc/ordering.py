@@ -8,7 +8,9 @@ library is not a goal; determinism and fill reduction are.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -68,58 +70,50 @@ def amd_order(pattern: SparseCSC) -> Permutation:
 
     elem_of = [set() for _ in range(n)]      # elements adjacent to each variable
     elements: dict[int, set] = {}            # element id -> variable set
+    outside = [0] * n                        # element id -> |Le \ Lp| this step
     degree = [len(a) for a in adj]
-    alive = np.ones(n, dtype=bool)
-    heap = [(degree[i], i) for i in range(n)]
+    alive = [True] * n
+    heap = list(zip(degree, range(n)))
     heapq.heapify(heap)
     order = []
-    stamp = {}                               # element -> (pivot step, |Le \ Lp|)
-    nelim = 0
 
-    while nelim < n:
+    while len(order) < n:
         d, piv = heapq.heappop(heap)
         if not alive[piv] or d != degree[piv]:
             continue
         alive[piv] = False
         order.append(piv)
-        nelim += 1
 
         # new element: union of direct neighbours and absorbed elements
+        absorbed = elem_of[piv]
         le = set(adj[piv])
-        for e in elem_of[piv]:
+        for e in absorbed:
             le |= elements.pop(e)
         le.discard(piv)
         le = {j for j in le if alive[j]}
+        adj[piv].clear()
+        elem_of[piv] = set()
         if not le:
-            adj[piv].clear()
-            elem_of[piv].clear()
             continue
         elements[piv] = le
 
-        # |Le \ Lp| per outside element in one stamped scan
+        # |Le \ Lp| of every live element that meets Lp, from one count;
+        # a variable holding an absorbed element is in Lp, so this drops
+        # every absorbed element from every elem_of
         for j in le:
-            for e in elem_of[j]:
-                if e in elements:
-                    st = stamp.get(e)
-                    if st is None or st[0] != nelim:
-                        stamp[e] = [nelim, len(elements[e]) - 1]
-                    else:
-                        st[1] -= 1
+            elem_of[j] -= absorbed
+        met = Counter(chain.from_iterable(map(elem_of.__getitem__, le)))
+        for e, c in met.items():
+            outside[e] = len(elements[e]) - c
 
+        ext = len(le) - 1
+        cap = n - len(order)
         for j in le:
             adj[j].discard(piv)
             adj[j] -= le
-            elem_of[j] = {e for e in elem_of[j] if e in elements}
+            approx = len(adj[j]) + ext + sum(map(outside.__getitem__, elem_of[j]))
             elem_of[j].add(piv)
-            ext = len(le) - 1
-            approx = len(adj[j]) + ext
-            for e in elem_of[j]:
-                if e != piv:
-                    approx += max(stamp[e][1], 0)
-            degree[j] = min(n - nelim, approx)
+            degree[j] = min(cap, approx)
             heapq.heappush(heap, (degree[j], j))
-
-        adj[piv].clear()
-        elem_of[piv].clear()
 
     return Permutation.from_order(order)

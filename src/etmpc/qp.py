@@ -256,8 +256,8 @@ class AdmmSolver:
 
     def __init__(self, problem: QpProblem, settings: AdmmSettings | None = None):
         self.settings = settings or AdmmSettings()
-        self.problem = problem.validate()
-        self.kkt = assemble_kkt(self.problem, self.settings)
+        self.problem = problem
+        self.kkt = assemble_kkt(problem, self.settings)  # validates the problem
         self._last = None
 
     def solve(self, initial_guess=None, warm_start=None) -> SolveResult:

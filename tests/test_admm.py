@@ -234,6 +234,23 @@ def test_problem_file_round_trip(tmp_path):
     np.testing.assert_allclose(back.u, p.u)
 
 
+def test_solver_bring_up_validates_once(monkeypatch):
+    calls = []
+    real = QpProblem.validate
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(QpProblem, "validate", counted)
+    AdmmSolver(box_problem())
+    assert len(calls) == 1
+    bad = box_problem()
+    bad.l[0] = 2.0  # above u[0]
+    with pytest.raises(ValueError):
+        AdmmSolver(bad)
+
+
 def test_problem_file_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.qp"
     path.write_text("etmpc-qp 99\ndims 1 1\n")

@@ -47,6 +47,32 @@ def test_near_zero_pivot_raises_with_column():
     assert e.value.column == 1
 
 
+def test_near_zero_pivot_column_fp32():
+    k = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=np.float32)
+    with pytest.raises(FactorizationError) as e:
+        factorize(upper_csc(k))
+    assert e.value.column == 1
+
+
+def test_symbolic_rejects_below_diagonal_entry():
+    k = np.array([[2.0, 1.0], [1.0, 3.0]])  # both triangles stored
+    with pytest.raises(ValueError):
+        ldl_symbolic(SparseCSC.from_dense(k))
+
+
+def test_fp32_factor_is_rounded_double_factor():
+    rng = np.random.default_rng(17)
+    k32 = random_kkt_upper(rng, 12, 8).astype(np.float32)
+    upper32 = SparseCSC.from_dense(k32)
+    perm = amd_order(upper32)
+    f32 = factorize(upper32, perm)
+    f64 = factorize(SparseCSC.from_dense(k32.astype(np.float64)), perm)
+    np.testing.assert_array_equal(f32.L.rowidx, f64.L.rowidx)
+    for got, ref in ((f32.L.values, f64.L.values), (f32.d, f64.d), (f32.dinv, f64.dinv)):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, ref.astype(np.float32))
+
+
 def test_reconstruction_random_kkt():
     rng = np.random.default_rng(11)
     k = random_kkt_upper(rng, 12, 8)

@@ -6,7 +6,7 @@ import pytest
 from etmpc.mpc import build_mpc_qp, stage_inputs, update_mpc_step
 from etmpc.power import PowerModelParams
 from etmpc.pruning import prune_model
-from etmpc.qp import AdmmSettings, AdmmSolver, Fp16RangeError
+from etmpc.qp import AdmmSettings, AdmmSolver, Fp16RangeError, assemble_kkt
 from etmpc.simulate import default_scenario, mpc_solver_settings, run_closed_loop
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
@@ -63,6 +63,37 @@ def test_fp16emu_factor_overflow_raises():
     with pytest.raises(Fp16RangeError) as e:
         AdmmSolver(mpcqp.qp, mpc_solver_settings(precision="fp16emu"))
     assert 0 <= e.value.column < mpcqp.qp.n + mpcqp.qp.m
+
+
+# sha256 of the fp64 bring-up's permutation and factor (default domains,
+# cutoff 0.005); any change to the ordering or the LDL arithmetic shows here.
+# K's values come from discretize's matrix exponential, whose last bits may
+# depend on the BLAS build; K's digest is pinned too, so that such a
+# difference shows as a different input rather than a different factor.
+BRING_UP_DIGESTS = {
+    2: {"K": "05a2618914e0b19d3bee8f55baaeebd43d6a456960c2eda78a4260e3f9f3f14d",
+        "perm": "15d4a517b63c9cc64c705801774d2c48571fd8d2803dd6772a9df40976787fcc",
+        "rowidx": "917fe776950f6ed80e8e6e52357878bf7bfe792f71b80989b1fdd4345d65d826",
+        "values": "c0c5b467ac2b3b24f09a3f0a997e9d85f40151eae9a7b2039230e3442f88e7db",
+        "d": "a409f7305b3943224b662bc200b6294f11050a7e2dfaaaa6a2a90b74d90b44dd",
+        "dinv": "3bd260f117085ef3b799967ed5af83478ed0d6c2b96b20e88a0d40b999b92c8a"},
+    4: {"K": "f6c942118b8ca474357ae517c61aff162bf5251a198839fe175e1483fb4299ff",
+        "perm": "5b48050f59603e5a11bb295e3a6069885176b723eb6fa1cffc2d727c9e4f09a5",
+        "rowidx": "31f7e60d0457446f1084be474c55061c8cf9d7d4c842da8d96af11f904f0af5d",
+        "values": "0efce4936e0e369b627a1c1ddef22d770dbb0a9a81cbaeeba963b50926c4c989",
+        "d": "1f36088fa71a4961f50fb3bf5a40cdd9187ae5bb0ab506c8f1cf7261f5a3cc24",
+        "dinv": "8e4d9d526b57c17b147aa5b185aefd75af5000727a7a01de5d15d2bb99495c7f"},
+}
+
+
+@pytest.mark.parametrize("grid", [2, 4], ids=["P2x2_H2", "P4x4_H2"])
+def test_bring_up_factor_pinned(grid):
+    mpcqp, _ = make_mpcqp(grid, grid, hp=2, domains=default_domains(grid, grid), cutoff=0.005)
+    kkt = assemble_kkt(mpcqp.qp, AdmmSettings(precision="fp64"))
+    f = kkt.factor
+    got = {"K": kkt.K.values, "perm": kkt.perm.perm, "rowidx": f.L.rowidx, "values": f.L.values,
+           "d": f.d, "dinv": f.dinv}
+    assert {k: checksum(v) for k, v in got.items()} == BRING_UP_DIGESTS[grid]
 
 
 def test_equality_rows_have_l_equal_u():
