@@ -3,8 +3,11 @@
 Solves ``min 0.5 x'Px + q'x  s.t.  l <= Ax <= u`` by alternating updates:
 a KKT solve for the unconstrained step, projection of the splitting
 variable onto the box, and a dual ascent step. The KKT matrix
-``[[P + sigma*I, A'], [A, -I/rho]]`` is factored once; only q, l, u may
-change between solves, which is what makes the receding-horizon use fast.
+``[[P + sigma*I, A'], [A, -diag(1/rho)]]`` is factored once; only q, l, u
+may change between solves, which is what makes the receding-horizon use
+fast. The step size rho is per constraint row and follows OSQP (Stellato
+et al., Math. Prog. Comp. 2020): an equality row (u - l < ``RHO_TOL``) gets
+``RHO_EQ_OVER_RHO_INEQ`` times the inequality rows' ``AdmmSettings.rho``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from .ldl import LdlFactor, ldl_numeric, ldl_symbolic
 from .ordering import Permutation, amd_order
 
 INF = np.inf
+
+# OSQP's constants of the same names: equality-row step size over the
+# inequality one, and the u - l below which a row counts as an equality.
+RHO_EQ_OVER_RHO_INEQ = 1e3
+RHO_TOL = 1e-4
 
 DTYPES = {"fp64": np.float64, "fp32": np.float32, "fp16emu": np.float64}
 
@@ -122,18 +130,23 @@ class KktSystem:
     assembled from them, and its cached factorization.
 
     ``P`` (both triangles), ``A`` and ``At`` are the ``scipy.sparse``
-    operators of the residual products. q, l and u are not held here: they
-    are read from the problem at every use, through ``stored``.
+    operators of the residual products, and ``rho``/``rho_inv`` the per-row
+    step sizes and their reciprocals in the storage dtype (fp16emu: float64,
+    unrounded, like the K entries -1/rho). q, l and u are not held here:
+    they are read from the problem at every use, through ``stored``.
     """
 
     def __init__(self, K: SparseCSC, perm: Permutation, factor: LdlFactor,
-                 P_upper, A, precision: str):
+                 P_upper, A, rho, precision: str):
         self.K = K
         self.perm = perm
         self.factor = factor
         self.P = (P_upper + scipy.sparse.triu(P_upper, k=1).T).tocsc()
         self.A = A
         self.At = A.T
+        dtype = DTYPES[precision]
+        self.rho = rho.astype(dtype)
+        self.rho_inv = (1.0 / rho).astype(dtype)
         self.precision = precision
 
     def stored(self, vec):
@@ -145,13 +158,26 @@ class KktSystem:
 
 def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
                  perm: Permutation | None = None) -> KktSystem:
-    """Build and factor [[P+sigma I, A'], [A, -I/rho]] (upper triangle),
-    with P and A copied once into storage precision. Under fp16emu a factor
-    that overflows float16 raises ``Fp16RangeError``."""
+    """Build and factor [[P+sigma I, A'], [A, -diag(1/rho)]] (upper
+    triangle). rho is per row, fixed from the bounds at bring-up:
+    ``RHO_EQ_OVER_RHO_INEQ * settings.rho`` where u - l < ``RHO_TOL``
+    (equality rows), ``settings.rho`` elsewhere.
+
+    P and A are viewed, not copied, when already in storage precision
+    (fp16emu rounds fresh copies). Under fp16emu a factor that overflows
+    float16 raises ``Fp16RangeError``.
+
+    The bounds set values on K's (2,2) diagonal, never its pattern. Any
+    positive rho gives a valid splitting, so a later update of l/u that
+    turns an equality into an inequality (or back) keeps the iteration
+    correct, only slower; ``update_mpc_step`` never changes a row's type.
+    """
     problem.validate()
     n, m = problem.n, problem.m
     dtype = settings.dtype
-    P, A = problem.P.csc.astype(dtype), problem.A.csc.astype(dtype)
+    rho = np.where(problem.u - problem.l < RHO_TOL,
+                   RHO_EQ_OVER_RHO_INEQ * settings.rho, settings.rho)
+    P, A = problem.P.csc.astype(dtype, copy=False), problem.A.csc.astype(dtype, copy=False)
     if settings.precision == "fp16emu":
         P.data, A.data = _round_fp16(P.data), _round_fp16(A.data)
     prows, pcols, _ = problem.P.triplets()
@@ -160,7 +186,7 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
     cols = np.concatenate([pcols, np.arange(n), n + arows, n + np.arange(m)])
     vals = np.concatenate([
         P.data, np.full(n, settings.sigma),
-        A.data, np.full(m, -1.0 / settings.rho),
+        A.data, -1.0 / rho,
     ]).astype(dtype)
     K = SparseCSC.from_coo(n + m, n + m, rows, cols, vals, dtype=dtype)
     if perm is None:
@@ -171,7 +197,7 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
         factor.dinv = _round_fp16(factor.dinv)
         factor.d = _round_fp16(factor.d)
         _check_fp16_range(factor)
-    return KktSystem(K, perm, factor, P, A, settings.precision)
+    return KktSystem(K, perm, factor, P, A, rho, settings.precision)
 
 
 def _round_fp16(a):
@@ -205,9 +231,9 @@ def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem):
 
 
 def admm_step(state: AdmmState, problem: QpProblem, kkt: KktSystem, settings: AdmmSettings):
-    """One relaxed splitting iteration, in place."""
-    rho, alpha = settings.rho, settings.alpha
-    rho_inv = 1.0 / rho
+    """One relaxed splitting iteration, in place, with the per-row step
+    sizes of ``kkt``."""
+    rho, rho_inv, alpha = kkt.rho, kkt.rho_inv, settings.alpha
     n = problem.n
     rhs = np.concatenate([
         settings.sigma * state.x - kkt.stored(problem.q),

@@ -151,10 +151,15 @@ def plant_step(model: ThermalPlantModel, params: PowerModelParams, state,
 
 
 def mpc_solver_settings(**overrides) -> AdmmSettings:
-    """Controller defaults: fixed 15 iterations, warm started."""
+    """Controller defaults: fixed 15 iterations, warm started. With fixed
+    iterations the residuals feed only the final status and the divergence
+    check, so unless ``check_interval`` is given they are computed once,
+    after the last iteration."""
     base = dict(max_iter=15, warm_start=True, termination_mode="fixed_iterations",
                 eps_prim=0.01, eps_dual=0.01)
     base.update(overrides)
+    if base["termination_mode"] == "fixed_iterations":
+        base.setdefault("check_interval", base["max_iter"])
     return AdmmSettings(**base)
 
 

@@ -191,3 +191,17 @@ def dense_mpc_matrices(d, e, c_t, domains, hp, weights):
     for h in range(hp):
         P[u(h), u(h)] = np.diag(2.0 * np.asarray(weights, dtype=np.float64))
     return A, P
+
+
+def dense_admm_step(P, q, A, l, u, rho, sigma, alpha, x, z, y):
+    """One relaxed OSQP iteration with the diagonal step size R = diag(rho),
+    through the reduced system (P + sigma I + A'RA) x~ = sigma x - q + A'(Rz - y)
+    solved densely, and z~ = A x~. P is the full symmetric matrix.
+    Returns the new (x, z, y)."""
+    n = P.shape[0]
+    xt = np.linalg.solve(P + sigma * np.eye(n) + A.T @ (rho[:, None] * A),
+                         sigma * x - q + A.T @ (rho * z - y))
+    zt = A @ xt
+    z_relaxed = alpha * zt + (1.0 - alpha) * z
+    z_new = np.clip(z_relaxed + y / rho, l, u)
+    return (alpha * xt + (1.0 - alpha) * x, z_new, y + rho * (z_relaxed - z_new))

@@ -16,7 +16,7 @@ from etmpc.qp import (
     write_residual_trace,
 )
 
-from oracles import random_qp, solve_qp_enumeration
+from oracles import dense_admm_step, random_qp, solve_qp_enumeration
 
 
 def make_problem(P, q, A, l, u):
@@ -157,6 +157,56 @@ def test_residuals_match_dense_oracle(precision):
     assert abs(rd - rd_ref) <= tol * max(1.0, rd_ref)
     # the products run in storage precision
     assert (kkt.A @ state.x).dtype == (kkt.P @ state.x).dtype == (kkt.At @ state.y).dtype == dtype
+
+
+def mixed_row_qp():
+    """Random QP with two equality rows, one row narrower than RHO_TOL and
+    one just wider, plus one- and two-sided inequalities."""
+    rng = np.random.default_rng(21)
+    P, q, A, l, u = random_qp(rng, 6, 7)
+    mid = np.where(np.isfinite(l), (l + u) / 2, u - 1.0)
+    l[:2] = u[:2] = mid[:2]
+    l[2], u[2] = mid[2] - 2.5e-5, mid[2] + 2.5e-5
+    l[3], u[3] = mid[3] - 1e-4, mid[3] + 1e-4
+    return P, q, A, l, u
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_per_row_rho_matches_dense_oracle(precision):
+    P, q, A, l, u = mixed_row_qp()
+    settings = AdmmSettings(precision=precision)
+    p = make_problem(P, q, A, l, u)
+    kkt = AdmmSolver(p, settings).kkt
+    # 1e3 * rho = 100 on the l = u rows and the row narrower than 1e-4
+    rho = np.array([100.0, 100.0, 100.0, 0.1, 0.1, 0.1, 0.1])
+    assert settings.rho == 0.1
+    dtype = settings.dtype
+    assert kkt.rho.dtype == kkt.rho_inv.dtype == dtype
+    np.testing.assert_array_equal(kkt.rho, rho.astype(dtype))
+    np.testing.assert_array_equal(kkt.K.to_dense().diagonal()[p.n:], (-1.0 / rho).astype(dtype))
+
+    state = AdmmState.zeros(p.n, p.m, dtype)
+    x, z, y = np.zeros(p.n), np.zeros(p.m), np.zeros(p.m)
+    for _ in range(10):
+        admm_step(state, p, kkt, settings)
+        x, z, y = dense_admm_step(P, q, A, l, u, rho, settings.sigma, settings.alpha, x, z, y)
+        assert state.x.dtype == state.z.dtype == state.y.dtype == dtype
+        for got, ref in ((state.x, x), (state.z, z), (state.y, y)):
+            # fp64 to 1e-12; fp32 to 1e-4 of the iterate's scale
+            atol = 1e-12 if precision == "fp64" else 1e-4 * max(1.0, np.max(np.abs(ref)))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+
+def test_kkt_views_storage_precision_matrices_and_fp16emu_leaves_them_alone():
+    P, q, A, l, u = mixed_row_qp()
+    p = make_problem(P, q, A, l, u)
+    kkt = assemble_kkt(p, AdmmSettings(precision="fp64"))
+    assert np.shares_memory(kkt.A.data, p.A.values)
+    a_before, p_before = p.A.values.copy(), p.P.values.copy()
+    kkt = assemble_kkt(p, AdmmSettings(precision="fp16emu"))
+    np.testing.assert_array_equal(p.A.values, a_before)
+    np.testing.assert_array_equal(p.P.values, p_before)
+    assert not np.array_equal(kkt.A.data, a_before)   # rounded through float16
 
 
 def test_projection_invariant_every_iteration():

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from etmpc.mpc import build_mpc_qp, stage_inputs, update_mpc_step
 from etmpc.power import PowerModelParams
@@ -67,22 +68,24 @@ def test_fp16emu_factor_overflow_raises():
 
 # sha256 of the fp64 bring-up's permutation and factor (default domains,
 # cutoff 0.005); any change to the ordering or the LDL arithmetic shows here.
+# perm and rowidx depend on K's pattern alone, so a change of the per-row
+# step sizes (K's (2,2) diagonal) may move the other digests, never these two.
 # K's values come from discretize's matrix exponential, whose last bits may
 # depend on the BLAS build; K's digest is pinned too, so that such a
 # difference shows as a different input rather than a different factor.
 BRING_UP_DIGESTS = {
-    2: {"K": "05a2618914e0b19d3bee8f55baaeebd43d6a456960c2eda78a4260e3f9f3f14d",
+    2: {"K": "ba9091d57f24abc9c73288e95bfea95d5e131cca71b4d18a006e398d517c525b",
         "perm": "15d4a517b63c9cc64c705801774d2c48571fd8d2803dd6772a9df40976787fcc",
         "rowidx": "917fe776950f6ed80e8e6e52357878bf7bfe792f71b80989b1fdd4345d65d826",
-        "values": "c0c5b467ac2b3b24f09a3f0a997e9d85f40151eae9a7b2039230e3442f88e7db",
-        "d": "a409f7305b3943224b662bc200b6294f11050a7e2dfaaaa6a2a90b74d90b44dd",
-        "dinv": "3bd260f117085ef3b799967ed5af83478ed0d6c2b96b20e88a0d40b999b92c8a"},
-    4: {"K": "f6c942118b8ca474357ae517c61aff162bf5251a198839fe175e1483fb4299ff",
+        "values": "7a11bc786a2ba6b2350627095dbbca195b608cbc0568bf83d28790b89d374b71",
+        "d": "5b08d1d1b5cd9b0fc958e754a12038dece7488cca75fa1a72dbac6027ad7e7e7",
+        "dinv": "d98aed89f20df17f5bb23d726ba1082c2a1ec82175e5ccd2d81af1db7ddcddc3"},
+    4: {"K": "76b07afe5399b4e0c6782c695069393e3c2cfb13b67b955bdc0834c011c5a245",
         "perm": "5b48050f59603e5a11bb295e3a6069885176b723eb6fa1cffc2d727c9e4f09a5",
         "rowidx": "31f7e60d0457446f1084be474c55061c8cf9d7d4c842da8d96af11f904f0af5d",
-        "values": "0efce4936e0e369b627a1c1ddef22d770dbb0a9a81cbaeeba963b50926c4c989",
-        "d": "1f36088fa71a4961f50fb3bf5a40cdd9187ae5bb0ab506c8f1cf7261f5a3cc24",
-        "dinv": "8e4d9d526b57c17b147aa5b185aefd75af5000727a7a01de5d15d2bb99495c7f"},
+        "values": "44ec8e02faff90285dc678f92fd7bb3c1d19df6a3da38c8f3909124072b2c086",
+        "d": "1ade3c4964fc76c6848353d9c11d7b6c985eba53b0669fdf4b934a7898a8117f",
+        "dinv": "adb18f998168472ebe3f4381117cc947350d9832425bf01ded2c1754b37b636a"},
 }
 
 
@@ -94,6 +97,25 @@ def test_bring_up_factor_pinned(grid):
     got = {"K": kkt.K.values, "perm": kkt.perm.perm, "rowidx": f.L.rowidx, "values": f.L.values,
            "d": f.d, "dinv": f.dinv}
     assert {k: checksum(v) for k, v in got.items()} == BRING_UP_DIGESTS[grid]
+
+
+@pytest.mark.parametrize("grid", [2, 4], ids=["P2x2_H2", "P4x4_H2"])
+def test_kkt_solve_backward_error(grid):
+    # the equality rows put -1/(1e3 * rho) = -0.01 pivots beside the 1e-6
+    # sigma pivots; the factor must still solve K x = b to a small normwise
+    # backward error |Kx - b| / (|K| |x| + |b|), with K rebuilt by scipy
+    mpcqp, _ = make_mpcqp(grid, grid, hp=2, domains=default_domains(grid, grid), cutoff=0.005)
+    kkt = assemble_kkt(mpcqp.qp, AdmmSettings(precision="fp64"))
+    rows, cols, vals = kkt.K.triplets()
+    upper = scipy.sparse.coo_array((vals, (rows, cols)), shape=kkt.K.shape).tocsr()
+    full = upper + scipy.sparse.triu(upper, k=1).T
+    k_norm = np.max(abs(full).sum(axis=1))
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        b = rng.standard_normal(kkt.K.nrows)
+        x = kkt.factor.solve(b)
+        r = np.max(np.abs(full @ x - b))
+        assert r / (k_norm * np.max(np.abs(x)) + np.max(np.abs(b))) <= 1e-10
 
 
 def test_equality_rows_have_l_equal_u():

@@ -3,21 +3,22 @@ import pytest
 
 from etmpc.power import PowerModelParams
 from etmpc.pruning import DEFAULT_CUTOFF, prune_model
+from etmpc.qp import AdmmSettings
 from etmpc.simulate import default_scenario, mpc_solver_settings, run_closed_loop
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
 STEPS = 30
 
-# Recorded from the hand-written sparse kernels the scipy.sparse products
-# replaced; the trajectories must not move by a bit. Per mode: sum of the
-# plant silicon temperatures, sum of the dispatched power, iterations per
-# step, and the status counts.
+# The trajectories must not move by a bit unless the solver's arithmetic
+# changes on purpose (they depend on the per-row step sizes, for one). Per
+# mode: sum of the plant silicon temperatures, sum of the dispatched power,
+# iterations per step, and the status counts.
 REFERENCE = {
-    "fixed": (5679.720250451588, 198.6019334436939, [15] * STEPS,
-              {"max_iter": 10, "solved": 20}),
-    "residual": (5679.614456086652, 198.60419855287816,
-                 [51, 47, 43, 43, 43, 39, 35, 31, 35, 35, 35, 35, 39, 31, 31,
-                  116, 43, 39, 39, 35, 36, 35, 30, 31, 23, 17, 31, 35, 39, 21],
+    "fixed": (5679.550503262522, 198.5311922740663, [15] * STEPS,
+              {"max_iter": 7, "solved": 23}),
+    "residual": (5679.622928160108, 198.60768757293133,
+                 [52, 18, 18, 18, 17, 17, 17, 16, 16, 15, 15, 16, 16, 15, 15,
+                  116, 17, 17, 17, 16, 16, 15, 15, 16, 15, 14, 14, 16, 16, 14],
                  {"solved": 30}),
 }
 
@@ -50,3 +51,11 @@ def test_p2x2_closed_loop_trajectory_is_unchanged(mode):
     np.testing.assert_allclose(tr.dispatched_power.sum(), p_sum, rtol=1e-12)
     assert tr.iterations.tolist() == iterations
     assert {s: tr.status.count(s) for s in set(tr.status)} == status
+
+
+def test_fixed_iteration_settings_compute_residuals_once():
+    assert mpc_solver_settings().check_interval == 15
+    assert mpc_solver_settings(max_iter=40).check_interval == 40
+    assert mpc_solver_settings(check_interval=5).check_interval == 5
+    residual = mpc_solver_settings(termination_mode="residual", max_iter=500)
+    assert residual.check_interval == AdmmSettings().check_interval == 1
