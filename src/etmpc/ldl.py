@@ -125,16 +125,16 @@ def _etree_and_counts(n, Ap, Ai):
     return parent, lnz
 
 
-def ldl_numeric(symbolic: SymbolicFactor, pivot_tol: float | None = None) -> LdlFactor:
+def ldl_numeric(symbolic: SymbolicFactor) -> LdlFactor:
     """Numerical factorization of ``symbolic.permuted_upper``; writes the
     row pattern and values of L in one pass, in double precision, and
     rounds L, d and dinv to the storage precision once. The pivot
-    tolerance is rounded to the storage precision."""
+    tolerance is ``DEFAULT_PIVOT_TOL`` of the storage precision, rounded
+    to it."""
     n = symbolic.n
     pk = symbolic.permuted_upper
     dtype = pk.dtype
-    if pivot_tol is None:
-        pivot_tol = DEFAULT_PIVOT_TOL.get(dtype, 1e-12)
+    pivot_tol = DEFAULT_PIVOT_TOL[dtype]
     Li, Lx, d, dinv = _ldl_factor(
         n, pk.colptr.tolist(), pk.rowidx.tolist(), pk.values.tolist(),
         symbolic.parent.tolist(), symbolic.colptr.tolist(), float(dtype.type(pivot_tol)))
@@ -195,9 +195,8 @@ def _ldl_factor(n, Ap, Ai, Ax, parent, Lp, pivot_tol):
     return Li, Lx, d, dinv
 
 
-def factorize(upper: SparseCSC, perm: Permutation | None = None,
-              pivot_tol: float | None = None) -> LdlFactor:
-    return ldl_numeric(ldl_symbolic(upper, perm), pivot_tol)
+def factorize(upper: SparseCSC, perm: Permutation | None = None) -> LdlFactor:
+    return ldl_numeric(ldl_symbolic(upper, perm))
 
 
 # Sequential reference solves of one right-hand side.

@@ -8,11 +8,15 @@ may change between solves, which is what makes the receding-horizon use
 fast. The step size rho is per constraint row and follows OSQP (Stellato
 et al., Math. Prog. Comp. 2020): an equality row (u - l < ``RHO_TOL``) gets
 ``RHO_EQ_OVER_RHO_INEQ`` times the inequality rows' ``AdmmSettings.rho``.
+
+The solver runs in one storage precision, fp64 or fp32
+(``AdmmSettings.precision``): P, A, K, its factor, the step sizes, the
+iterates and the q, l, u they read are all in that dtype.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -28,7 +32,10 @@ INF = np.inf
 RHO_EQ_OVER_RHO_INEQ = 1e3
 RHO_TOL = 1e-4
 
-DTYPES = {"fp64": np.float64, "fp32": np.float32, "fp16emu": np.float64}
+# An iterate entry above this magnitude ends the solve as "diverged".
+DIVERGENCE_LIMIT = 1e12
+
+DTYPES = {"fp64": np.float64, "fp32": np.float32}
 
 
 @dataclass
@@ -68,12 +75,11 @@ class QpProblem:
         rows, cols, _ = self.P.triplets()
         if np.any(rows > cols):
             raise ValueError("P must be stored as its upper triangle")
+        if np.isnan(self.q).any() or np.isnan(self.l).any() or np.isnan(self.u).any():
+            raise ValueError("NaN in q, l or u")
         if np.any(self.l > self.u):
             raise ValueError("l > u in some row")
         return self
-
-    def nnz_total(self):
-        return self.P.nnz + self.A.nnz
 
 
 @dataclass
@@ -87,9 +93,7 @@ class AdmmSettings:
     check_interval: int = 1
     warm_start: bool = True
     termination_mode: str = "fixed_iterations"  # or "residual"
-    precision: str = "fp64"
-    divergence_limit: float = 1e12
-    pivot_tol: float | None = None
+    precision: str = "fp64"   # or "fp32"
 
     def __post_init__(self):
         if not (self.rho > 0 and self.sigma > 0):
@@ -98,6 +102,8 @@ class AdmmSettings:
             raise ValueError("alpha must lie in (0, 2)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.check_interval < 1:
+            raise ValueError("check_interval must be at least 1")
         if self.termination_mode not in ("fixed_iterations", "residual"):
             raise ValueError(f"unknown termination mode {self.termination_mode!r}")
         if self.precision not in DTYPES:
@@ -131,41 +137,35 @@ class KktSystem:
 
     ``P`` (both triangles), ``A`` and ``At`` are the ``scipy.sparse``
     operators of the residual products, and ``rho``/``rho_inv`` the per-row
-    step sizes and their reciprocals in the storage dtype (fp16emu: float64,
-    unrounded, like the K entries -1/rho). q, l and u are not held here:
-    they are read from the problem at every use, through ``stored``.
+    step sizes and their reciprocals, all in the storage ``dtype``. q, l
+    and u are not held here: they are read from the problem at every use,
+    through ``stored``.
     """
 
     def __init__(self, K: SparseCSC, perm: Permutation, factor: LdlFactor,
-                 P_upper, A, rho, precision: str):
+                 P_upper, A, rho, dtype):
         self.K = K
         self.perm = perm
         self.factor = factor
         self.P = (P_upper + scipy.sparse.triu(P_upper, k=1).T).tocsc()
         self.A = A
         self.At = A.T
-        dtype = DTYPES[precision]
         self.rho = rho.astype(dtype)
         self.rho_inv = (1.0 / rho).astype(dtype)
-        self.precision = precision
+        self.dtype = dtype
 
     def stored(self, vec):
-        """q, l or u in storage precision (fp16emu: rounded through float16)."""
-        if self.precision == "fp16emu":
-            return _round_fp16(vec)
-        return vec.astype(DTYPES[self.precision])
+        """q, l or u in storage precision; the vector itself in fp64."""
+        return vec.astype(self.dtype, copy=False)
 
 
-def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
-                 perm: Permutation | None = None) -> KktSystem:
+def assemble_kkt(problem: QpProblem, settings: AdmmSettings) -> KktSystem:
     """Build and factor [[P+sigma I, A'], [A, -diag(1/rho)]] (upper
     triangle). rho is per row, fixed from the bounds at bring-up:
     ``RHO_EQ_OVER_RHO_INEQ * settings.rho`` where u - l < ``RHO_TOL``
     (equality rows), ``settings.rho`` elsewhere.
 
-    P and A are viewed, not copied, when already in storage precision
-    (fp16emu rounds fresh copies). Under fp16emu a factor that overflows
-    float16 raises ``Fp16RangeError``.
+    P and A are viewed, not copied, when already in storage precision.
 
     The bounds set values on K's (2,2) diagonal, never its pattern. Any
     positive rho gives a valid splitting, so a later update of l/u that
@@ -178,8 +178,6 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
     rho = np.where(problem.u - problem.l < RHO_TOL,
                    RHO_EQ_OVER_RHO_INEQ * settings.rho, settings.rho)
     P, A = problem.P.csc.astype(dtype, copy=False), problem.A.csc.astype(dtype, copy=False)
-    if settings.precision == "fp16emu":
-        P.data, A.data = _round_fp16(P.data), _round_fp16(A.data)
     prows, pcols, _ = problem.P.triplets()
     arows, acols, _ = problem.A.triplets()
     rows = np.concatenate([prows, np.arange(n), acols, n + np.arange(m)])
@@ -189,38 +187,9 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings,
         A.data, -1.0 / rho,
     ]).astype(dtype)
     K = SparseCSC.from_coo(n + m, n + m, rows, cols, vals, dtype=dtype)
-    if perm is None:
-        perm = amd_order(K)
-    factor = ldl_numeric(ldl_symbolic(K, perm), pivot_tol=settings.pivot_tol)
-    if settings.precision == "fp16emu":
-        factor.L.values = _round_fp16(factor.L.values)
-        factor.dinv = _round_fp16(factor.dinv)
-        factor.d = _round_fp16(factor.d)
-        _check_fp16_range(factor)
-    return KktSystem(K, perm, factor, P, A, rho, settings.precision)
-
-
-def _round_fp16(a):
-    return np.asarray(a).astype(np.float16).astype(np.float64)
-
-
-class Fp16RangeError(ArithmeticError):
-    """The KKT factor does not fit float16: a pivot, its reciprocal or an
-    entry of L rounds to inf."""
-
-    def __init__(self, column):
-        super().__init__(f"KKT factor overflows float16 at (permuted) column {column}")
-        self.column = column
-
-
-def _check_fp16_range(factor: LdlFactor):
-    _, cols, _ = factor.L.triplets()
-    bad = np.concatenate([
-        np.flatnonzero(~(np.isfinite(factor.d) & np.isfinite(factor.dinv))),
-        cols[~np.isfinite(factor.L.values)],
-    ])
-    if bad.size:
-        raise Fp16RangeError(int(bad.min()))
+    perm = amd_order(K)
+    factor = ldl_numeric(ldl_symbolic(K, perm))
+    return KktSystem(K, perm, factor, P, A, rho, dtype)
 
 
 def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem):
@@ -249,10 +218,6 @@ def admm_step(state: AdmmState, problem: QpProblem, kkt: KktSystem, settings: Ad
     state.y = state.y + rho * (z_pre - z_new)
     state.z = z_new
     state.iterations += 1
-    if settings.precision == "fp16emu":
-        state.x = _round_fp16(state.x)
-        state.z = _round_fp16(state.z)
-        state.y = _round_fp16(state.y)
 
 
 @dataclass
@@ -262,15 +227,8 @@ class SolveResult:
     y: np.ndarray
     status: str
     iterations: int
-    trace: list = field(default_factory=list)  # (iteration, r_prim, r_dual)
-
-    @property
-    def r_prim(self):
-        return self.trace[-1][1] if self.trace else np.inf
-
-    @property
-    def r_dual(self):
-        return self.trace[-1][2] if self.trace else np.inf
+    r_prim: float   # at the last residual check
+    r_dual: float
 
 
 class AdmmSolver:
@@ -286,33 +244,23 @@ class AdmmSolver:
         self.kkt = assemble_kkt(problem, self.settings)  # validates the problem
         self._last = None
 
-    def solve(self, initial_guess=None, warm_start=None) -> SolveResult:
+    def solve(self) -> SolveResult:
+        """Iterate from zero, or from the previous solve's iterate when
+        ``settings.warm_start`` is set."""
         settings = self.settings
-        dtype = settings.dtype
-        n, m = self.problem.n, self.problem.m
-        warm = settings.warm_start if warm_start is None else warm_start
-        state = AdmmState.zeros(n, m, dtype)
-        if initial_guess is not None:
-            x0, z0, y0 = initial_guess
-            state.x = np.asarray(x0, dtype=dtype).copy()
-            state.z = np.asarray(z0, dtype=dtype).copy()
-            state.y = np.asarray(y0, dtype=dtype).copy()
-        elif warm and self._last is not None:
-            state.x, state.z, state.y = (v.astype(dtype).copy() for v in self._last)
+        state = AdmmState.zeros(self.problem.n, self.problem.m, settings.dtype)
+        if settings.warm_start and self._last is not None:
+            state.x, state.z, state.y = (v.copy() for v in self._last)
 
-        trace = []
         status = None
-        it = 0
-        while it < settings.max_iter:
+        while state.iterations < settings.max_iter:
             admm_step(state, self.problem, self.kkt, settings)
             it = state.iterations
-            check_now = (it % settings.check_interval == 0) or it == settings.max_iter
-            if check_now:
+            if it % settings.check_interval == 0 or it == settings.max_iter:
                 state.r_prim, state.r_dual = residuals(state, self.problem, self.kkt)
-                trace.append((it, state.r_prim, state.r_dual))
                 if not np.isfinite(state.r_prim) or \
                         max(np.max(np.abs(state.x), initial=0.0),
-                            np.max(np.abs(state.z), initial=0.0)) > settings.divergence_limit:
+                            np.max(np.abs(state.z), initial=0.0)) > DIVERGENCE_LIMIT:
                     status = "diverged"
                     break
                 if settings.termination_mode == "residual" and \
@@ -320,97 +268,9 @@ class AdmmSolver:
                     status = "solved"
                     break
         if status is None:
-            converged = trace and trace[-1][1] <= settings.eps_prim \
-                and trace[-1][2] <= settings.eps_dual
+            converged = state.r_prim <= settings.eps_prim and state.r_dual <= settings.eps_dual
             status = "solved" if converged else "max_iter"
         if status != "diverged":
             self._last = (state.x.copy(), state.z.copy(), state.y.copy())
-        return SolveResult(state.x, state.z, state.y, status, state.iterations, trace)
-
-
-def precision_emulate(problem: QpProblem, settings: AdmmSettings,
-                      precisions=("fp64", "fp32", "fp16emu")):
-    """Residual traces of the same problem swept over storage precisions."""
-    from dataclasses import replace
-
-    traces = {}
-    for prec in precisions:
-        s = replace(settings, precision=prec, warm_start=False)
-        traces[prec] = AdmmSolver(problem, s).solve().trace
-    return traces
-
-
-def write_residual_trace(path, trace):
-    with open(path, "w") as fh:
-        fh.write("iteration,r_prim,r_dual\n")
-        for it, rp, rd in trace:
-            fh.write(f"{it},{rp:.9e},{rd:.9e}\n")
-
-
-# ---- problem file I/O -------------------------------------------------------
-
-PROBLEM_FORMAT = "etmpc-qp"
-PROBLEM_VERSION = 1
-
-
-def save_problem(path, problem: QpProblem):
-    """Single structured-text file: matrix blocks in coordinate form plus
-    the dense vectors, under a versioned header."""
-    def mm_lines(mat):
-        rows, cols, vals = mat.triplets()
-        out = [f"{mat.nrows} {mat.ncols} {mat.nnz}"]
-        out += [f"{r + 1} {c + 1} {float(v):.17g}" for r, c, v in zip(rows, cols, vals)]
-        return out
-
-    lines = [f"{PROBLEM_FORMAT} {PROBLEM_VERSION}",
-             f"dims {problem.n} {problem.m}", "[P]"]
-    lines += mm_lines(problem.P)
-    lines.append("[A]")
-    lines += mm_lines(problem.A)
-    for name, vec in (("q", problem.q), ("l", problem.l), ("u", problem.u)):
-        lines.append(f"[{name}]")
-        lines += [f"{float(v):.17g}" for v in vec]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_problem(path) -> QpProblem:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    fmt, version = lines[0].split()
-    if fmt != PROBLEM_FORMAT or int(version) != PROBLEM_VERSION:
-        raise ValueError(f"unsupported problem file format {lines[0]!r}")
-    _, n, m = lines[1].split()
-    n, m = int(n), int(m)
-    pos = 2
-    sections = {}
-    order = []
-    while pos < len(lines):
-        tag = lines[pos]
-        if not (tag.startswith("[") and tag.endswith("]")):
-            raise ValueError(f"malformed section header {tag!r}")
-        name = tag[1:-1]
-        pos += 1
-        body = []
-        while pos < len(lines) and not lines[pos].startswith("["):
-            body.append(lines[pos])
-            pos += 1
-        sections[name] = body
-        order.append(name)
-
-    def parse_matrix(body):
-        nr, nc, nnz = (int(t) for t in body[0].split())
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for k, ln in enumerate(body[1:1 + nnz]):
-            a, b, c = ln.split()
-            rows[k], cols[k], vals[k] = int(a) - 1, int(b) - 1, float(c)
-        return SparseCSC.from_coo(nr, nc, rows, cols, vals)
-
-    P = parse_matrix(sections["P"])
-    A = parse_matrix(sections["A"])
-    q = np.array([float(v) for v in sections["q"]])
-    l = np.array([float(v) for v in sections["l"]])
-    u = np.array([float(v) for v in sections["u"]])
-    return QpProblem(P, q, A, l, u).validate()
+        return SolveResult(state.x, state.z, state.y, status, state.iterations,
+                           state.r_prim, state.r_dual)

@@ -45,6 +45,8 @@ class Scenario:
     params: PowerModelParams | None = None
 
     def __post_init__(self):
+        if not self.controller_period > 0:
+            raise ValueError("controller_period must be positive")
         if self.duration < self.controller_period:
             raise ValueError("duration shorter than one controller period")
         if self.plant_substeps < 1:
@@ -166,8 +168,7 @@ def mpc_solver_settings(**overrides) -> AdmmSettings:
 def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
                     controller_model: ThermalPlantModel | None = None,
                     solver_settings: AdmmSettings | None = None,
-                    weights=None, mpcqp: MpcQp | None = None,
-                    initial_state=None) -> RunTrace:
+                    weights=None, mpcqp: MpcQp | None = None) -> RunTrace:
     """Simulate the three-stage controller against the nonlinear plant.
 
     ``controller_model`` (default: the plant model itself) provides the
@@ -178,7 +179,7 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
     import time as _time
 
     spec = model.spec
-    params_ = _require_params(scenario, model)
+    params_ = (scenario.params if scenario.params is not None else PowerModelParams()).validate()
     if controller_model is None:
         controller_model = model
     if mpcqp is None:
@@ -192,7 +193,7 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
     t_amb = model.constants.t_amb
     gain = params_.frozen_gain()
 
-    state = np.zeros(model.n_x) if initial_state is None else np.array(initial_state, float)
+    state = np.zeros(model.n_x)
     tr = RunTrace(
         times=np.arange(n_steps) * scenario.controller_period,
         plant_si=np.zeros((n_steps, nc)),
@@ -273,11 +274,6 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
                            scenario.controller_period, scenario.plant_substeps)
 
     return tr
-
-
-def _require_params(scenario, model):
-    params = scenario.params if scenario.params is not None else PowerModelParams()
-    return params.validate()
 
 
 def rmse_series(trace: RunTrace):

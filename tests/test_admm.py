@@ -9,11 +9,7 @@ from etmpc.qp import (
     QpProblem,
     admm_step,
     assemble_kkt,
-    load_problem,
-    precision_emulate,
     residuals,
-    save_problem,
-    write_residual_trace,
 )
 
 from oracles import dense_admm_step, random_qp, solve_qp_enumeration
@@ -74,7 +70,7 @@ def test_factor_cached_across_solves(ldl_numeric_calls):
     assert len(ldl_numeric_calls) == 1
 
 
-@pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16emu"])
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
 def test_in_place_q_update_reaches_the_solver(precision):
     p = box_problem()
     solver = AdmmSolver(p, AdmmSettings(precision=precision, max_iter=100, warm_start=False))
@@ -118,7 +114,9 @@ def test_warm_start_at_solution_terminates_fast():
     p = box_problem()
     solver = AdmmSolver(p, residual_settings(eps_prim=1e-5, eps_dual=1e-5))
     first = solver.solve()
-    res = solver.solve(initial_guess=(first.x, first.z, first.y))
+    assert first.status == "solved" and first.iterations > 2
+    res = solver.solve()   # warm-started from the first solve's iterate
+    assert res.status == "solved"
     assert res.iterations <= 2
 
 
@@ -197,16 +195,11 @@ def test_per_row_rho_matches_dense_oracle(precision):
             np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
 
 
-def test_kkt_views_storage_precision_matrices_and_fp16emu_leaves_them_alone():
+def test_kkt_views_storage_precision_matrices():
     P, q, A, l, u = mixed_row_qp()
     p = make_problem(P, q, A, l, u)
     kkt = assemble_kkt(p, AdmmSettings(precision="fp64"))
     assert np.shares_memory(kkt.A.data, p.A.values)
-    a_before, p_before = p.A.values.copy(), p.P.values.copy()
-    kkt = assemble_kkt(p, AdmmSettings(precision="fp16emu"))
-    np.testing.assert_array_equal(p.A.values, a_before)
-    np.testing.assert_array_equal(p.P.values, p_before)
-    assert not np.array_equal(kkt.A.data, a_before)   # rounded through float16
 
 
 def test_projection_invariant_every_iteration():
@@ -239,7 +232,7 @@ def test_matches_enumeration_oracle(seed):
 
 def test_all_zero_problem_converges_immediately_all_precisions():
     p = make_problem([[1.0]], [0.0], [[1.0]], [-1.0], [1.0])
-    for prec in ("fp64", "fp32", "fp16emu"):
+    for prec in ("fp64", "fp32"):
         settings = AdmmSettings(precision=prec, termination_mode="residual", max_iter=5)
         res = AdmmSolver(p, settings).solve()
         assert res.status == "solved"
@@ -254,13 +247,6 @@ def test_fp32_pipeline_runs_in_float32():
     assert res.status == "solved"
 
 
-def test_precision_sweep_shapes():
-    p = box_problem()
-    traces = precision_emulate(p, AdmmSettings(max_iter=30))
-    assert set(traces) == {"fp64", "fp32", "fp16emu"}
-    assert all(len(t) == 30 for t in traces.values())
-
-
 def test_divergence_guard():
     # an indefinite objective makes the splitting iteration expansive here
     p = make_problem([[-0.5, 3.0], [0.0, 1.0]], [1.0, -2.0], np.eye(2),
@@ -268,20 +254,6 @@ def test_divergence_guard():
     settings = AdmmSettings(max_iter=2000, sigma=1e-6, rho=1.0, alpha=1.9)
     res = AdmmSolver(p, settings).solve()
     assert res.status == "diverged"
-
-
-def test_problem_file_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    P, q, A, l, u = random_qp(rng, 4, 5)
-    p = make_problem(P, q, A, l, u)
-    path = tmp_path / "problem.qp"
-    save_problem(path, p)
-    back = load_problem(path)
-    np.testing.assert_allclose(back.P.to_dense(), p.P.to_dense())
-    np.testing.assert_allclose(back.A.to_dense(), p.A.to_dense())
-    np.testing.assert_allclose(back.q, p.q)
-    np.testing.assert_allclose(back.l, p.l)
-    np.testing.assert_allclose(back.u, p.u)
 
 
 def test_solver_bring_up_validates_once(monkeypatch):
@@ -301,16 +273,18 @@ def test_solver_bring_up_validates_once(monkeypatch):
         AdmmSolver(bad)
 
 
-def test_problem_file_rejects_unknown_version(tmp_path):
-    path = tmp_path / "bad.qp"
-    path.write_text("etmpc-qp 99\ndims 1 1\n")
+@pytest.mark.parametrize("field, value", [
+    ("rho", 0.0), ("alpha", 2.0), ("max_iter", 0),
+    ("termination_mode", "x"), ("precision", "fp16emu"), ("check_interval", 0),
+])
+def test_settings_reject_bad_values(field, value):
     with pytest.raises(ValueError):
-        load_problem(path)
+        AdmmSettings(**{field: value})
 
 
-def test_residual_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    write_residual_trace(path, [(1, 0.5, 0.25), (2, 0.1, 0.05)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,r_prim,r_dual"
-    assert lines[1].startswith("1,")
+@pytest.mark.parametrize("vector", ["q", "l", "u"])
+def test_validate_rejects_nan(vector):
+    p = box_problem()
+    getattr(p, vector)[0] = np.nan
+    with pytest.raises(ValueError):
+        AdmmSolver(p)

@@ -4,7 +4,7 @@ import pytest
 from etmpc.power import PowerModelParams
 from etmpc.pruning import DEFAULT_CUTOFF, prune_model
 from etmpc.qp import AdmmSettings
-from etmpc.simulate import default_scenario, mpc_solver_settings, run_closed_loop
+from etmpc.simulate import Scenario, default_scenario, mpc_solver_settings, run_closed_loop
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
 STEPS = 30
@@ -20,12 +20,15 @@ REFERENCE = {
                  [52, 18, 18, 18, 17, 17, 17, 16, 16, 15, 15, 16, 16, 15, 15,
                   116, 17, 17, 17, 16, 16, 15, 15, 16, 15, 14, 14, 16, 16, 14],
                  {"solved": 30}),
+    "fp32": (5679.550476433941, 198.5311797069302, [15] * STEPS,
+             {"max_iter": 7, "solved": 23}),
 }
 
 MODES = {
     "fixed": (dict(), 0.0),
     "residual": (dict(termination_mode="residual", eps_prim=1e-3, eps_dual=1e-3,
                       max_iter=500), 0.05),
+    "fp32": (dict(precision="fp32"), 0.0),
 }
 
 
@@ -59,3 +62,9 @@ def test_fixed_iteration_settings_compute_residuals_once():
     assert mpc_solver_settings(check_interval=5).check_interval == 5
     residual = mpc_solver_settings(termination_mode="residual", max_iter=500)
     assert residual.check_interval == AdmmSettings().check_interval == 1
+
+
+@pytest.mark.parametrize("period", [0.0, -1e-3])
+def test_scenario_rejects_non_positive_period(period):
+    with pytest.raises(ValueError):
+        Scenario(controller_period=period)
