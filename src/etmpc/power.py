@@ -4,12 +4,16 @@ p = k_s0 + icc*v * gain(t, v) + c_eff * f * v^2, with an exponential
 voltage/temperature leakage gain. The controller freezes the gain at the
 worst-case corner so its view of the plant stays linear; the simulated
 plant evaluates it at the instantaneous temperature.
+
+Every function works elementwise over arrays of PEs, and this module is
+the only place that evaluates the formula or searches ``vf_table``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -30,73 +34,82 @@ class PowerModelParams:
     def validate(self):
         vs = [v for v, _ in self.vf_table]
         fs = [f for _, f in self.vf_table]
+        if not vs or min(vs) <= 0 or min(fs) <= 0:
+            raise ValueError("vf_table must be non-empty with positive V and F")
         if sorted(vs) != vs or sorted(fs) != fs or len(set(vs)) != len(vs):
             raise ValueError("vf_table must be strictly increasing in V and F")
+        if not self.ceff_by_class or min(self.ceff_by_class.values()) <= 0:
+            raise ValueError("ceff_by_class values must be positive")
         if self.p_min > self.p_max:
             raise ValueError("p_min must not exceed p_max")
         return self
 
-    def ceff(self, workload_class):
-        return self.ceff_by_class[int(workload_class)]
+    def ceff(self, classes):
+        """Effective switched capacitance per PE of the workload classes."""
+        match = np.asarray(classes)[..., None] == list(self.ceff_by_class)
+        if not match.any(axis=-1).all():
+            raise KeyError(f"unknown workload class in {classes}")
+        return np.array(list(self.ceff_by_class.values()))[match.argmax(axis=-1)]
 
     def leakage_gain(self, t_si, v):
-        return math.exp(self.k_v * v + self.k_t * t_si + self.k_t0)
+        return np.exp(self.k_v * v + self.k_t * t_si + self.k_t0)
 
     def frozen_gain(self):
         """Gain at the critical corner; keeps the controller model linear."""
-        return self.leakage_gain(self.t_max, self.v_max)
-
-    def static_power(self, v, t_si=None, gain=None):
-        if gain is None:
-            gain = self.leakage_gain(t_si, v)
-        return self.k_s0 + self.icc * v * gain
+        return float(self.leakage_gain(self.t_max, self.v_max))
 
 
-def power_forward(params: PowerModelParams, v, f, t_si, workload_class, gain=None):
-    """Evaluate the power model at an operating point."""
-    ceff = params.ceff(workload_class)
-    return params.static_power(v, t_si, gain) + ceff * f * v * v
+def power_forward(params: PowerModelParams, v, f, ceff, gain):
+    """Power at operating points (v, f) with leakage ``gain``."""
+    return params.k_s0 + params.icc * v * gain + ceff * f * v * v
 
 
-def power_inverse(params: PowerModelParams, p_target, t_si, workload_class,
-                  domain_voltage=None, gain=None):
-    """Operating point (v, f) realizing a power target.
+def _frequency(params, p, v, ceff, gain):
+    """Frequency at which the model draws p on rail v."""
+    return (p - (params.k_s0 + params.icc * v * gain)) / (ceff * v * v)
 
-    Picks the smallest table voltage admitting the target at a feasible
-    frequency, then solves the dynamic term for f. With ``domain_voltage``
-    given (shared VRM rail), only the frequency is chosen. Returns
-    (v, f, clamped).
+
+def rail_for_frequency(params: PowerModelParams, f):
+    """Lowest table voltage whose maximum frequency reaches f; the top
+    rail above the table."""
+    f = np.asarray(f, dtype=np.float64)
+    v = np.full(f.shape, params.vf_table[-1][0])
+    for v_i, fmax in reversed(params.vf_table[:-1]):
+        v[f <= fmax] = v_i
+    return v
+
+
+def smallest_feasible_voltage(params: PowerModelParams, p, ceff, gain):
+    """Lowest table voltage at which p is met with 0 <= f <= fmax.
+
+    A target no table voltage can meet gets the lowest rail if it is
+    below that rail's static power, the top rail otherwise.
     """
-    ceff = params.ceff(workload_class)
-
-    def freq_at(v):
-        return (p_target - params.static_power(v, t_si, gain)) / (ceff * v * v)
-
-    if domain_voltage is not None:
-        fmax = max(f for tv, f in params.vf_table if tv <= domain_voltage + 1e-12)
-        f = freq_at(domain_voltage)
-        clamped = not (0.0 <= f <= fmax)
-        return domain_voltage, min(max(f, 0.0), fmax), clamped
-
-    for v, fmax in params.vf_table:
-        f = freq_at(v)
-        if 0.0 <= f <= fmax:
-            return v, f, False
-    v0, f0max = params.vf_table[0]
-    if freq_at(v0) < 0.0:
-        # target below the static floor: lowest rail, idle clock
-        return v0, 0.0, True
-    vt, ftmax = params.vf_table[-1]
-    return vt, ftmax, True
+    p = np.asarray(p, dtype=np.float64)
+    v = np.full(p.shape, params.vf_table[-1][0])
+    # from the top down, so that the lowest rail meeting the target wins
+    for i in range(len(params.vf_table) - 2, -1, -1):
+        v_i, fmax = params.vf_table[i]
+        f = _frequency(params, p, v_i, ceff, gain)
+        meets = f <= fmax
+        if i > 0:
+            meets &= f >= 0.0   # the lowest rail also takes targets below its floor
+        v[meets] = v_i
+    return v
 
 
-def smallest_feasible_voltage(params: PowerModelParams, p_target, t_si,
-                              workload_class, gain=None):
-    """Lowest table voltage whose frequency range can realize the target."""
-    ceff = params.ceff(workload_class)
-    for v, fmax in params.vf_table:
-        f = (p_target - params.static_power(v, t_si, gain)) / (ceff * v * v)
-        if 0.0 <= f <= fmax:
-            return v
-    return params.vf_table[0][0] if p_target <= params.static_power(
-        params.vf_table[0][0], t_si, gain) else params.vf_table[-1][0]
+def power_inverse(params: PowerModelParams, p, v, ceff, gain):
+    """Frequencies realising targets p on the table rails v.
+
+    Returns (f, clamped): f is clipped to [0, fmax(v)], and ``clamped``
+    marks the PEs whose target needed a frequency outside that range.
+    A voltage below the lowest rail has no fmax, and gets f = NaN.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    fmax = np.full(v.shape, np.nan)
+    v_tol = v + 1e-12
+    for v_i, f_i in params.vf_table:
+        fmax[v_tol >= v_i] = f_i
+    f = _frequency(params, np.asarray(p, dtype=np.float64), v, ceff, gain)
+    clipped = np.minimum(np.maximum(f, 0.0), fmax)
+    return clipped, clipped != f

@@ -119,16 +119,13 @@ class AdmmState:
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
-    xtilde: np.ndarray
-    ztilde: np.ndarray
-    nu: np.ndarray
     r_prim: float = np.inf
     r_dual: float = np.inf
     iterations: int = 0
 
     @classmethod
     def zeros(cls, n, m, dtype=np.float64):
-        return cls(*(np.zeros(k, dtype=dtype) for k in (n, m, m, n, m, m)))
+        return cls(*(np.zeros(k, dtype=dtype) for k in (n, m, m)))
 
 
 class KktSystem:
@@ -209,11 +206,10 @@ def admm_step(state: AdmmState, problem: QpProblem, kkt: KktSystem, settings: Ad
         state.z - rho_inv * state.y,
     ])
     sol = kkt.factor.solve(rhs)
-    state.xtilde = sol[:n]
-    state.nu = sol[n:]
-    state.ztilde = state.z + rho_inv * (state.nu - state.y)
-    state.x = alpha * state.xtilde + (1.0 - alpha) * state.x
-    z_pre = alpha * state.ztilde + (1.0 - alpha) * state.z
+    xtilde, nu = sol[:n], sol[n:]
+    ztilde = state.z + rho_inv * (nu - state.y)
+    state.x = alpha * xtilde + (1.0 - alpha) * state.x
+    z_pre = alpha * ztilde + (1.0 - alpha) * state.z
     z_new = np.clip(z_pre + rho_inv * state.y, kkt.stored(problem.l), kkt.stored(problem.u))
     state.y = state.y + rho * (z_pre - z_new)
     state.z = z_new

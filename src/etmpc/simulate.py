@@ -2,7 +2,7 @@
 
 The plant integrates the continuous RC model with the full nonlinear
 power model; the controller sees only the discretized (possibly pruned)
-model through the condensed QP. Per controller period: measure, compute
+model through the condensed QP. Per controller period: measure, take the
 power targets, solve, dispatch the first-stage inputs through the inverse
 power model, integrate the plant.
 """
@@ -13,8 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import power
 from .mpc import MpcQp, build_mpc_qp, predicted_stage_states, stage_inputs, update_mpc_step
-from .power import PowerModelParams, power_forward, power_inverse, smallest_feasible_voltage
+# the plant and the scenario use power.*; the names imported here serve stages 1 and 3
+from .power import (PowerModelParams, power_forward, power_inverse, rail_for_frequency,
+                    smallest_feasible_voltage)
 from .qp import AdmmSettings, AdmmSolver
 from .thermal import ThermalPlantModel
 
@@ -51,6 +54,12 @@ class Scenario:
             raise ValueError("duration shorter than one controller period")
         if self.plant_substeps < 1:
             raise ValueError("plant_substeps must be at least 1")
+        if not self.freq_targets or not self.classes:
+            raise ValueError("freq_targets and classes need at least one breakpoint")
+        for name in ("freq_targets", "classes", "budget", "domain_budgets"):
+            times = [t0 for t0, _ in getattr(self, name)]
+            if times != sorted(times):
+                raise ValueError(f"{name} breakpoints must be sorted in time")
 
     @property
     def n_steps(self):
@@ -68,10 +77,9 @@ def default_scenario(spec, params: PowerModelParams, duration=2.0,
     classes = np.where(np.arange(nc) % 3 == 0, 2, 1)
     t_hot = params.t_limit - 10.0
     # estimate via unconstrained targets at nominal voltage per element
-    p_each = np.array([
-        power_forward(params, _voltage_for_frequency(params, f), f, t_hot, c)
-        for f, c in zip(freqs, classes)
-    ])
+    v = rail_for_frequency(params, freqs)
+    p_each = power.power_forward(params, v, freqs, params.ceff(classes),
+                                 params.leakage_gain(t_hot, v))
     p_total = float(np.clip(p_each, params.p_min, params.p_max).sum())
     if budget_step_at is None:
         budget_step_at = duration / 2.0
@@ -93,13 +101,6 @@ def default_scenario(spec, params: PowerModelParams, duration=2.0,
     )
 
 
-def _voltage_for_frequency(params, f):
-    for v, fmax in params.vf_table:
-        if f <= fmax:
-            return v
-    return params.vf_table[-1][0]
-
-
 @dataclass
 class RunTrace:
     times: np.ndarray
@@ -110,6 +111,7 @@ class RunTrace:
     applied_v: np.ndarray
     applied_f: np.ndarray
     budget_active: np.ndarray     # (steps,)
+    clamped: np.ndarray           # (steps, nc) bool: target outside the rail's [0, fmax]
     iterations: np.ndarray
     status: list
     solve_time: np.ndarray
@@ -119,28 +121,18 @@ class RunTrace:
         return self.times.shape[0]
 
 
-def plant_power(model: ThermalPlantModel, params: PowerModelParams, state,
-                v, f, ceff):
-    """Instantaneous per-element power at the current silicon temperatures.
-
-    Fully nonlinear: the leakage gain tracks each element's temperature.
-    """
-    t_abs = state[0::2][: model.n_u] + model.constants.t_amb
-    gain = np.exp(params.k_v * v + params.k_t * t_abs + params.k_t0)
-    return params.k_s0 + params.icc * v * gain + ceff * f * v * v
-
-
 def plant_step(model: ThermalPlantModel, params: PowerModelParams, state,
-               v, f, classes, dt, substeps=1):
-    """Fixed-step 4th-order integration of the nonlinear plant."""
+               v, f, ceff, dt, substeps=1):
+    """Fixed-step 4th-order integration of the nonlinear plant, whose
+    leakage gain tracks each element's instantaneous temperature."""
     h = dt / substeps
     state = np.array(state, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    ceff = np.array([params.ceff(c) for c in np.asarray(classes)])
 
     def deriv(s):
-        p = plant_power(model, params, s, v, f, ceff)
+        gain = params.leakage_gain(s[0::2][: model.n_u] + model.constants.t_amb, v)
+        p = power.power_forward(params, v, f, ceff, gain)
         return model.a_t @ s + model.b_t @ p
 
     for _ in range(substeps):
@@ -150,6 +142,17 @@ def plant_step(model: ThermalPlantModel, params: PowerModelParams, state,
         k4 = deriv(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return state
+
+
+def dispatch(params: PowerModelParams, u0, ceff, gain, domains):
+    """Stage 3: each domain (an index array) shares the highest of its members'
+    smallest feasible rails, and each element's frequency realises its planned
+    power u0 on that rail. Returns (v, f, clamped) per element."""
+    v = smallest_feasible_voltage(params, u0, ceff, gain)
+    for members in domains:
+        v[members] = v[members].max()
+    f, clamped = power_inverse(params, u0, v, ceff, gain)
+    return v, f, clamped
 
 
 def mpc_solver_settings(**overrides) -> AdmmSettings:
@@ -180,6 +183,10 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
 
     spec = model.spec
     params_ = (scenario.params if scenario.params is not None else PowerModelParams()).validate()
+    nc = spec.n_pe
+    for name in ("freq_targets", "classes"):
+        if any(np.shape(value) != (nc,) for _, value in getattr(scenario, name)):
+            raise ValueError(f"every {name} value must have shape ({nc},)")
     if controller_model is None:
         controller_model = model
     if mpcqp is None:
@@ -188,10 +195,17 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
     solver = AdmmSolver(mpcqp.qp, settings)
     rng = np.random.default_rng(scenario.seed)
 
-    nc = spec.n_pe
     n_steps = scenario.n_steps
     t_amb = model.constants.t_amb
     gain = params_.frozen_gain()
+    # stage 1: target powers, which with the frozen gain change only at breakpoints
+    stage1 = []
+    for t0 in sorted({t0 for t0, _ in scenario.freq_targets + scenario.classes}):
+        f_targ = timeline_value(scenario.freq_targets, t0)
+        ceff = params_.ceff(timeline_value(scenario.classes, t0))
+        p_star = power_forward(params_, rail_for_frequency(params_, f_targ), f_targ, ceff, gain)
+        stage1.append((t0, (np.clip(p_star, params_.p_min, params_.p_max), ceff)))
+    domains = [np.asarray(members) for members in spec.domains] or [np.arange(nc)]
 
     state = np.zeros(model.n_x)
     tr = RunTrace(
@@ -203,6 +217,7 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
         applied_v=np.zeros((n_steps, nc)),
         applied_f=np.zeros((n_steps, nc)),
         budget_active=np.zeros(n_steps),
+        clamped=np.zeros((n_steps, nc), dtype=bool),
         iterations=np.zeros(n_steps, dtype=int),
         status=[],
         solve_time=np.zeros(n_steps),
@@ -210,11 +225,11 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
 
     v_apply = np.full(nc, params_.vf_table[0][0])
     f_apply = np.zeros(nc)
+    clamped = np.zeros(nc, dtype=bool)
 
     for k in range(n_steps):
         t = k * scenario.controller_period
-        f_targ = timeline_value(scenario.freq_targets, t)
-        cls = timeline_value(scenario.classes, t)
+        p_star, ceff = timeline_value(stage1, t)
         budget = timeline_value(scenario.budget, t) if scenario.budget else None
         dom_budget = (timeline_value(scenario.domain_budgets, t)
                       if scenario.domain_budgets else None)
@@ -222,15 +237,6 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
         measured = state.copy()
         if scenario.noise_sigma > 0:
             measured = measured + rng.normal(0.0, scenario.noise_sigma, state.shape)
-        t_si_abs = measured[0::2][:nc] + t_amb
-
-        # stage 1: target powers from the requested operating points
-        p_star = np.array([
-            power_forward(params_, _voltage_for_frequency(params_, f_targ[i]),
-                          f_targ[i], t_si_abs[i], cls[i], gain=gain)
-            for i in range(nc)
-        ])
-        p_star = np.clip(p_star, params_.p_min, params_.p_max)
 
         # stage 2: capped power split via the QP
         update_mpc_step(mpcqp, measured, p_star, budget, dom_budget)
@@ -240,37 +246,21 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
         tr.iterations[k] = res.iterations
         tr.status.append(res.status)
 
-        if res.status == "diverged":
-            pass  # hold previous operating point
-        else:
-            u0 = stage_inputs(mpcqp, res.x, 0)
+        if res.status != "diverged":  # a diverged solve holds the previous operating point
+            u0 = stage_inputs(mpcqp, res.x, 0).astype(np.float64)  # fp64 at any precision
             pred = predicted_stage_states(mpcqp, res.x, 1)
             tr.predicted_si[k] = pred[0::2][:nc] + t_amb
-            # stage 3: shared rail per domain, then per-element frequency
-            domains = spec.domains if spec.domains else [list(range(nc))]
-            for members in domains:
-                v_dom = max(
-                    smallest_feasible_voltage(params_, u0[i], t_si_abs[i], cls[i], gain=gain)
-                    for i in members
-                )
-                for i in members:
-                    _, f_i, _ = power_inverse(params_, u0[i], t_si_abs[i], cls[i],
-                                              domain_voltage=v_dom, gain=gain)
-                    v_apply[i] = v_dom
-                    f_apply[i] = f_i
+            v_apply, f_apply, clamped = dispatch(params_, u0, ceff, gain, domains)
 
-        dispatched = np.array([
-            power_forward(params_, v_apply[i], f_apply[i], t_si_abs[i], cls[i], gain=gain)
-            for i in range(nc)
-        ])
         tr.plant_si[k] = state[0::2][:nc] + t_amb
-        tr.dispatched_power[k] = dispatched
+        tr.dispatched_power[k] = power_forward(params_, v_apply, f_apply, ceff, gain)
         tr.target_power[k] = p_star
         tr.applied_v[k] = v_apply
         tr.applied_f[k] = f_apply
+        tr.clamped[k] = clamped
         tr.budget_active[k] = budget if budget is not None else np.inf
 
-        state = plant_step(model, params_, state, v_apply, f_apply, cls,
+        state = plant_step(model, params_, state, v_apply, f_apply, ceff,
                            scenario.controller_period, scenario.plant_substeps)
 
     return tr

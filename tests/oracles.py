@@ -205,3 +205,33 @@ def dense_admm_step(P, q, A, l, u, rho, sigma, alpha, x, z, y):
     z_relaxed = alpha * zt + (1.0 - alpha) * z
     z_new = np.clip(z_relaxed + y / rho, l, u)
     return (alpha * xt + (1.0 - alpha) * x, z_new, y + rho * (z_relaxed - z_new))
+
+
+def scalar_dispatch(params, u0, classes, gain, domains):
+    """Stage 3 one element at a time, in Python scalars: each domain's rail
+    is the highest of its members' lowest feasible table voltages, then
+    each member's frequency is solved on that rail and clipped to
+    [0, fmax]. Returns (v, f, clamped) per element."""
+    def static(v):
+        return params.k_s0 + params.icc * v * gain
+
+    def freq(i, v):
+        return (u0[i] - static(v)) / (params.ceff_by_class[int(classes[i])] * v * v)
+
+    def smallest_rail(i):
+        for v, fmax in params.vf_table:
+            if 0.0 <= freq(i, v) <= fmax:
+                return v
+        v0, vt = params.vf_table[0][0], params.vf_table[-1][0]
+        return v0 if u0[i] <= static(v0) else vt
+
+    n = len(u0)
+    v_out, f_out, clamped = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    for members in domains:
+        v_dom = max(smallest_rail(i) for i in members)
+        fmax = max(f for tv, f in params.vf_table if tv <= v_dom + 1e-12)
+        for i in members:
+            f = freq(i, v_dom)
+            clamped[i] = not (0.0 <= f <= fmax)
+            v_out[i], f_out[i] = v_dom, min(max(f, 0.0), fmax)
+    return v_out, f_out, clamped

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from etmpc.power import PowerModelParams, power_forward, power_inverse
+from etmpc.power import (PowerModelParams, power_forward, power_inverse, rail_for_frequency,
+                         smallest_feasible_voltage)
 
 
 def flat_params(**kw):
@@ -13,64 +14,125 @@ def flat_params(**kw):
 
 
 def test_forward_hand_arithmetic():
-    # p_stat = 0.2 + 0.08*1 = 0.28; p_dyn = 1e-9 * 1e9 * 0.64 = 0.64
+    # p_stat = 0.2 + 0.08*1 = 0.28; p_dyn = 1e-9 * 1e9 * 0.64 = 0.64, and 0.28 at f = 0
     p = flat_params()
-    got = power_forward(p, 0.8, 1e9, 60.0, 0)
-    np.testing.assert_allclose(got, 0.92)
+    gain = p.leakage_gain(60.0, 0.8)
+    assert gain == 1.0
+    got = power_forward(p, 0.8, np.array([1e9, 0.0]), p.ceff([0, 0]), gain)
+    np.testing.assert_allclose(got, [0.92, 0.28])
 
 
 def test_inverse_hand_arithmetic():
     p = flat_params()
-    v, f, clamped = power_inverse(p, 0.92, 60.0, 0)
-    assert not clamped
-    assert v == 0.8
-    np.testing.assert_allclose(f, 1e9)
+    ceff = p.ceff([0])
+    assert smallest_feasible_voltage(p, [0.92], ceff, 1.0).tolist() == [0.8]
+    f, clamped = power_inverse(p, [0.92], [0.8], ceff, 1.0)
+    assert not clamped.any()
+    np.testing.assert_allclose(f, [1e9])
 
 
 def test_round_trip_fuzz_unclamped():
     params = PowerModelParams()
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        t = rng.uniform(40.0, 85.0)
-        cls = int(rng.integers(0, 3))
-        v, fmax = params.vf_table[int(rng.integers(len(params.vf_table)))]
-        f = rng.uniform(0.0, fmax)
-        p = power_forward(params, v, f, t, cls)
-        v2, f2, clamped = power_inverse(params, p, t, cls, domain_voltage=v)
-        if not clamped:
-            back = power_forward(params, v2, f2, t, cls)
-            assert abs(back - p) <= 1e-9 * max(1.0, p)
+    n = 200
+    t = rng.uniform(40.0, 85.0, n)
+    ceff = params.ceff(rng.integers(0, 3, n))
+    vs, fs = np.array(params.vf_table).T
+    rail = rng.integers(len(vs), size=n)
+    v, f = vs[rail], rng.uniform(0.0, fs[rail])
+    gain = params.leakage_gain(t, v)
+    p = power_forward(params, v, f, ceff, gain)
+    f2, clamped = power_inverse(params, p, v, ceff, gain)
+    assert not clamped.any()
+    np.testing.assert_allclose(power_forward(params, v, f2, ceff, gain), p, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(f2, f, rtol=1e-6)
 
 
 def test_inverse_picks_smallest_feasible_voltage():
     params = PowerModelParams()
-    t = 60.0
-    # a target comfortably inside the lowest rail's range
-    v0, f0 = params.vf_table[0]
-    p = power_forward(params, v0, 0.5 * f0, t, 1)
-    v, f, clamped = power_inverse(params, p, t, 1)
-    assert v == v0 and not clamped
+    gain = params.frozen_gain()
+    (v0, f0), (v1, _), _ = params.vf_table
+    ceff = params.ceff([1, 1])
+    # comfortably inside the lowest rail's range, and just beyond its fmax
+    p = power_forward(params, v0, np.array([0.5 * f0, 1.01 * f0]), ceff, gain)
+    assert smallest_feasible_voltage(params, p, ceff, gain).tolist() == [v0, v1]
+    f, clamped = power_inverse(params, p, [v0, v0], ceff, gain)
+    assert clamped.tolist() == [False, True]
+    assert f[1] == f0
 
 
 def test_inverse_below_static_floor_clamps():
     params = PowerModelParams()
-    v, f, clamped = power_inverse(params, 0.0, 60.0, 1)
-    assert clamped
-    assert v == params.vf_table[0][0]
-    assert f == 0.0
+    gain, ceff = params.frozen_gain(), params.ceff([1])
+    v = smallest_feasible_voltage(params, [0.0], ceff, gain)
+    f, clamped = power_inverse(params, [0.0], v, ceff, gain)
+    assert v.tolist() == [params.vf_table[0][0]]
+    assert f.tolist() == [0.0] and clamped.all()
 
 
 def test_inverse_above_range_clamps_to_top():
     params = PowerModelParams()
-    v, f, clamped = power_inverse(params, 100.0, 60.0, 1)
-    assert clamped
-    assert v == params.vf_table[-1][0]
-    assert f == params.vf_table[-1][1]
+    gain, ceff = params.frozen_gain(), params.ceff([1])
+    v = smallest_feasible_voltage(params, [100.0], ceff, gain)
+    f, clamped = power_inverse(params, [100.0], v, ceff, gain)
+    assert v.tolist() == [params.vf_table[-1][0]]
+    assert f.tolist() == [params.vf_table[-1][1]] and clamped.all()
+
+
+def test_mixed_cases_in_one_array_call():
+    params = PowerModelParams()
+    gain = params.frozen_gain()
+    (v0, f0), (v1, f1), (vt, ft) = params.vf_table
+    ceff = params.ceff([0, 1, 2, 1, 2, 0])
+    static0 = params.k_s0 + params.icc * v0 * gain
+    targets = np.array([
+        0.0,                                                  # below the floor
+        power_forward(params, v0, 0.25 * f0, ceff[1], gain),  # inside the lowest rail
+        100.0,                                                # above the range
+        static0,                                              # exactly on rail 0's floor
+        power_forward(params, v1, 0.99 * f1, ceff[4], gain),  # just below rail 1's fmax
+        power_forward(params, vt, 0.5 * ft, ceff[5], gain),   # needs the top rail
+    ])
+    v = smallest_feasible_voltage(params, targets, ceff, gain)
+    f, clamped = power_inverse(params, targets, v, ceff, gain)
+    assert v.tolist() == [v0, v0, vt, v0, v1, vt]
+    assert clamped.tolist() == [True, False, True, False, False, False]
+    assert f[0] == 0.0 and f[2] == ft and f[3] == 0.0
+    np.testing.assert_allclose(f[[1, 4, 5]], [0.25 * f0, 0.99 * f1, 0.5 * ft], rtol=1e-12)
+
+
+def test_rail_for_frequency():
+    params = PowerModelParams()
+    (v0, f0), (v1, f1), (vt, ft) = params.vf_table
+    got = rail_for_frequency(params, np.array([0.0, f0, 1.001 * f0, f1, ft, 2 * ft]))
+    assert got.tolist() == [v0, v0, v1, v1, vt, vt]
+
+
+def test_ceff_per_element():
+    params = PowerModelParams()
+    assert params.ceff(np.array([2, 0, 1, 2])).tolist() == [1.5e-9, 0.6e-9, 1.0e-9, 1.5e-9]
+    with pytest.raises(KeyError):
+        params.ceff([1, 3])
 
 
 def test_vf_table_must_increase():
     with pytest.raises(ValueError):
         PowerModelParams(vf_table=[(0.8, 2e9), (0.6, 1e9)]).validate()
+
+
+@pytest.mark.parametrize("bad", [
+    dict(vf_table=[]),
+    dict(vf_table=[(0.0, 1e9), (0.8, 2e9)]),
+    dict(vf_table=[(-0.6, 1e9), (0.8, 2e9)]),
+    dict(vf_table=[(0.6, 0.0), (0.8, 2e9)]),
+    dict(vf_table=[(0.6, -1e9), (0.8, 2e9)]),
+    dict(ceff_by_class={0: 1e-9, 1: 0.0}),
+    dict(ceff_by_class={0: -1e-9}),
+], ids=["empty_table", "zero_v", "negative_v", "zero_f", "negative_f", "zero_ceff",
+        "negative_ceff"])
+def test_validate_rejects_bad_tables(bad):
+    with pytest.raises(ValueError):
+        PowerModelParams(**bad).validate()
 
 
 def test_frozen_gain_at_corner():

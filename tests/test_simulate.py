@@ -4,8 +4,11 @@ import pytest
 from etmpc.power import PowerModelParams
 from etmpc.pruning import DEFAULT_CUTOFF, prune_model
 from etmpc.qp import AdmmSettings
-from etmpc.simulate import Scenario, default_scenario, mpc_solver_settings, run_closed_loop
+from etmpc.simulate import (Scenario, default_scenario, dispatch, mpc_solver_settings,
+                            run_closed_loop, timeline_value)
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
+
+from oracles import scalar_dispatch
 
 STEPS = 30
 
@@ -20,7 +23,7 @@ REFERENCE = {
                  [52, 18, 18, 18, 17, 17, 17, 16, 16, 15, 15, 16, 16, 15, 15,
                   116, 17, 17, 17, 16, 16, 15, 15, 16, 15, 14, 14, 16, 16, 14],
                  {"solved": 30}),
-    "fp32": (5679.550476433941, 198.5311797069302, [15] * STEPS,
+    "fp32": (5679.550468008316, 198.53117507696152, [15] * STEPS,
              {"max_iter": 7, "solved": 23}),
 }
 
@@ -32,11 +35,16 @@ MODES = {
 }
 
 
-def p2x2_loop(mode):
+def p2x2():
     spec = GridSpec(2, 2, hp=2, domains=default_domains(2, 2))
-    params = PowerModelParams()
     model = build_thermal_model(spec)
     discretize(model)
+    return spec, model
+
+
+def p2x2_loop(mode):
+    spec, model = p2x2()
+    params = PowerModelParams()
     scenario = default_scenario(spec, params, duration=STEPS * spec.ts)
     overrides, sigma = MODES[mode]
     scenario.noise_sigma = sigma
@@ -56,6 +64,42 @@ def test_p2x2_closed_loop_trajectory_is_unchanged(mode):
     assert {s: tr.status.count(s) for s in set(tr.status)} == status
 
 
+def test_clamp_flags_mark_the_clipped_frequencies():
+    # a deep budget drop plans some elements below their rail's static power
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=STEPS * spec.ts,
+                                budget_step_factor=0.3)
+    tr = run_closed_loop(model, scenario, controller_model=prune_model(model, DEFAULT_CUTOFF))
+    assert tr.clamped.shape == (STEPS, 4) and tr.clamped.dtype == bool
+    assert 0 < tr.clamped.sum() < tr.clamped.size
+    fmax = dict(PowerModelParams().vf_table)
+    at_limit = (tr.applied_f == 0.0) | (tr.applied_f == np.vectorize(fmax.get)(tr.applied_v))
+    assert np.all(at_limit[tr.clamped])
+
+
+def test_array_dispatch_matches_scalar_oracle():
+    params = PowerModelParams()
+    spec = GridSpec(8, 8, hp=2, domains=default_domains(8, 8))
+    domains = [np.asarray(members) for members in spec.domains]
+    vs, fs = np.array(params.vf_table).T
+    rng = np.random.default_rng(3)
+    for gain in (params.frozen_gain(), params.leakage_gain(50.0, 0.8)):
+        for _ in range(10):
+            classes = rng.integers(0, 3, spec.n_pe)
+            ceff = params.ceff(classes)
+            rail = rng.integers(len(vs), size=spec.n_pe)
+            static = params.k_s0 + params.icc * vs[rail] * gain
+            u0 = rng.uniform(-0.5, params.p_max + 1.0, spec.n_pe)
+            # exactly on a rail's static floor, and at a rail's fmax
+            on_floor, at_fmax = rng.random(spec.n_pe) < 0.2, rng.random(spec.n_pe) < 0.2
+            u0[on_floor] = static[on_floor]
+            u0[at_fmax] = (static + ceff * fs[rail] * vs[rail] * vs[rail])[at_fmax]
+            got = dispatch(params, u0, ceff, gain, domains)
+            want = scalar_dispatch(params, u0, classes, gain, spec.domains)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+
 def test_fixed_iteration_settings_compute_residuals_once():
     assert mpc_solver_settings().check_interval == 15
     assert mpc_solver_settings(max_iter=40).check_interval == 40
@@ -64,7 +108,45 @@ def test_fixed_iteration_settings_compute_residuals_once():
     assert residual.check_interval == AdmmSettings().check_interval == 1
 
 
+def timelines(n=4):
+    return dict(freq_targets=[(0.0, np.full(n, 1e9))], classes=[(0.0, np.ones(n, dtype=int))])
+
+
 @pytest.mark.parametrize("period", [0.0, -1e-3])
 def test_scenario_rejects_non_positive_period(period):
+    Scenario(**timelines())
     with pytest.raises(ValueError):
-        Scenario(controller_period=period)
+        Scenario(controller_period=period, **timelines())
+
+
+@pytest.mark.parametrize("empty", ["freq_targets", "classes"])
+def test_scenario_rejects_empty_timeline(empty):
+    with pytest.raises(ValueError):
+        Scenario(**{**timelines(), empty: []})
+
+
+@pytest.mark.parametrize("name", ["freq_targets", "classes", "budget", "domain_budgets"])
+def test_scenario_rejects_unsorted_timeline(name):
+    value = timelines()[name][0][1] if name in timelines() else 1.0
+    with pytest.raises(ValueError):
+        Scenario(**{**timelines(), name: [(0.5, value), (0.0, value)]})
+
+
+def test_timeline_value_is_piecewise_constant():
+    timeline = [(0.0, "early"), (0.5, "late")]
+    assert [timeline_value(timeline, t) for t in (0.0, 0.1, 0.5 - 1e-13, 0.7)] == \
+        ["early", "early", "late", "late"]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("freq_targets", np.full(1, 1e9)),
+    ("freq_targets", np.full(5, 1e9)),
+    ("classes", np.ones(1, dtype=int)),
+    ("classes", np.ones((4, 1), dtype=int)),
+])
+def test_run_rejects_timeline_values_of_wrong_shape(name, value):
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=2 * spec.ts)
+    setattr(scenario, name, [(0.0, value)])
+    with pytest.raises(ValueError):
+        run_closed_loop(model, scenario)
