@@ -66,11 +66,14 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     per stage, the initial state equality, silicon thermal caps for stages
     1..hp, per-element power boxes, one total-budget row per stage, then
     per-domain budget rows (domain-major, row ``j*hp + h`` of the block).
-    Infeasible static bounds only warn: tighter time-varying budgets may
-    still admit solutions.
+    Nothing here checks the bounds for feasibility: ``update_mpc_step``
+    warns when a budget falls below the static power floor, and
+    ``assemble_kkt`` validates the problem when the solver factors it.
     """
     if model.d is None:
         raise ValueError("model must be discretized first")
+    if spec.ts != model.spec.ts:
+        raise ValueError("spec.ts differs from the sample time the model was discretized at")
     params.validate()
     n_x, n_u, hp = model.n_x, model.n_u, spec.hp
     nc = spec.n_pe
@@ -129,8 +132,7 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     u[idx.rows_budget] = params.p_max * nc
     u[idx.rows_domains] = params.p_max * nc
 
-    qp = QpProblem(P, q, A, l, u).validate()
-    return MpcQp(qp, idx, spec, params, weights)
+    return MpcQp(QpProblem(P, q, A, l, u), idx, spec, params, weights)
 
 
 def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,

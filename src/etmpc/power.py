@@ -28,8 +28,6 @@ class PowerModelParams:
     p_min: float = 0.0
     p_max: float = 4.0
     t_limit: float = 85.0        # silicon cap [degC]
-    v_max: float = 1.0
-    t_max: float = 85.0
 
     def validate(self):
         vs = [v for v, _ in self.vf_table]
@@ -40,6 +38,8 @@ class PowerModelParams:
             raise ValueError("vf_table must be strictly increasing in V and F")
         if not self.ceff_by_class or min(self.ceff_by_class.values()) <= 0:
             raise ValueError("ceff_by_class values must be positive")
+        if self.k_v < 0 or self.k_t < 0:
+            raise ValueError("k_v and k_t must be non-negative: leakage grows with V and T")
         if self.p_min > self.p_max:
             raise ValueError("p_min must not exceed p_max")
         return self
@@ -55,8 +55,14 @@ class PowerModelParams:
         return np.exp(self.k_v * v + self.k_t * t_si + self.k_t0)
 
     def frozen_gain(self):
-        """Gain at the critical corner; keeps the controller model linear."""
-        return float(self.leakage_gain(self.t_max, self.v_max))
+        """Gain at the worst-case corner, the top table rail at ``t_limit``;
+        keeps the controller model linear.
+
+        With k_v, k_t >= 0 (see ``validate``) it bounds the plant's gain
+        ``leakage_gain(t, v)`` on every table rail v while silicon is at or
+        below the cap, t <= t_limit.
+        """
+        return float(self.leakage_gain(self.t_limit, self.vf_table[-1][0]))
 
 
 def power_forward(params: PowerModelParams, v, f, ceff, gain):

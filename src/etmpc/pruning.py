@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simulate import rmse_series, run_closed_loop
 from .thermal import ThermalPlantModel
 
 DEFAULT_CUTOFF = 0.005
@@ -73,8 +74,6 @@ def select_cutoff(model: ThermalPlantModel, scenario, candidates,
     temperatures. The largest candidate whose worst-case RMSE deviation
     stays within ``band`` wins (ties break toward more pruning).
     """
-    from .simulate import rmse_series, run_closed_loop  # deferred: sim imports mpc
-
     candidates = sorted(set(float(c) for c in candidates))
     baseline = run_closed_loop(model, scenario, solver_settings=solver_settings)
     base_rmse = rmse_series(baseline)

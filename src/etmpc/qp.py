@@ -23,7 +23,7 @@ import scipy.sparse
 
 from .csc import SparseCSC, DimensionError
 from .ldl import LdlFactor, ldl_numeric, ldl_symbolic
-from .ordering import Permutation, amd_order
+from .ordering import amd_order
 
 INF = np.inf
 
@@ -119,9 +119,10 @@ class AdmmState:
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
-    r_prim: float = np.inf
+    r_prim: float = np.inf   # at the last residual check
     r_dual: float = np.inf
     iterations: int = 0
+    status: str | None = None   # set when AdmmSolver.solve returns the state
 
     @classmethod
     def zeros(cls, n, m, dtype=np.float64):
@@ -139,10 +140,8 @@ class KktSystem:
     through ``stored``.
     """
 
-    def __init__(self, K: SparseCSC, perm: Permutation, factor: LdlFactor,
-                 P_upper, A, rho, dtype):
+    def __init__(self, K: SparseCSC, factor: LdlFactor, P_upper, A, rho, dtype):
         self.K = K
-        self.perm = perm
         self.factor = factor
         self.P = (P_upper + scipy.sparse.triu(P_upper, k=1).T).tocsc()
         self.A = A
@@ -184,9 +183,8 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings) -> KktSystem:
         A.data, -1.0 / rho,
     ]).astype(dtype)
     K = SparseCSC.from_coo(n + m, n + m, rows, cols, vals, dtype=dtype)
-    perm = amd_order(K)
-    factor = ldl_numeric(ldl_symbolic(K, perm))
-    return KktSystem(K, perm, factor, P, A, rho, dtype)
+    factor = ldl_numeric(ldl_symbolic(K, amd_order(K)))
+    return KktSystem(K, factor, P, A, rho, dtype)
 
 
 def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem):
@@ -216,17 +214,6 @@ def admm_step(state: AdmmState, problem: QpProblem, kkt: KktSystem, settings: Ad
     state.iterations += 1
 
 
-@dataclass
-class SolveResult:
-    x: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-    status: str
-    iterations: int
-    r_prim: float   # at the last residual check
-    r_dual: float
-
-
 class AdmmSolver:
     """Holds the frozen problem structure and reusable iterate state.
 
@@ -240,7 +227,7 @@ class AdmmSolver:
         self.kkt = assemble_kkt(problem, self.settings)  # validates the problem
         self._last = None
 
-    def solve(self) -> SolveResult:
+    def solve(self) -> AdmmState:
         """Iterate from zero, or from the previous solve's iterate when
         ``settings.warm_start`` is set."""
         settings = self.settings
@@ -248,7 +235,6 @@ class AdmmSolver:
         if settings.warm_start and self._last is not None:
             state.x, state.z, state.y = (v.copy() for v in self._last)
 
-        status = None
         while state.iterations < settings.max_iter:
             admm_step(state, self.problem, self.kkt, settings)
             it = state.iterations
@@ -257,16 +243,15 @@ class AdmmSolver:
                 if not np.isfinite(state.r_prim) or \
                         max(np.max(np.abs(state.x), initial=0.0),
                             np.max(np.abs(state.z), initial=0.0)) > DIVERGENCE_LIMIT:
-                    status = "diverged"
+                    state.status = "diverged"
                     break
                 if settings.termination_mode == "residual" and \
                         state.r_prim <= settings.eps_prim and state.r_dual <= settings.eps_dual:
-                    status = "solved"
+                    state.status = "solved"
                     break
-        if status is None:
+        if state.status is None:
             converged = state.r_prim <= settings.eps_prim and state.r_dual <= settings.eps_dual
-            status = "solved" if converged else "max_iter"
-        if status != "diverged":
+            state.status = "solved" if converged else "max_iter"
+        if state.status != "diverged":
             self._last = (state.x.copy(), state.z.copy(), state.y.copy())
-        return SolveResult(state.x, state.z, state.y, status, state.iterations,
-                           state.r_prim, state.r_dual)
+        return state

@@ -9,7 +9,7 @@ power model, integrate the plant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .power import (PowerModelParams, power_forward, power_inverse, rail_for_fre
                     smallest_feasible_voltage)
 from .qp import AdmmSettings, AdmmSolver
 from .thermal import ThermalPlantModel
+
+# RK4 steps of the plant per sample time
+PLANT_SUBSTEPS = 10
 
 
 def timeline_value(timeline, t):
@@ -36,8 +39,6 @@ def timeline_value(timeline, t):
 @dataclass
 class Scenario:
     duration: float = 2.0
-    controller_period: float = 1e-3
-    plant_substeps: int = 10
     noise_sigma: float = 0.0
     seed: int = 0
     # timelines are sorted (time, value) breakpoints, piecewise constant
@@ -48,22 +49,12 @@ class Scenario:
     params: PowerModelParams | None = None
 
     def __post_init__(self):
-        if not self.controller_period > 0:
-            raise ValueError("controller_period must be positive")
-        if self.duration < self.controller_period:
-            raise ValueError("duration shorter than one controller period")
-        if self.plant_substeps < 1:
-            raise ValueError("plant_substeps must be at least 1")
         if not self.freq_targets or not self.classes:
             raise ValueError("freq_targets and classes need at least one breakpoint")
         for name in ("freq_targets", "classes", "budget", "domain_budgets"):
             times = [t0 for t0, _ in getattr(self, name)]
             if times != sorted(times):
                 raise ValueError(f"{name} breakpoints must be sorted in time")
-
-    @property
-    def n_steps(self):
-        return int(round(self.duration / self.controller_period))
 
 
 def default_scenario(spec, params: PowerModelParams, duration=2.0,
@@ -121,21 +112,21 @@ class RunTrace:
         return self.times.shape[0]
 
 
-def plant_step(model: ThermalPlantModel, params: PowerModelParams, state,
-               v, f, ceff, dt, substeps=1):
-    """Fixed-step 4th-order integration of the nonlinear plant, whose
-    leakage gain tracks each element's instantaneous temperature."""
-    h = dt / substeps
+def plant_step(model: ThermalPlantModel, params: PowerModelParams, state, v, f, ceff):
+    """Fixed-step 4th-order integration of the nonlinear plant over one
+    sample time; its leakage gain tracks each element's instantaneous
+    temperature."""
+    h = model.spec.ts / PLANT_SUBSTEPS
     state = np.array(state, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
 
     def deriv(s):
-        gain = params.leakage_gain(s[0::2][: model.n_u] + model.constants.t_amb, v)
+        gain = params.leakage_gain(model.silicon_c(s), v)
         p = power.power_forward(params, v, f, ceff, gain)
         return model.a_t @ s + model.b_t @ p
 
-    for _ in range(substeps):
+    for _ in range(PLANT_SUBSTEPS):
         k1 = deriv(state)
         k2 = deriv(state + 0.5 * h * k1)
         k3 = deriv(state + 0.5 * h * k2)
@@ -156,32 +147,35 @@ def dispatch(params: PowerModelParams, u0, ceff, gain, domains):
 
 
 def mpc_solver_settings(**overrides) -> AdmmSettings:
-    """Controller defaults: fixed 15 iterations, warm started. With fixed
+    """``AdmmSettings(**overrides)`` for the controller. With fixed
     iterations the residuals feed only the final status and the divergence
     check, so unless ``check_interval`` is given they are computed once,
     after the last iteration."""
-    base = dict(max_iter=15, warm_start=True, termination_mode="fixed_iterations",
-                eps_prim=0.01, eps_dual=0.01)
-    base.update(overrides)
-    if base["termination_mode"] == "fixed_iterations":
-        base.setdefault("check_interval", base["max_iter"])
-    return AdmmSettings(**base)
+    settings = AdmmSettings(**overrides)
+    if settings.termination_mode == "fixed_iterations" and "check_interval" not in overrides:
+        return replace(settings, check_interval=settings.max_iter)
+    return settings
 
 
 def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
                     controller_model: ThermalPlantModel | None = None,
                     solver_settings: AdmmSettings | None = None,
-                    weights=None, mpcqp: MpcQp | None = None) -> RunTrace:
-    """Simulate the three-stage controller against the nonlinear plant.
+                    mpcqp: MpcQp | None = None) -> RunTrace:
+    """Simulate the three-stage controller against the nonlinear plant, one
+    step per ``model.spec.ts`` for ``scenario.duration``.
 
     ``controller_model`` (default: the plant model itself) provides the
     discretized matrices the QP is condensed from; pass a pruned model to
-    study the pruning error. A diverged solve holds the previous operating
+    study the pruning error. The controller (``mpcqp`` if given) must share
+    the plant's sample time. A diverged solve holds the previous operating
     point and flags the step.
     """
     import time as _time
 
     spec = model.spec
+    ts = spec.ts
+    if scenario.duration < ts:
+        raise ValueError("duration shorter than one sample time")
     params_ = (scenario.params if scenario.params is not None else PowerModelParams()).validate()
     nc = spec.n_pe
     for name in ("freq_targets", "classes"):
@@ -190,13 +184,14 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
     if controller_model is None:
         controller_model = model
     if mpcqp is None:
-        mpcqp = build_mpc_qp(controller_model, spec, params_, weights=weights)
+        mpcqp = build_mpc_qp(controller_model, spec, params_)
+    if mpcqp.spec.ts != ts:   # build_mpc_qp checks spec.ts against its model
+        raise ValueError("the controller's sample time differs from the plant's")
     settings = solver_settings or mpc_solver_settings()
     solver = AdmmSolver(mpcqp.qp, settings)
     rng = np.random.default_rng(scenario.seed)
 
-    n_steps = scenario.n_steps
-    t_amb = model.constants.t_amb
+    n_steps = int(round(scenario.duration / ts))
     gain = params_.frozen_gain()
     # stage 1: target powers, which with the frozen gain change only at breakpoints
     stage1 = []
@@ -209,7 +204,7 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
 
     state = np.zeros(model.n_x)
     tr = RunTrace(
-        times=np.arange(n_steps) * scenario.controller_period,
+        times=np.arange(n_steps) * ts,
         plant_si=np.zeros((n_steps, nc)),
         predicted_si=np.full((n_steps, nc), np.nan),
         dispatched_power=np.zeros((n_steps, nc)),
@@ -228,7 +223,7 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
     clamped = np.zeros(nc, dtype=bool)
 
     for k in range(n_steps):
-        t = k * scenario.controller_period
+        t = k * ts
         p_star, ceff = timeline_value(stage1, t)
         budget = timeline_value(scenario.budget, t) if scenario.budget else None
         dom_budget = (timeline_value(scenario.domain_budgets, t)
@@ -249,10 +244,10 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
         if res.status != "diverged":  # a diverged solve holds the previous operating point
             u0 = stage_inputs(mpcqp, res.x, 0).astype(np.float64)  # fp64 at any precision
             pred = predicted_stage_states(mpcqp, res.x, 1)
-            tr.predicted_si[k] = pred[0::2][:nc] + t_amb
+            tr.predicted_si[k] = model.silicon_c(pred)
             v_apply, f_apply, clamped = dispatch(params_, u0, ceff, gain, domains)
 
-        tr.plant_si[k] = state[0::2][:nc] + t_amb
+        tr.plant_si[k] = model.silicon_c(state)
         tr.dispatched_power[k] = power_forward(params_, v_apply, f_apply, ceff, gain)
         tr.target_power[k] = p_star
         tr.applied_v[k] = v_apply
@@ -260,8 +255,7 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
         tr.clamped[k] = clamped
         tr.budget_active[k] = budget if budget is not None else np.inf
 
-        state = plant_step(model, params_, state, v_apply, f_apply, ceff,
-                           scenario.controller_period, scenario.plant_substeps)
+        state = plant_step(model, params_, state, v_apply, f_apply, ceff)
 
     return tr
 

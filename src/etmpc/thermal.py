@@ -21,7 +21,7 @@ class GridSpec:
     nw: int
     nh: int
     hp: int = 2                      # prediction horizon
-    ts: float = 1e-3                 # controller sample time [s]
+    ts: float = 1e-3                 # sample time of controller, model and plant [s]
     domains: list = field(default_factory=list)  # PE-index sets sharing a VRM budget
 
     def __post_init__(self):
@@ -29,7 +29,7 @@ class GridSpec:
             raise ValueError("grid must contain at least one element")
         if self.hp < 1:
             raise ValueError("horizon must be at least 1")
-        if self.ts <= 0:
+        if not self.ts > 0:
             raise ValueError("sample time must be positive")
         if self.domains:
             flat = sorted(i for d in self.domains for i in d)
@@ -39,10 +39,6 @@ class GridSpec:
     @property
     def n_pe(self):
         return self.nw * self.nh
-
-    @property
-    def name(self):
-        return f"P{self.nw}x{self.nh}_H{self.hp}"
 
     def neighbors(self, i):
         r, c = divmod(i, self.nw)
@@ -100,7 +96,6 @@ class ThermalPlantModel:
     c_t: np.ndarray
     d: np.ndarray | None = None        # discrete state matrix (set by discretize)
     e: np.ndarray | None = None        # discrete input matrix
-    ts: float | None = None
 
     @property
     def n_x(self):
@@ -109,6 +104,11 @@ class ThermalPlantModel:
     @property
     def n_u(self):
         return self.b_t.shape[1]
+
+    def silicon_c(self, state):
+        """Silicon temperatures [degC] of an ambient-relative state vector,
+        in the state's dtype (an fp32 prediction stays fp32)."""
+        return state[0:2 * self.spec.n_pe:2] + state.dtype.type(self.constants.t_amb)
 
     def copy_with(self, **kw):
         return replace(self, **kw)
@@ -148,23 +148,21 @@ def build_thermal_model(spec: GridSpec, constants: ThermalConstants | None = Non
     return ThermalPlantModel(spec, constants, a, b, c)
 
 
-def discretize(model: ThermalPlantModel, ts: float | None = None):
-    """Exact zero-order-hold discretization via the matrix exponential.
+def discretize(model: ThermalPlantModel):
+    """Exact zero-order-hold discretization at ``model.spec.ts`` via the
+    matrix exponential.
 
     Returns (d, e) and stores them on the model. The exponential generally
     fills in far beyond the continuous structure; that fill is what the
     pruning stage removes again.
     """
-    if ts is None:
-        ts = model.spec.ts
     n, m = model.n_x, model.n_u
     block = np.zeros((n + m, n + m))
     block[:n, :n] = model.a_t
     block[:n, n:] = model.b_t
-    phi = scipy.linalg.expm(block * ts)
+    phi = scipy.linalg.expm(block * model.spec.ts)
     d = phi[:n, :n]
     e = phi[:n, n:]
     model.d = d
     model.e = e
-    model.ts = ts
     return d, e

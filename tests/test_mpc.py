@@ -7,7 +7,7 @@ import scipy.sparse
 from etmpc.mpc import build_mpc_qp, stage_inputs, update_mpc_step
 from etmpc.power import PowerModelParams
 from etmpc.pruning import prune_model
-from etmpc.qp import AdmmSettings, AdmmSolver, assemble_kkt
+from etmpc.qp import AdmmSettings, AdmmSolver, QpProblem, assemble_kkt
 from etmpc.simulate import default_scenario, mpc_solver_settings, run_closed_loop
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
@@ -85,7 +85,7 @@ def test_bring_up_factor_pinned(grid):
     mpcqp, _ = make_mpcqp(grid, grid, hp=2, domains=default_domains(grid, grid), cutoff=0.005)
     kkt = assemble_kkt(mpcqp.qp, AdmmSettings(precision="fp64"))
     f = kkt.factor
-    got = {"K": kkt.K.values, "perm": kkt.perm.perm, "rowidx": f.L.rowidx, "values": f.L.values,
+    got = {"K": kkt.K.values, "perm": kkt.factor.perm.perm, "rowidx": f.L.rowidx, "values": f.L.values,
            "d": f.d, "dinv": f.dinv}
     assert {k: checksum(v) for k, v in got.items()} == BRING_UP_DIGESTS[grid]
 
@@ -128,6 +128,15 @@ def test_all_zero_weights_yields_feasible_point():
                                             max_iter=500, eps_prim=1e-4,
                                             eps_dual=1e-4)).solve()
     assert res.status == "solved"
+
+
+def test_build_rejects_a_spec_with_another_sample_time():
+    spec = GridSpec(2, 2, hp=2, ts=5e-3)
+    model = build_thermal_model(spec)
+    discretize(model)
+    build_mpc_qp(model, spec, PowerModelParams())
+    with pytest.raises(ValueError):
+        build_mpc_qp(model, GridSpec(2, 2, hp=2), PowerModelParams())
 
 
 def test_pruned_assembly_strictly_smaller():
@@ -184,6 +193,22 @@ def test_kkt_constancy_across_steps(ldl_numeric_calls):
     trace = run_closed_loop(model, default_scenario(spec, params, duration=20 * spec.ts))
     assert trace.n_steps == 20
     assert len(ldl_numeric_calls) == 1
+
+
+def test_closed_loop_bring_up_validates_the_qp_once(monkeypatch):
+    calls = []
+    real = QpProblem.validate
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(QpProblem, "validate", counted)
+    spec = GridSpec(2, 2, hp=2, domains=default_domains(2, 2))
+    model = build_thermal_model(spec)
+    discretize(model)
+    run_closed_loop(model, default_scenario(spec, PowerModelParams(), duration=2 * spec.ts))
+    assert len(calls) == 1
 
 
 def test_solution_tracks_targets_without_budget_pressure():

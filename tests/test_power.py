@@ -137,4 +137,20 @@ def test_validate_rejects_bad_tables(bad):
 
 def test_frozen_gain_at_corner():
     params = PowerModelParams()
-    assert params.frozen_gain() == params.leakage_gain(params.t_max, params.v_max)
+    assert params.frozen_gain() == params.leakage_gain(params.t_limit, params.vf_table[-1][0])
+
+
+def test_frozen_gain_bounds_the_plant_gain_at_or_below_the_cap():
+    params = PowerModelParams(vf_table=[(0.7, 1.5e9), (0.9, 2.4e9), (1.1, 3.2e9)],
+                              t_limit=95.0).validate()
+    assert params.frozen_gain() == params.leakage_gain(95.0, 1.1)
+    rails = np.array(params.vf_table)[:, 0]
+    t = np.linspace(-20.0, 95.0, 116)[:, None]
+    assert np.all(params.leakage_gain(t, rails) <= params.frozen_gain())
+
+
+@pytest.mark.parametrize("bad", [dict(k_v=-1.2), dict(k_t=-0.02)], ids=["k_v", "k_t"])
+def test_validate_rejects_leakage_falling_with_v_or_t(bad):
+    # the frozen corner bounds the plant's gain only if leakage grows with V and T
+    with pytest.raises(ValueError):
+        PowerModelParams(**bad).validate()

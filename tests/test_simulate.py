@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from etmpc.mpc import build_mpc_qp
 from etmpc.power import PowerModelParams
 from etmpc.pruning import DEFAULT_CUTOFF, prune_model
 from etmpc.qp import AdmmSettings
@@ -35,8 +36,8 @@ MODES = {
 }
 
 
-def p2x2():
-    spec = GridSpec(2, 2, hp=2, domains=default_domains(2, 2))
+def p2x2(ts=1e-3):
+    spec = GridSpec(2, 2, hp=2, ts=ts, domains=default_domains(2, 2))
     model = build_thermal_model(spec)
     discretize(model)
     return spec, model
@@ -112,13 +113,6 @@ def timelines(n=4):
     return dict(freq_targets=[(0.0, np.full(n, 1e9))], classes=[(0.0, np.ones(n, dtype=int))])
 
 
-@pytest.mark.parametrize("period", [0.0, -1e-3])
-def test_scenario_rejects_non_positive_period(period):
-    Scenario(**timelines())
-    with pytest.raises(ValueError):
-        Scenario(controller_period=period, **timelines())
-
-
 @pytest.mark.parametrize("empty", ["freq_targets", "classes"])
 def test_scenario_rejects_empty_timeline(empty):
     with pytest.raises(ValueError):
@@ -148,5 +142,32 @@ def test_run_rejects_timeline_values_of_wrong_shape(name, value):
     spec, model = p2x2()
     scenario = default_scenario(spec, PowerModelParams(), duration=2 * spec.ts)
     setattr(scenario, name, [(0.0, value)])
+    with pytest.raises(ValueError):
+        run_closed_loop(model, scenario)
+
+
+def test_steps_and_times_follow_the_grid_sample_time():
+    spec, model = p2x2(ts=2e-3)
+    tr = run_closed_loop(model, default_scenario(spec, PowerModelParams(), duration=0.02))
+    assert tr.n_steps == 10
+    np.testing.assert_allclose(np.diff(tr.times), 2e-3, rtol=1e-12)
+
+
+@pytest.mark.parametrize("controller", ["controller_model", "mpcqp"])
+def test_run_rejects_a_controller_for_another_sample_time(controller):
+    spec, model = p2x2()
+    other_spec, other = p2x2(ts=5e-3)
+    built = {"controller_model": other,
+             "mpcqp": build_mpc_qp(other, other_spec, PowerModelParams())}
+    scenario = default_scenario(spec, PowerModelParams(), duration=20 * spec.ts)
+    with pytest.raises(ValueError):
+        run_closed_loop(model, scenario, **{controller: built[controller]})
+
+
+def test_run_rejects_a_duration_shorter_than_one_sample_time():
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=spec.ts)
+    run_closed_loop(model, scenario)
+    scenario.duration = 0.5 * spec.ts
     with pytest.raises(ValueError):
         run_closed_loop(model, scenario)

@@ -48,24 +48,24 @@ def test_rejects_nonpositive_constants():
 
 
 def test_discretize_scalar_analytic():
-    spec = GridSpec(1, 1)
+    spec = GridSpec(1, 1, ts=0.1)
     model = ThermalPlantModel(spec, ThermalConstants(), np.array([[-1.0]]),
                               np.array([[1.0]]), np.array([[1.0]]))
-    d, e = discretize(model, 0.1)
+    d, e = discretize(model)
     np.testing.assert_allclose(d, [[np.exp(-0.1)]], rtol=1e-12)
     np.testing.assert_allclose(e, [[1.0 - np.exp(-0.1)]], rtol=1e-12)
 
 
 def test_discretize_ts_to_zero_limit():
-    model = build_thermal_model(GridSpec(2, 2))
-    d1, _ = discretize(model, 1e-3)
-    d2, _ = discretize(model, 1e-4)
+    d1, _ = discretize(build_thermal_model(GridSpec(2, 2, ts=1e-3)))
+    model = build_thermal_model(GridSpec(2, 2, ts=1e-4))
+    d2, _ = discretize(model)
     assert np.linalg.norm(d2 - np.eye(model.n_x)) < np.linalg.norm(d1 - np.eye(model.n_x))
 
 
 def test_discrete_spectral_radius_below_one():
-    model = build_thermal_model(GridSpec(3, 3))
-    d, _ = discretize(model, 1e-3)
+    model = build_thermal_model(GridSpec(3, 3, ts=1e-3))
+    d, _ = discretize(model)
     # power iteration oracle
     v = np.ones(model.n_x)
     for _ in range(500):
@@ -81,6 +81,8 @@ def test_grid_spec_validation():
         GridSpec(2, 2, hp=0)
     with pytest.raises(ValueError):
         GridSpec(2, 2, ts=0.0)
+    with pytest.raises(ValueError):
+        GridSpec(2, 2, ts=-1e-3)
     with pytest.raises(ValueError):
         GridSpec(2, 2, domains=[[0, 1]])  # does not cover all four elements
 
