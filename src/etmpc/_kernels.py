@@ -3,7 +3,7 @@ with numba when available.
 
 Both are written as plain Python over numpy arrays, so the package still
 works (slowly) without a working numba install. The factorization itself
-is plain Python over lists, in ``ldl``.
+is SuperLU's, called from ``ldl``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 CSC is the universal carrier for the objective/constraint matrices, the KKT
 system, and the triangular factor. Indices are 0-based int32. Its raw arrays
-feed the factorization and triangular-solve kernels; every other sparse
-product goes through the zero-copy ``scipy.sparse`` view.
+feed the triangular-solve kernels; every other sparse operation, the
+factorization included, goes through the zero-copy ``scipy.sparse`` view.
 """
 
 from __future__ import annotations

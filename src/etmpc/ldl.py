@@ -1,17 +1,18 @@
 """Sparse LDL^T factorization of quasi-definite matrices.
 
-The input is the upper triangle of a symmetric matrix in CSC form. The
-symbolic step permutes it and computes only the elimination tree and the
-column counts of L; the numeric step writes L's row pattern and values
-together, row by row. The factor stores L strictly lower (unit diagonal
-implicit) with each row divided by its pivot, and the reciprocal pivots
+The input is the upper triangle of a symmetric matrix K in CSC form.
+``ldl_numeric`` mirrors it into the full matrix in double precision and
+hands it to SuperLU (``scipy.sparse.linalg.splu``), which orders the
+columns by multiple minimum degree on K + K^T and factors P K P^T with
+diagonal pivots only. A quasi-definite K has an LDL^T factor under every
+symmetric permutation, so SuperLU's L U is (I+L) D (I+L)^T: L is taken
+from its unit lower factor and D from the diagonal of U. The factor
+stores L strictly lower (unit diagonal implicit) and the reciprocal pivots
 separately, so the triangular solves are division-free.
 
-Both steps run once per model, ahead of time, as plain Python over lists:
-each call converts its arrays with ``tolist`` once and builds the results
-with ``np.array`` at the end. The numeric step computes in double
-precision whatever the storage precision and rounds L, d and dinv to it
-once. numba, when installed, compiles only the reference triangular
+Bring-up runs once per model, ahead of time. SuperLU computes in double
+precision whatever the storage precision, and L, d and dinv are rounded
+to it once. numba, when installed, compiles only the reference triangular
 solves in ``_kernels``.
 """
 
@@ -20,34 +21,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 from . import _kernels as K
-from .csc import SparseCSC, DimensionError, INDEX_DTYPE
-from .ordering import Permutation
+from .csc import SparseCSC, DimensionError
 
 DEFAULT_PIVOT_TOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
 
 
 class FactorizationError(RuntimeError):
-    def __init__(self, column):
-        super().__init__(f"zero or near-zero pivot at column {column}")
+    """A pivot that cannot be used, at ``column`` of the permuted matrix.
+    ``column`` is None when SuperLU stops at an exactly zero pivot, since
+    it does not report where."""
+
+    def __init__(self, column, what="zero or near-zero pivot"):
+        super().__init__(what if column is None else f"{what} at column {column}")
         self.column = column
 
 
-@dataclass
-class SymbolicFactor:
-    """The permuted matrix and the structure that sizes its factor:
-    elimination tree and column pointers of L (from the column counts)."""
+@dataclass(frozen=True)
+class Permutation:
+    """perm[k] = original index of the k-th pivot; inv_perm undoes it."""
 
-    n: int
-    perm: Permutation
-    parent: np.ndarray          # elimination tree, -1 for roots
-    colptr: np.ndarray          # column pointers of L
-    permuted_upper: SparseCSC   # upper triangle of P K P^T (pattern + values)
+    perm: np.ndarray
+    inv_perm: np.ndarray
+
+    @classmethod
+    def from_order(cls, order) -> "Permutation":
+        perm = np.asarray(order, dtype=np.int32)
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(perm.size, dtype=np.int32)
+        return cls(perm, inv)
 
     @property
-    def l_nnz(self) -> int:
-        return int(self.colptr[-1])
+    def n(self) -> int:
+        return self.perm.size
+
+    def validate(self) -> "Permutation":
+        n = self.n
+        if sorted(self.perm.tolist()) != list(range(n)):
+            raise ValueError("perm is not a bijection")
+        if np.any(self.perm[self.inv_perm] != np.arange(n)):
+            raise ValueError("inv_perm does not invert perm")
+        return self
 
 
 @dataclass
@@ -78,125 +95,40 @@ class LdlFactor:
         return (ldense * self.d) @ ldense.T
 
 
-def permute_upper(upper: SparseCSC, perm: Permutation) -> SparseCSC:
-    """Upper triangle of P K P^T given the upper triangle of K."""
-    rows, cols, vals = upper.triplets()
-    if np.any(rows > cols):
-        raise ValueError("input matrix is not upper triangular")
-    pr = perm.inv_perm[rows]
-    pc = perm.inv_perm[cols]
-    lo = np.minimum(pr, pc)
-    hi = np.maximum(pr, pc)
-    return SparseCSC.from_coo(upper.nrows, upper.ncols, lo, hi, vals,
-                              dtype=upper.dtype)
+def ldl_numeric(upper: SparseCSC) -> LdlFactor:
+    """Order and factor the symmetric matrix whose upper triangle is
+    ``upper``: P K P^T = (I+L) D (I+L)^T, with P SuperLU's multiple minimum
+    degree ordering of K + K^T.
 
-
-def ldl_symbolic(upper: SparseCSC, perm: Permutation | None = None) -> SymbolicFactor:
-    """Permute K to P K P^T and compute its elimination tree and the
-    column counts of L. An entry of ``upper`` below the diagonal raises
-    ``ValueError``."""
+    An entry of ``upper`` below the diagonal raises ``ValueError``. A pivot
+    below ``DEFAULT_PIVOT_TOL`` of the storage precision (rounded to it), a
+    row pivot off the diagonal and an exactly zero pivot raise
+    ``FactorizationError``.
+    """
     if upper.nrows != upper.ncols:
         raise DimensionError("factorization needs a square matrix")
-    n = upper.nrows
-    if perm is None:
-        perm = Permutation.identity(n)
-    pk = permute_upper(upper, perm)
-    parent, lnz = _etree_and_counts(n, pk.colptr.tolist(), pk.rowidx.tolist())
-    colptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(lnz, out=colptr[1:])
-    return SymbolicFactor(n, perm, np.array(parent, dtype=INDEX_DTYPE), colptr, pk)
-
-
-def _etree_and_counts(n, Ap, Ai):
-    """Elimination tree (-1 for roots) and nonzeros per column of L of an
-    upper-triangular CSC matrix."""
-    parent = [-1] * n
-    lnz = [0] * n
-    work = [-1] * n
-    for j in range(n):
-        work[j] = j
-        for i in Ai[Ap[j]:Ap[j + 1]]:
-            while work[i] != j:
-                if parent[i] == -1:
-                    parent[i] = j
-                lnz[i] += 1
-                work[i] = j
-                i = parent[i]
-    return parent, lnz
-
-
-def ldl_numeric(symbolic: SymbolicFactor) -> LdlFactor:
-    """Numerical factorization of ``symbolic.permuted_upper``; writes the
-    row pattern and values of L in one pass, in double precision, and
-    rounds L, d and dinv to the storage precision once. The pivot
-    tolerance is ``DEFAULT_PIVOT_TOL`` of the storage precision, rounded
-    to it."""
-    n = symbolic.n
-    pk = symbolic.permuted_upper
-    dtype = pk.dtype
-    pivot_tol = DEFAULT_PIVOT_TOL[dtype]
-    Li, Lx, d, dinv = _ldl_factor(
-        n, pk.colptr.tolist(), pk.rowidx.tolist(), pk.values.tolist(),
-        symbolic.parent.tolist(), symbolic.colptr.tolist(), float(dtype.type(pivot_tol)))
-    L = SparseCSC(n, n, symbolic.colptr.copy(), np.array(Li, dtype=INDEX_DTYPE),
-                  np.array(Lx, dtype=dtype), check=False)
-    return LdlFactor(L, np.array(d, dtype=dtype), np.array(dinv, dtype=dtype), symbolic.perm)
-
-
-def _ldl_factor(n, Ap, Ai, Ax, parent, Lp, pivot_tol):
-    """Up-looking LDL^T of an upper-triangular CSC matrix.
-
-    ``Lp`` holds the column pointers from the column counts; the row
-    indices of L are written here, as each row of L is computed. L is
-    strictly lower with the unit diagonal implicit; row entries are
-    divided by their pivot. Returns (Li, Lx, d, dinv); a pivot below
-    ``pivot_tol`` in magnitude raises ``FactorizationError``.
-    """
-    Li = [0] * Lp[n]
-    Lx = [0.0] * Lp[n]
-    d = [0.0] * n
-    dinv = [0.0] * n
-    y = [0.0] * n
-    flag = [-1] * n
-    next_slot = Lp[:n]
-    for k in range(n):
-        flag[k] = k
-        pattern = []
-        dk = 0.0
-        for p in range(Ap[k], Ap[k + 1]):
-            i = Ai[p]
-            if i == k:
-                dk = Ax[p]
-                continue
-            y[i] = Ax[p]
-            path = []
-            while flag[i] != k:
-                flag[i] = k
-                path.append(i)
-                i = parent[i]
-            path.reverse()
-            pattern += path
-        # sparse solve across the stacked pattern, deepest column first
-        for c in reversed(pattern):
-            yc = y[c]
-            lo, hi = Lp[c], next_slot[c]
-            for r, v in zip(Li[lo:hi], Lx[lo:hi]):
-                y[r] -= v * yc
-            lkc = yc * dinv[c]
-            Li[hi] = k
-            Lx[hi] = lkc
-            dk -= yc * lkc
-            next_slot[c] = hi + 1
-            y[c] = 0.0
-        d[k] = dk
-        if abs(dk) < pivot_tol:
-            raise FactorizationError(k)
-        dinv[k] = 1.0 / dk
-    return Li, Lx, d, dinv
-
-
-def factorize(upper: SparseCSC, perm: Permutation | None = None) -> LdlFactor:
-    return ldl_numeric(ldl_symbolic(upper, perm))
+    rows, cols, _ = upper.triplets()
+    if np.any(rows > cols):
+        raise ValueError("input matrix is not upper triangular")
+    n, dtype = upper.nrows, upper.dtype
+    up = upper.csc.astype(np.float64)
+    try:
+        lu = scipy.sparse.linalg.splu(
+            (up + scipy.sparse.triu(up, k=1).T).tocsc(), permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError as exc:   # "Factor is exactly singular"
+        raise FactorizationError(None, "exactly zero pivot") from exc
+    off = lu.perm_r != lu.perm_c
+    if off.any():
+        raise FactorizationError(int(lu.perm_c[off].min()), "off-diagonal pivot")
+    d = lu.U.diagonal()
+    small = np.flatnonzero(np.abs(d) < dtype.type(DEFAULT_PIVOT_TOL[dtype]))
+    if small.size:
+        raise FactorizationError(int(small[0]))
+    low = scipy.sparse.tril(lu.L, k=-1, format="coo")
+    L = SparseCSC.from_coo(n, n, low.row, low.col, low.data, dtype=dtype)
+    return LdlFactor(L, d.astype(dtype), (1.0 / d).astype(dtype),
+                     Permutation.from_order(np.argsort(lu.perm_c)))
 
 
 # Sequential reference solves of one right-hand side.

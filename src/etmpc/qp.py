@@ -3,10 +3,11 @@
 Solves ``min 0.5 x'Px + q'x  s.t.  l <= Ax <= u`` by alternating updates:
 a KKT solve for the unconstrained step, projection of the splitting
 variable onto the box, and a dual ascent step. The KKT matrix
-``[[P + sigma*I, A'], [A, -diag(1/rho)]]`` is factored once; only q, l, u
-may change between solves, which is what makes the receding-horizon use
-fast. The step size rho is per constraint row and follows OSQP (Stellato
-et al., Math. Prog. Comp. 2020): an equality row (u - l < ``RHO_TOL``) gets
+``[[P + sigma*I, A'], [A, -diag(1/rho)]]`` is ordered and factored once, by
+SuperLU through ``ldl.ldl_numeric``; only q, l, u may change between
+solves, which is what makes the receding-horizon use fast. The step size
+rho is per constraint row and follows OSQP (Stellato et al., Math. Prog.
+Comp. 2020): an equality row (u - l < ``RHO_TOL``) gets
 ``RHO_EQ_OVER_RHO_INEQ`` times the inequality rows' ``AdmmSettings.rho``.
 
 The solver runs in one storage precision, fp64 or fp32
@@ -22,8 +23,7 @@ import numpy as np
 import scipy.sparse
 
 from .csc import SparseCSC, DimensionError
-from .ldl import LdlFactor, ldl_numeric, ldl_symbolic
-from .ordering import amd_order
+from .ldl import LdlFactor, ldl_numeric
 
 INF = np.inf
 
@@ -183,7 +183,7 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings) -> KktSystem:
         A.data, -1.0 / rho,
     ]).astype(dtype)
     K = SparseCSC.from_coo(n + m, n + m, rows, cols, vals, dtype=dtype)
-    factor = ldl_numeric(ldl_symbolic(K, amd_order(K)))
+    factor = ldl_numeric(K)
     return KktSystem(K, factor, P, A, rho, dtype)
 
 

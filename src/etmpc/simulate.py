@@ -162,7 +162,8 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
                     solver_settings: AdmmSettings | None = None,
                     mpcqp: MpcQp | None = None) -> RunTrace:
     """Simulate the three-stage controller against the nonlinear plant, one
-    step per ``model.spec.ts`` for ``scenario.duration``.
+    step per ``model.spec.ts`` for ``scenario.duration``, which must be a
+    whole number of sample times.
 
     ``controller_model`` (default: the plant model itself) provides the
     discretized matrices the QP is condensed from; pass a pruned model to
@@ -174,8 +175,11 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
 
     spec = model.spec
     ts = spec.ts
-    if scenario.duration < ts:
+    n_steps = round(scenario.duration / ts)
+    if n_steps < 1:
         raise ValueError("duration shorter than one sample time")
+    if abs(scenario.duration / ts - n_steps) > 1e-9:
+        raise ValueError("duration is not a whole number of sample times")
     params_ = (scenario.params if scenario.params is not None else PowerModelParams()).validate()
     nc = spec.n_pe
     for name in ("freq_targets", "classes"):
@@ -191,7 +195,6 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
     solver = AdmmSolver(mpcqp.qp, settings)
     rng = np.random.default_rng(scenario.seed)
 
-    n_steps = int(round(scenario.duration / ts))
     gain = params_.frozen_gain()
     # stage 1: target powers, which with the frozen gain change only at breakpoints
     stage1 = []

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
     nw: int
     nh: int

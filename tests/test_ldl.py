@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from etmpc.csc import DimensionError, SparseCSC
-from etmpc.ldl import (
-    FactorizationError,
-    factorize,
-    ldl_numeric,
-    ldl_symbolic,
-    sptrsv_bs,
-    sptrsv_fe,
-)
-from etmpc.ordering import amd_order, Permutation
+from etmpc.ldl import FactorizationError, ldl_numeric, sptrsv_bs, sptrsv_fe
 
 from oracles import dense_ldl, dense_lower_pattern_after_elimination, random_kkt_upper
 
@@ -27,46 +19,70 @@ def index_pattern(L):
     return pattern
 
 
+def permuted(k, f):
+    """P K P^T in the factor's order, K the symmetric matrix whose upper
+    triangle is ``k``."""
+    full = np.triu(k) + np.triu(k, 1).T
+    return full[np.ix_(f.perm.perm, f.perm.perm)]
+
+
 def test_2x2_by_hand():
     k = np.array([[2.0, 1.0], [1.0, -3.0]])
-    f = factorize(upper_csc(k))
-    np.testing.assert_allclose(f.L.to_dense()[1, 0], 0.5)
-    np.testing.assert_allclose(f.dinv, [0.5, -1.0 / 3.5])
+    f = ldl_numeric(upper_csc(k))
+    # both orders are minimum degree; pivoting on a leaves b - c^2/a
+    (a, b), c = np.diag(k)[f.perm.perm], k[0, 1]
+    np.testing.assert_allclose(f.L.to_dense()[1, 0], c / a)
+    np.testing.assert_allclose(f.d, [a, b - c * c / a])
+    np.testing.assert_allclose(f.dinv, 1.0 / f.d)
 
 
 def test_diagonal_matrix():
-    f = factorize(upper_csc(np.diag([4.0, -2.0])))
+    diag = np.array([4.0, -2.0])
+    f = ldl_numeric(upper_csc(np.diag(diag)))
     assert f.L.nnz == 0
-    np.testing.assert_allclose(f.dinv, [0.25, -0.5])
+    np.testing.assert_allclose(f.dinv, 1.0 / diag[f.perm.perm])
 
 
 def test_near_zero_pivot_raises_with_column():
     k = np.array([[1.0, 1.0], [1.0, 1.0]])  # second pivot exactly 0
     with pytest.raises(FactorizationError) as e:
-        factorize(upper_csc(k))
+        ldl_numeric(upper_csc(k))
+    assert e.value.column is None   # SuperLU stops without saying where
+    k[1, 1] = 1.0 + 1e-14           # second pivot 1e-14, below the fp64 tolerance
+    with pytest.raises(FactorizationError) as e:
+        ldl_numeric(upper_csc(k))
     assert e.value.column == 1
 
 
 def test_near_zero_pivot_column_fp32():
     k = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=np.float32)
     with pytest.raises(FactorizationError) as e:
-        factorize(upper_csc(k))
+        ldl_numeric(upper_csc(k))
+    assert e.value.column is None
+    k[1, 1] = 1.0 + 1e-7            # rounds to 1 + 2^-23: a pivot below the fp32 tolerance
+    with pytest.raises(FactorizationError) as e:
+        ldl_numeric(upper_csc(k))
     assert e.value.column == 1
 
 
-def test_symbolic_rejects_below_diagonal_entry():
+def test_off_diagonal_pivot_raises():
+    # a zero diagonal makes SuperLU pivot on a row off it: no LDL^T in that order
+    with pytest.raises(FactorizationError, match="off-diagonal"):
+        ldl_numeric(upper_csc(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+
+def test_factor_rejects_below_diagonal_entry():
     k = np.array([[2.0, 1.0], [1.0, 3.0]])  # both triangles stored
     with pytest.raises(ValueError):
-        ldl_symbolic(SparseCSC.from_dense(k))
+        ldl_numeric(SparseCSC.from_dense(k))
 
 
 def test_fp32_factor_is_rounded_double_factor():
     rng = np.random.default_rng(17)
     k32 = random_kkt_upper(rng, 12, 8).astype(np.float32)
-    upper32 = SparseCSC.from_dense(k32)
-    perm = amd_order(upper32)
-    f32 = factorize(upper32, perm)
-    f64 = factorize(SparseCSC.from_dense(k32.astype(np.float64)), perm)
+    f32 = ldl_numeric(SparseCSC.from_dense(k32))
+    f64 = ldl_numeric(SparseCSC.from_dense(k32.astype(np.float64)))
+    np.testing.assert_array_equal(f32.perm.perm, f64.perm.perm)
     np.testing.assert_array_equal(f32.L.rowidx, f64.L.rowidx)
     for got, ref in ((f32.L.values, f64.L.values), (f32.d, f64.d), (f32.dinv, f64.dinv)):
         assert got.dtype == np.float32
@@ -76,12 +92,9 @@ def test_fp32_factor_is_rounded_double_factor():
 def test_reconstruction_random_kkt():
     rng = np.random.default_rng(11)
     k = random_kkt_upper(rng, 12, 8)
-    upper = SparseCSC.from_dense(k)
-    perm = amd_order(upper)
-    f = ldl_numeric(ldl_symbolic(upper, perm))
-    full = np.triu(k) + np.triu(k, 1).T
-    pkp = full[np.ix_(perm.perm, perm.perm)]
-    err = np.max(np.abs(pkp - f.reconstruct_permuted()))
+    f = ldl_numeric(SparseCSC.from_dense(k))
+    f.perm.validate()
+    err = np.max(np.abs(permuted(k, f) - f.reconstruct_permuted()))
     assert err <= 1e-10
 
 
@@ -91,10 +104,10 @@ def test_symbolic_pattern_matches_dense_oracle_arrow():
     k[0, :] = 1.0
     k[:, 0] = 1.0
     k[0, 0] = n
-    sym = ldl_symbolic(upper_csc(k), Permutation.identity(n))
-    L = ldl_numeric(sym).L
-    np.testing.assert_array_equal(index_pattern(L), dense_lower_pattern_after_elimination(k))
-    np.testing.assert_array_equal(L.colptr, sym.colptr)
+    f = ldl_numeric(upper_csc(k))
+    np.testing.assert_array_equal(index_pattern(f.L),
+                                  dense_lower_pattern_after_elimination(permuted(k, f)))
+    assert f.L.nnz == n - 1
 
 
 def test_symbolic_pattern_chain_no_fill():
@@ -102,23 +115,21 @@ def test_symbolic_pattern_chain_no_fill():
     k = np.eye(4) * 2.0
     k[1, 2] = k[2, 1] = 1.0
     k[2, 3] = k[3, 2] = 1.0
-    sym = ldl_symbolic(upper_csc(k), Permutation.identity(4))
-    L = ldl_numeric(sym).L
-    np.testing.assert_array_equal(index_pattern(L), dense_lower_pattern_after_elimination(k))
-    assert sym.l_nnz == L.nnz == 2
+    f = ldl_numeric(upper_csc(k))
+    np.testing.assert_array_equal(index_pattern(f.L),
+                                  dense_lower_pattern_after_elimination(permuted(k, f)))
+    assert f.L.nnz == 2
 
 
-def test_numeric_structural_nonzeros_subset_of_symbolic():
+def test_factor_pattern_matches_dense_elimination_on_random_kkts():
+    # L holds exactly the entries that eliminating P K P^T fills, no
+    # explicit zeros beyond them
     rng = np.random.default_rng(3)
-    k = random_kkt_upper(rng, 10, 6)
-    upper = SparseCSC.from_dense(k)
-    perm = amd_order(upper)
-    sym = ldl_symbolic(upper, perm)
-    L = ldl_numeric(sym).L
-    np.testing.assert_array_equal(L.colptr, sym.colptr)
-    assert sym.l_nnz == L.nnz
-    pkp = k[np.ix_(perm.perm, perm.perm)]
-    np.testing.assert_array_equal(index_pattern(L), dense_lower_pattern_after_elimination(pkp))
+    for trial in range(100):
+        k = random_kkt_upper(rng, int(rng.integers(2, 14)), int(rng.integers(1, 10)))
+        f = ldl_numeric(SparseCSC.from_dense(k))
+        np.testing.assert_array_equal(index_pattern(f.L),
+                                      dense_lower_pattern_after_elimination(permuted(k, f)))
 
 
 def test_fe_bs_tiny_example():
@@ -164,9 +175,8 @@ def test_solve_round_trip_fuzz():
         n = int(rng.integers(2, 12))
         m = int(rng.integers(1, 10))
         k = random_kkt_upper(rng, n, m)
-        upper = SparseCSC.from_dense(k)
         full = np.triu(k) + np.triu(k, 1).T
-        f = factorize(upper, amd_order(upper))
+        f = ldl_numeric(SparseCSC.from_dense(k))
         b = rng.standard_normal(n + m)
         x = f.solve(b)
         assert np.max(np.abs(full @ x - b)) <= 1e-8 * max(np.max(np.abs(b)), 1e-30)
@@ -175,9 +185,7 @@ def test_solve_round_trip_fuzz():
 def test_dense_ldl_oracle_agreement():
     rng = np.random.default_rng(9)
     k = random_kkt_upper(rng, 6, 4)
-    full = np.triu(k) + np.triu(k, 1).T
-    L_o, d_o = dense_ldl(full)
-    f = factorize(SparseCSC.from_dense(k), Permutation.identity(10))
+    f = ldl_numeric(SparseCSC.from_dense(k))
+    L_o, d_o = dense_ldl(permuted(k, f))
     np.testing.assert_allclose(f.L.to_dense() + np.eye(10), L_o, atol=1e-9)
     np.testing.assert_allclose(f.d, d_o, atol=1e-9)
-

@@ -64,19 +64,21 @@ def test_matrices_match_dense_oracle(nw, nh, hp, domains, cutoff, weights):
 # K's values come from discretize's matrix exponential, whose last bits may
 # depend on the BLAS build; K's digest is pinned too, so that such a
 # difference shows as a different input rather than a different factor.
+# L's values, d and dinv come from SuperLU, so they may also depend on the
+# SuperLU in scipy and the BLAS it calls.
 BRING_UP_DIGESTS = {
     2: {"K": "ba9091d57f24abc9c73288e95bfea95d5e131cca71b4d18a006e398d517c525b",
-        "perm": "15d4a517b63c9cc64c705801774d2c48571fd8d2803dd6772a9df40976787fcc",
-        "rowidx": "917fe776950f6ed80e8e6e52357878bf7bfe792f71b80989b1fdd4345d65d826",
-        "values": "7a11bc786a2ba6b2350627095dbbca195b608cbc0568bf83d28790b89d374b71",
-        "d": "5b08d1d1b5cd9b0fc958e754a12038dece7488cca75fa1a72dbac6027ad7e7e7",
-        "dinv": "d98aed89f20df17f5bb23d726ba1082c2a1ec82175e5ccd2d81af1db7ddcddc3"},
+        "perm": "6e5f5f836078a37fd0cad2a89e026ec208798716a755788155bbf7a3f468b9d7",
+        "rowidx": "09e774438f0853b034b16b90962257a57bace26c1abc5175a284f3be3cfafa01",
+        "values": "05a23fef214e3b2dc0e7ab2b9531b6306b340cf02f67c96831254edec74d9dd8",
+        "d": "36823ef0ccc298f748a662a3f78fce27f632f450d9e4dea5f34821d78ebf5017",
+        "dinv": "347397fb65adb655cf87ab64b205f7a1b713fe9989c07043b6744e141f663c0f"},
     4: {"K": "76b07afe5399b4e0c6782c695069393e3c2cfb13b67b955bdc0834c011c5a245",
-        "perm": "5b48050f59603e5a11bb295e3a6069885176b723eb6fa1cffc2d727c9e4f09a5",
-        "rowidx": "31f7e60d0457446f1084be474c55061c8cf9d7d4c842da8d96af11f904f0af5d",
-        "values": "44ec8e02faff90285dc678f92fd7bb3c1d19df6a3da38c8f3909124072b2c086",
-        "d": "1ade3c4964fc76c6848353d9c11d7b6c985eba53b0669fdf4b934a7898a8117f",
-        "dinv": "adb18f998168472ebe3f4381117cc947350d9832425bf01ded2c1754b37b636a"},
+        "perm": "ac053df3cdc462ae63bd5c5316f9bcd000841e6a3248c1769fef201219684fed",
+        "rowidx": "190cb24db08b92396c4ab23ddf3975175eebc6c44f52359a9fb15c432c09e3ca",
+        "values": "9215cd7bac220184f62a020ca205ceeef7055545f089877faa62927a59b7a314",
+        "d": "6af4be5839e0c7826c19fe5757b1c819d1f4576a5651f30c3fd89620bafaebf3",
+        "dinv": "6fe1d8f3fbad69b7aa2c2e1c2a4e7e505f0c01a667fa70fd359f9034969278a5"},
 }
 
 

@@ -24,7 +24,7 @@ REFERENCE = {
                  [52, 18, 18, 18, 17, 17, 17, 16, 16, 15, 15, 16, 16, 15, 15,
                   116, 17, 17, 17, 16, 16, 15, 15, 16, 15, 14, 14, 16, 16, 14],
                  {"solved": 30}),
-    "fp32": (5679.550468008316, 198.53117507696152, [15] * STEPS,
+    "fp32": (5679.550472060764, 198.53117662668228, [15] * STEPS,
              {"max_iter": 7, "solved": 23}),
 }
 
@@ -171,3 +171,14 @@ def test_run_rejects_a_duration_shorter_than_one_sample_time():
     scenario.duration = 0.5 * spec.ts
     with pytest.raises(ValueError):
         run_closed_loop(model, scenario)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.5])
+def test_run_rejects_a_duration_between_sample_times(steps):
+    # half a sample time over: neither neighbouring step count is the duration
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=steps * spec.ts)
+    with pytest.raises(ValueError, match="whole number"):
+        run_closed_loop(model, scenario)
+    scenario.duration = int(steps + 0.5) * spec.ts   # steps * ts, as the benchmark sets it
+    assert run_closed_loop(model, scenario).n_steps == int(steps + 0.5)

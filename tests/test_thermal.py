@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,13 @@ def test_grid_spec_validation():
         GridSpec(2, 2, ts=-1e-3)
     with pytest.raises(ValueError):
         GridSpec(2, 2, domains=[[0, 1]])  # does not cover all four elements
+
+
+def test_grid_spec_is_frozen():
+    # a model discretized at one sample time cannot be relabelled with another
+    spec = GridSpec(2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.ts = 5e-3
 
 
 def test_default_domains_partition():
