@@ -1,14 +1,17 @@
 """Sparse LDL^T factorization of quasi-definite matrices.
 
-The input is the upper triangle of a symmetric matrix K in CSC form.
-``ldl_numeric`` mirrors it into the full matrix in double precision and
-hands it to SuperLU (``scipy.sparse.linalg.splu``), which orders the
-columns by multiple minimum degree on K + K^T and factors P K P^T with
-diagonal pivots only. A quasi-definite K has an LDL^T factor under every
-symmetric permutation, so SuperLU's L U is (I+L) D (I+L)^T: L is taken
-from its unit lower factor and D from the diagonal of U. The factor
-stores L strictly lower (unit diagonal implicit) and the reciprocal pivots
-separately, so the triangular solves are division-free.
+The input is the upper triangle of a symmetric matrix K as a
+``scipy.sparse`` matrix. ``ldl_numeric`` mirrors it into the full matrix
+in double precision and hands it to SuperLU (``scipy.sparse.linalg.splu``),
+which orders the columns by multiple minimum degree on K + K^T and factors
+P K P^T with diagonal pivots only. A quasi-definite K has an LDL^T factor
+under every symmetric permutation, so SuperLU's L U is (I+L) D (I+L)^T: L
+is taken from its unit lower factor and D from the diagonal of U.
+
+The factor keeps only the raw arrays the triangular solves read: L
+strictly lower (unit diagonal implicit) as a ``SparseCSC``, the pivots
+and their reciprocals, so the solves are division-free, and the
+permutation and its inverse as two int32 arrays.
 
 Bring-up runs once per model, ahead of time. SuperLU computes in double
 precision whatever the storage precision, and L, d and dinv are rounded
@@ -40,39 +43,13 @@ class FactorizationError(RuntimeError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """perm[k] = original index of the k-th pivot; inv_perm undoes it."""
-
-    perm: np.ndarray
-    inv_perm: np.ndarray
-
-    @classmethod
-    def from_order(cls, order) -> "Permutation":
-        perm = np.asarray(order, dtype=np.int32)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size, dtype=np.int32)
-        return cls(perm, inv)
-
-    @property
-    def n(self) -> int:
-        return self.perm.size
-
-    def validate(self) -> "Permutation":
-        n = self.n
-        if sorted(self.perm.tolist()) != list(range(n)):
-            raise ValueError("perm is not a bijection")
-        if np.any(self.perm[self.inv_perm] != np.arange(n)):
-            raise ValueError("inv_perm does not invert perm")
-        return self
-
-
 @dataclass
 class LdlFactor:
     L: SparseCSC                # strictly lower triangular, unit diagonal not stored
     d: np.ndarray               # pivots
     dinv: np.ndarray            # reciprocal pivots
-    perm: Permutation
+    perm: np.ndarray            # int32; perm[k] = original index of the k-th pivot
+    inv_perm: np.ndarray        # int32; inv_perm[perm] = arange(n)
 
     @property
     def n(self) -> int:
@@ -83,11 +60,11 @@ class LdlFactor:
         b = np.asarray(b)
         if b.shape[0] != self.n:
             raise DimensionError("rhs length mismatch")
-        xp = np.ascontiguousarray(b[self.perm.perm], dtype=self.L.dtype)
+        xp = np.ascontiguousarray(b[self.perm], dtype=self.L.dtype)
         K.solve_fe(self.L.colptr, self.L.rowidx, self.L.values, xp)
         xp *= self.dinv
         K.solve_bs(self.L.colptr, self.L.rowidx, self.L.values, xp)
-        return xp[self.perm.inv_perm]
+        return xp[self.inv_perm]
 
     def reconstruct_permuted(self):
         """Dense (I+L) D (I+L)^T; equals P K P^T up to roundoff."""
@@ -95,23 +72,22 @@ class LdlFactor:
         return (ldense * self.d) @ ldense.T
 
 
-def ldl_numeric(upper: SparseCSC) -> LdlFactor:
-    """Order and factor the symmetric matrix whose upper triangle is
-    ``upper``: P K P^T = (I+L) D (I+L)^T, with P SuperLU's multiple minimum
-    degree ordering of K + K^T.
+def ldl_numeric(upper) -> LdlFactor:
+    """Order and factor the symmetric matrix whose upper triangle is the
+    scipy sparse matrix ``upper``: P K P^T = (I+L) D (I+L)^T, with P
+    SuperLU's multiple minimum degree ordering of K + K^T.
 
     An entry of ``upper`` below the diagonal raises ``ValueError``. A pivot
     below ``DEFAULT_PIVOT_TOL`` of the storage precision (rounded to it), a
     row pivot off the diagonal and an exactly zero pivot raise
     ``FactorizationError``.
     """
-    if upper.nrows != upper.ncols:
+    if upper.shape[0] != upper.shape[1]:
         raise DimensionError("factorization needs a square matrix")
-    rows, cols, _ = upper.triplets()
-    if np.any(rows > cols):
+    if scipy.sparse.tril(upper, k=-1).nnz:
         raise ValueError("input matrix is not upper triangular")
-    n, dtype = upper.nrows, upper.dtype
-    up = upper.csc.astype(np.float64)
+    dtype = upper.dtype
+    up = upper.astype(np.float64)
     try:
         lu = scipy.sparse.linalg.splu(
             (up + scipy.sparse.triu(up, k=1).T).tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -125,10 +101,9 @@ def ldl_numeric(upper: SparseCSC) -> LdlFactor:
     small = np.flatnonzero(np.abs(d) < dtype.type(DEFAULT_PIVOT_TOL[dtype]))
     if small.size:
         raise FactorizationError(int(small[0]))
-    low = scipy.sparse.tril(lu.L, k=-1, format="coo")
-    L = SparseCSC.from_coo(n, n, low.row, low.col, low.data, dtype=dtype)
+    L = SparseCSC(scipy.sparse.tril(lu.L, k=-1, format="csc").astype(dtype))
     return LdlFactor(L, d.astype(dtype), (1.0 / d).astype(dtype),
-                     Permutation.from_order(np.argsort(lu.perm_c)))
+                     np.argsort(lu.perm_c).astype(np.int32), lu.perm_c.astype(np.int32))
 
 
 # Sequential reference solves of one right-hand side.

@@ -11,8 +11,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .csc import SparseCSC
 from .power import PowerModelParams
 from .qp import INF, QpProblem
 from .thermal import GridSpec, ThermalPlantModel
@@ -83,6 +83,8 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     if weights is None:
         weights = np.ones(n_u)
     weights = np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ValueError("weights must be finite and non-negative")
 
     layout = [("dynamics", n_x * hp), ("init", n_x), ("caps", nc * hp),
               ("boxes", n_u * hp), ("budget", hp), ("domains", n_domains * hp)]
@@ -112,11 +114,14 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
         member_row = np.zeros((1, n_u))
         member_row[0, members] = 1.0
         blocks.append(_tile(member_row, idx.rows_domains.start + j * hp, 1, u0, n_u, hp))
-    A = SparseCSC.from_coo(m, n, *(np.concatenate(part) for part in zip(*blocks)))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    A = scipy.sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc()
 
-    # objective: sum_h (u_h - p*)' D (u_h - p*); states unweighted
+    # objective: sum_h (u_h - p*)' D (u_h - p*); states unweighted. COO to CSC
+    # keeps explicit zeros, so a zero weight stays stored on P's diagonal.
     u_cols = np.arange(u0, n)
-    P = SparseCSC.from_coo(n, n, u_cols, u_cols, np.tile(2.0 * weights, hp))
+    P = scipy.sparse.coo_array((np.tile(2.0 * weights, hp), (u_cols, u_cols)),
+                               shape=(n, n)).tocsc()
 
     q = np.zeros(n)
     l = np.full(m, -INF)

@@ -30,6 +30,11 @@ class PowerModelParams:
     t_limit: float = 85.0        # silicon cap [degC]
 
     def validate(self):
+        scalars = [self.k_s0, self.k_v, self.k_t, self.k_t0, self.icc, self.p_min,
+                   self.p_max, self.t_limit, *np.ravel(self.vf_table),
+                   *self.ceff_by_class.values()]
+        if not np.isfinite(scalars).all():
+            raise ValueError("power model parameters must be finite")
         vs = [v for v, _ in self.vf_table]
         fs = [f for _, f in self.vf_table]
         if not vs or min(vs) <= 0 or min(fs) <= 0:
@@ -38,8 +43,8 @@ class PowerModelParams:
             raise ValueError("vf_table must be strictly increasing in V and F")
         if not self.ceff_by_class or min(self.ceff_by_class.values()) <= 0:
             raise ValueError("ceff_by_class values must be positive")
-        if self.k_v < 0 or self.k_t < 0:
-            raise ValueError("k_v and k_t must be non-negative: leakage grows with V and T")
+        if self.k_v < 0 or self.k_t < 0 or self.icc < 0:
+            raise ValueError("k_v, k_t and icc must be non-negative: leakage grows with V and T")
         if self.p_min > self.p_max:
             raise ValueError("p_min must not exceed p_max")
         return self

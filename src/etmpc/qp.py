@@ -10,6 +10,10 @@ rho is per constraint row and follows OSQP (Stellato et al., Math. Prog.
 Comp. 2020): an equality row (u - l < ``RHO_TOL``) gets
 ``RHO_EQ_OVER_RHO_INEQ`` times the inequality rows' ``AdmmSettings.rho``.
 
+P, A and K are ``scipy.sparse.csc_array``, and scipy does the residual
+products, the ordering and the factorization. The assembled K is kept as
+its raw upper-triangle arrays (``SparseCSC``), next to the factor's.
+
 The solver runs in one storage precision, fp64 or fp32
 (``AdmmSettings.precision``): P, A, K, its factor, the step sizes, the
 iterates and the q, l, u they read are all in that dtype.
@@ -40,41 +44,45 @@ DTYPES = {"fp64": np.float64, "fp32": np.float32}
 
 @dataclass
 class QpProblem:
-    """P is the upper triangle of the (symmetric PSD) objective matrix."""
+    """P, the upper triangle of the (symmetric PSD) objective matrix, and A
+    are ``scipy.sparse.csc_array``; q, l and u are fp64 vectors."""
 
-    P: SparseCSC
+    P: scipy.sparse.csc_array
     q: np.ndarray
-    A: SparseCSC
+    A: scipy.sparse.csc_array
     l: np.ndarray
     u: np.ndarray
 
     def __post_init__(self):
+        self.P = scipy.sparse.csc_array(self.P)
+        self.A = scipy.sparse.csc_array(self.A)
         self.q = np.asarray(self.q, dtype=np.float64)
         self.l = np.asarray(self.l, dtype=np.float64)
         self.u = np.asarray(self.u, dtype=np.float64)
 
     @property
     def n(self):
-        return self.P.nrows
+        return self.P.shape[0]
 
     @property
     def m(self):
-        return self.A.nrows
+        return self.A.shape[0]
 
     def validate(self):
-        if self.P.nrows != self.P.ncols:
+        if self.P.shape[0] != self.P.shape[1]:
             raise DimensionError("P must be square")
         if self.n == 0:
             raise DimensionError("empty problem (n = 0)")
-        if self.A.ncols != self.n:
+        if self.A.shape[1] != self.n:
             raise DimensionError("A column count must match P")
         if self.q.shape != (self.n,):
             raise DimensionError("q length mismatch")
         if self.l.shape != (self.m,) or self.u.shape != (self.m,):
             raise DimensionError("bound length mismatch")
-        rows, cols, _ = self.P.triplets()
-        if np.any(rows > cols):
+        if scipy.sparse.tril(self.P, k=-1).nnz:
             raise ValueError("P must be stored as its upper triangle")
+        if not (np.isfinite(self.P.data).all() and np.isfinite(self.A.data).all()):
+            raise ValueError("non-finite entry in P or A")
         if np.isnan(self.q).any() or np.isnan(self.l).any() or np.isnan(self.u).any():
             raise ValueError("NaN in q, l or u")
         if np.any(self.l > self.u):
@@ -130,8 +138,9 @@ class AdmmState:
 
 
 class KktSystem:
-    """P and A frozen in storage precision, the quasi-definite KKT matrix
-    assembled from them, and its cached factorization.
+    """P and A frozen in storage precision, the raw arrays of the upper
+    triangle of the quasi-definite KKT matrix assembled from them, and its
+    cached factorization.
 
     ``P`` (both triangles), ``A`` and ``At`` are the ``scipy.sparse``
     operators of the residual products, and ``rho``/``rho_inv`` the per-row
@@ -173,18 +182,17 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings) -> KktSystem:
     dtype = settings.dtype
     rho = np.where(problem.u - problem.l < RHO_TOL,
                    RHO_EQ_OVER_RHO_INEQ * settings.rho, settings.rho)
-    P, A = problem.P.csc.astype(dtype, copy=False), problem.A.csc.astype(dtype, copy=False)
-    prows, pcols, _ = problem.P.triplets()
-    arows, acols, _ = problem.A.triplets()
-    rows = np.concatenate([prows, np.arange(n), acols, n + np.arange(m)])
-    cols = np.concatenate([pcols, np.arange(n), n + arows, n + np.arange(m)])
+    P, A = problem.P.astype(dtype, copy=False), problem.A.astype(dtype, copy=False)
+    pc, ac = P.tocoo(), A.tocoo()
+    rows = np.concatenate([pc.row, np.arange(n), ac.col, n + np.arange(m)])
+    cols = np.concatenate([pc.col, np.arange(n), n + ac.row, n + np.arange(m)])
     vals = np.concatenate([
-        P.data, np.full(n, settings.sigma),
-        A.data, -1.0 / rho,
+        pc.data, np.full(n, settings.sigma),
+        ac.data, -1.0 / rho,
     ]).astype(dtype)
-    K = SparseCSC.from_coo(n + m, n + m, rows, cols, vals, dtype=dtype)
+    K = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n + m, n + m)).tocsc()
     factor = ldl_numeric(K)
-    return KktSystem(K, factor, P, A, rho, dtype)
+    return KktSystem(SparseCSC(K), factor, P, A, rho, dtype)
 
 
 def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem):

@@ -180,6 +180,8 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
         raise ValueError("duration shorter than one sample time")
     if abs(scenario.duration / ts - n_steps) > 1e-9:
         raise ValueError("duration is not a whole number of sample times")
+    if not scenario.noise_sigma >= 0:
+        raise ValueError("noise_sigma must be non-negative")
     params_ = (scenario.params if scenario.params is not None else PowerModelParams()).validate()
     nc = spec.n_pe
     for name in ("freq_targets", "classes"):

@@ -82,7 +82,7 @@ class ThermalConstants:
     def validate(self):
         for name in ("r_si_lat", "r_si_cu", "r_cu_sink", "r_sink_amb",
                      "c_si", "c_cu", "c_sink"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"thermal constant {name} must be positive")
         return self
 

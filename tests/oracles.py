@@ -235,3 +235,11 @@ def scalar_dispatch(params, u0, classes, gain, domains):
             clamped[i] = not (0.0 <= f <= fmax)
             v_out[i], f_out[i] = v_dom, min(max(f, 0.0), fmax)
     return v_out, f_out, clamped
+
+
+def assert_permutation_pair(perm, inv_perm):
+    """perm is an int32 bijection of range(n) and inv_perm undoes it."""
+    n = perm.size
+    assert perm.dtype == inv_perm.dtype == np.int32
+    assert sorted(perm.tolist()) == list(range(n))
+    np.testing.assert_array_equal(inv_perm[perm], np.arange(n))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
-from etmpc.csc import SparseCSC, DimensionError
+from etmpc.csc import DimensionError
 from etmpc.qp import (
     AdmmSettings,
     AdmmSolver,
@@ -16,8 +17,8 @@ from oracles import dense_admm_step, random_qp, solve_qp_enumeration
 
 
 def make_problem(P, q, A, l, u):
-    return QpProblem(SparseCSC.from_dense(np.triu(P)), np.asarray(q, float),
-                     SparseCSC.from_dense(np.atleast_2d(A)),
+    return QpProblem(scipy.sparse.csc_array(np.triu(P)), np.asarray(q, float),
+                     scipy.sparse.csc_array(np.atleast_2d(A)),
                      np.asarray(l, float), np.asarray(u, float))
 
 
@@ -42,7 +43,7 @@ def test_assemble_kkt_1x1():
 
 
 def test_assemble_kkt_rejects_empty():
-    p = QpProblem(SparseCSC.empty(0, 0), np.zeros(0), SparseCSC.empty(1, 0),
+    p = QpProblem(scipy.sparse.csc_array((0, 0)), np.zeros(0), scipy.sparse.csc_array((1, 0)),
                   np.zeros(1), np.ones(1))
     with pytest.raises(DimensionError):
         assemble_kkt(p, AdmmSettings())
@@ -199,7 +200,7 @@ def test_kkt_views_storage_precision_matrices():
     P, q, A, l, u = mixed_row_qp()
     p = make_problem(P, q, A, l, u)
     kkt = assemble_kkt(p, AdmmSettings(precision="fp64"))
-    assert np.shares_memory(kkt.A.data, p.A.values)
+    assert np.shares_memory(kkt.A.data, p.A.data)
 
 
 def test_projection_invariant_every_iteration():
@@ -287,4 +288,13 @@ def test_validate_rejects_nan(vector):
     p = box_problem()
     getattr(p, vector)[0] = np.nan
     with pytest.raises(ValueError):
+        AdmmSolver(p)
+
+
+@pytest.mark.parametrize("matrix", ["P", "A"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_rejects_non_finite_matrix_entry(matrix, value):
+    p = box_problem()
+    getattr(p, matrix).data[0] = value
+    with pytest.raises(ValueError, match="non-finite"):
         AdmmSolver(p)

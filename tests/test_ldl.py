@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from etmpc.csc import DimensionError, SparseCSC
 from etmpc.ldl import FactorizationError, ldl_numeric, sptrsv_bs, sptrsv_fe
 
-from oracles import dense_ldl, dense_lower_pattern_after_elimination, random_kkt_upper
+from oracles import (assert_permutation_pair, dense_ldl, dense_lower_pattern_after_elimination,
+                     random_kkt_upper)
 
 
 def upper_csc(dense):
-    return SparseCSC.from_dense(np.triu(dense))
+    return scipy.sparse.csc_array(np.triu(dense))
 
 
 def index_pattern(L):
@@ -23,14 +25,14 @@ def permuted(k, f):
     """P K P^T in the factor's order, K the symmetric matrix whose upper
     triangle is ``k``."""
     full = np.triu(k) + np.triu(k, 1).T
-    return full[np.ix_(f.perm.perm, f.perm.perm)]
+    return full[np.ix_(f.perm, f.perm)]
 
 
 def test_2x2_by_hand():
     k = np.array([[2.0, 1.0], [1.0, -3.0]])
     f = ldl_numeric(upper_csc(k))
     # both orders are minimum degree; pivoting on a leaves b - c^2/a
-    (a, b), c = np.diag(k)[f.perm.perm], k[0, 1]
+    (a, b), c = np.diag(k)[f.perm], k[0, 1]
     np.testing.assert_allclose(f.L.to_dense()[1, 0], c / a)
     np.testing.assert_allclose(f.d, [a, b - c * c / a])
     np.testing.assert_allclose(f.dinv, 1.0 / f.d)
@@ -40,7 +42,7 @@ def test_diagonal_matrix():
     diag = np.array([4.0, -2.0])
     f = ldl_numeric(upper_csc(np.diag(diag)))
     assert f.L.nnz == 0
-    np.testing.assert_allclose(f.dinv, 1.0 / diag[f.perm.perm])
+    np.testing.assert_allclose(f.dinv, 1.0 / diag[f.perm])
 
 
 def test_near_zero_pivot_raises_with_column():
@@ -74,15 +76,15 @@ def test_off_diagonal_pivot_raises():
 def test_factor_rejects_below_diagonal_entry():
     k = np.array([[2.0, 1.0], [1.0, 3.0]])  # both triangles stored
     with pytest.raises(ValueError):
-        ldl_numeric(SparseCSC.from_dense(k))
+        ldl_numeric(scipy.sparse.csc_array(k))
 
 
 def test_fp32_factor_is_rounded_double_factor():
     rng = np.random.default_rng(17)
     k32 = random_kkt_upper(rng, 12, 8).astype(np.float32)
-    f32 = ldl_numeric(SparseCSC.from_dense(k32))
-    f64 = ldl_numeric(SparseCSC.from_dense(k32.astype(np.float64)))
-    np.testing.assert_array_equal(f32.perm.perm, f64.perm.perm)
+    f32 = ldl_numeric(scipy.sparse.csc_array(k32))
+    f64 = ldl_numeric(scipy.sparse.csc_array(k32.astype(np.float64)))
+    np.testing.assert_array_equal(f32.perm, f64.perm)
     np.testing.assert_array_equal(f32.L.rowidx, f64.L.rowidx)
     for got, ref in ((f32.L.values, f64.L.values), (f32.d, f64.d), (f32.dinv, f64.dinv)):
         assert got.dtype == np.float32
@@ -92,8 +94,8 @@ def test_fp32_factor_is_rounded_double_factor():
 def test_reconstruction_random_kkt():
     rng = np.random.default_rng(11)
     k = random_kkt_upper(rng, 12, 8)
-    f = ldl_numeric(SparseCSC.from_dense(k))
-    f.perm.validate()
+    f = ldl_numeric(scipy.sparse.csc_array(k))
+    assert_permutation_pair(f.perm, f.inv_perm)
     err = np.max(np.abs(permuted(k, f) - f.reconstruct_permuted()))
     assert err <= 1e-10
 
@@ -127,19 +129,24 @@ def test_factor_pattern_matches_dense_elimination_on_random_kkts():
     rng = np.random.default_rng(3)
     for trial in range(100):
         k = random_kkt_upper(rng, int(rng.integers(2, 14)), int(rng.integers(1, 10)))
-        f = ldl_numeric(SparseCSC.from_dense(k))
+        f = ldl_numeric(scipy.sparse.csc_array(k))
         np.testing.assert_array_equal(index_pattern(f.L),
                                       dense_lower_pattern_after_elimination(permuted(k, f)))
 
 
+def unit_lower(dense):
+    """The raw arrays of the strictly lower triangle of ``dense``."""
+    return SparseCSC(scipy.sparse.csc_array(np.tril(dense, -1)))
+
+
 def test_fe_bs_tiny_example():
-    L = SparseCSC.from_coo(2, 2, [1], [0], [0.5])
+    L = unit_lower([[0.0, 0.0], [0.5, 0.0]])
     np.testing.assert_allclose(sptrsv_fe(L, [2.0, 2.0]), [2.0, 1.0])
     np.testing.assert_allclose(sptrsv_bs(L, [2.0, 1.0]), [1.5, 1.0])
 
 
 def test_fe_bs_empty_L_is_identity():
-    L = SparseCSC.empty(3, 3)
+    L = unit_lower(np.zeros((3, 3)))
     b = np.array([1.0, -2.0, 3.0])
     np.testing.assert_array_equal(sptrsv_fe(L, b), b)
     np.testing.assert_array_equal(sptrsv_bs(L, b), b)
@@ -150,7 +157,7 @@ def test_fe_bs_random_50_matches_dense_oracle():
     ldense = np.tril(rng.standard_normal((50, 50)), -1)
     ldense[np.abs(ldense) < 1.0] = 0.0
     ldense *= 0.3  # keep the unit-diagonal solve well conditioned
-    L = SparseCSC.from_dense(ldense)
+    L = unit_lower(ldense)
     b = rng.standard_normal(50)
     unit = ldense + np.eye(50)
     xe = np.linalg.solve(unit, b)
@@ -162,7 +169,7 @@ def test_fe_bs_random_50_matches_dense_oracle():
 
 @pytest.mark.parametrize("solve", [sptrsv_fe, sptrsv_bs])
 def test_fe_bs_reject_matrix_rhs(solve):
-    L = SparseCSC.from_coo(2, 2, [1], [0], [0.5])
+    L = unit_lower([[0.0, 0.0], [0.5, 0.0]])
     with pytest.raises(DimensionError):
         solve(L, np.ones((2, 3)))
     with pytest.raises(DimensionError):
@@ -176,7 +183,7 @@ def test_solve_round_trip_fuzz():
         m = int(rng.integers(1, 10))
         k = random_kkt_upper(rng, n, m)
         full = np.triu(k) + np.triu(k, 1).T
-        f = ldl_numeric(SparseCSC.from_dense(k))
+        f = ldl_numeric(scipy.sparse.csc_array(k))
         b = rng.standard_normal(n + m)
         x = f.solve(b)
         assert np.max(np.abs(full @ x - b)) <= 1e-8 * max(np.max(np.abs(b)), 1e-30)
@@ -185,7 +192,7 @@ def test_solve_round_trip_fuzz():
 def test_dense_ldl_oracle_agreement():
     rng = np.random.default_rng(9)
     k = random_kkt_upper(rng, 6, 4)
-    f = ldl_numeric(SparseCSC.from_dense(k))
+    f = ldl_numeric(scipy.sparse.csc_array(k))
     L_o, d_o = dense_ldl(permuted(k, f))
     np.testing.assert_allclose(f.L.to_dense() + np.eye(10), L_o, atol=1e-9)
     np.testing.assert_allclose(f.d, d_o, atol=1e-9)

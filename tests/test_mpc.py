@@ -45,8 +45,8 @@ def test_matrices_match_dense_oracle(nw, nh, hp, domains, cutoff, weights):
     w = np.ones(model.n_u) if weights is None else np.asarray(weights)
     A_ref, P_ref = dense_mpc_matrices(model.d, model.e, model.c_t, domains or [], hp, w)
     qp = mpcqp.qp
-    np.testing.assert_array_equal(qp.A.to_dense(), A_ref)
-    np.testing.assert_array_equal(qp.P.to_dense(), P_ref)
+    np.testing.assert_array_equal(qp.A.toarray(), A_ref)
+    np.testing.assert_array_equal(qp.P.toarray(), P_ref)
     assert qp.A.nnz == np.count_nonzero(A_ref)
     # a zero weight is stored as an explicit zero on P's diagonal
     assert qp.P.nnz == np.count_nonzero(P_ref) + hp * np.count_nonzero(w == 0)
@@ -87,7 +87,7 @@ def test_bring_up_factor_pinned(grid):
     mpcqp, _ = make_mpcqp(grid, grid, hp=2, domains=default_domains(grid, grid), cutoff=0.005)
     kkt = assemble_kkt(mpcqp.qp, AdmmSettings(precision="fp64"))
     f = kkt.factor
-    got = {"K": kkt.K.values, "perm": kkt.factor.perm.perm, "rowidx": f.L.rowidx, "values": f.L.values,
+    got = {"K": kkt.K.values, "perm": f.perm, "rowidx": f.L.rowidx, "values": f.L.values,
            "d": f.d, "dinv": f.dinv}
     assert {k: checksum(v) for k, v in got.items()} == BRING_UP_DIGESTS[grid]
 
@@ -132,6 +132,13 @@ def test_all_zero_weights_yields_feasible_point():
     assert res.status == "solved"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_build_rejects_non_finite_or_negative_weights(bad):
+    # a NaN weight ends in a zero pivot, a negative one makes P indefinite
+    with pytest.raises(ValueError, match="weights"):
+        make_mpcqp(2, 2, hp=2, weights=[bad, 1.0, 1.0, 1.0])
+
+
 def test_build_rejects_a_spec_with_another_sample_time():
     spec = GridSpec(2, 2, hp=2, ts=5e-3)
     model = build_thermal_model(spec)
@@ -150,7 +157,7 @@ def test_pruned_assembly_strictly_smaller():
 
 def test_update_is_deterministic_and_leaves_matrices_alone():
     mpcqp, model = make_mpcqp(2, 2, hp=2, domains=default_domains(2, 2))
-    p_sum, a_sum = checksum(mpcqp.qp.P.values), checksum(mpcqp.qp.A.values)
+    p_sum, a_sum = checksum(mpcqp.qp.P.data), checksum(mpcqp.qp.A.data)
     x0 = np.linspace(0, 1, model.n_x)
     update_mpc_step(mpcqp, x0, np.full(4, 1.5), 8.0, [4.0, 4.0])
     q1, l1, u1 = mpcqp.qp.q.copy(), mpcqp.qp.l.copy(), mpcqp.qp.u.copy()
@@ -158,8 +165,8 @@ def test_update_is_deterministic_and_leaves_matrices_alone():
     np.testing.assert_array_equal(q1, mpcqp.qp.q)
     np.testing.assert_array_equal(l1, mpcqp.qp.l)
     np.testing.assert_array_equal(u1, mpcqp.qp.u)
-    assert checksum(mpcqp.qp.P.values) == p_sum
-    assert checksum(mpcqp.qp.A.values) == a_sum
+    assert checksum(mpcqp.qp.P.data) == p_sum
+    assert checksum(mpcqp.qp.A.data) == a_sum
 
 
 def test_budget_step_touches_expected_rows():

@@ -149,8 +149,26 @@ def test_frozen_gain_bounds_the_plant_gain_at_or_below_the_cap():
     assert np.all(params.leakage_gain(t, rails) <= params.frozen_gain())
 
 
-@pytest.mark.parametrize("bad", [dict(k_v=-1.2), dict(k_t=-0.02)], ids=["k_v", "k_t"])
+@pytest.mark.parametrize("bad", [dict(k_v=-1.2), dict(k_t=-0.02), dict(icc=-0.4)],
+                         ids=["k_v", "k_t", "icc"])
 def test_validate_rejects_leakage_falling_with_v_or_t(bad):
     # the frozen corner bounds the plant's gain only if leakage grows with V and T
     with pytest.raises(ValueError):
         PowerModelParams(**bad).validate()
+
+
+
+SCALARS = ("k_s0", "k_v", "k_t", "k_t0", "icc", "p_min", "p_max", "t_limit")
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in SCALARS for value in (np.nan, np.inf)),
+    ("vf_table", [(0.6, 1.2e9), (np.nan, 2e9)]),
+    ("vf_table", [(0.6, 1.2e9), (0.8, np.inf)]),
+    ("ceff_by_class", {0: 1e-9, 1: np.nan}),
+    ("ceff_by_class", {0: np.inf}),
+], ids=[*(f"{name}-{value}" for name in SCALARS for value in ("nan", "inf")),
+        "vf_table-nan_v", "vf_table-inf_f", "ceff-nan", "ceff-inf"])
+def test_validate_rejects_non_finite_parameters(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        PowerModelParams(**{name: value}).validate()

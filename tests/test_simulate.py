@@ -5,8 +5,9 @@ from etmpc.mpc import build_mpc_qp
 from etmpc.power import PowerModelParams
 from etmpc.pruning import DEFAULT_CUTOFF, prune_model
 from etmpc.qp import AdmmSettings
+import etmpc.simulate
 from etmpc.simulate import (Scenario, default_scenario, dispatch, mpc_solver_settings,
-                            run_closed_loop, timeline_value)
+                            rmse_series, run_closed_loop, timeline_value)
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
 from oracles import scalar_dispatch
@@ -182,3 +183,49 @@ def test_run_rejects_a_duration_between_sample_times(steps):
         run_closed_loop(model, scenario)
     scenario.duration = int(steps + 0.5) * spec.ts   # steps * ts, as the benchmark sets it
     assert run_closed_loop(model, scenario).n_steps == int(steps + 0.5)
+
+
+@pytest.mark.parametrize("sigma", [-0.05, np.nan])
+def test_run_rejects_negative_or_nan_noise(sigma):
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=2 * spec.ts)
+    scenario.noise_sigma = sigma
+    with pytest.raises(ValueError, match="noise_sigma"):
+        run_closed_loop(model, scenario)
+
+
+def test_diverged_step_holds_the_previous_operating_point(monkeypatch):
+    diverged_at = 5
+    real = etmpc.simulate.AdmmSolver
+
+    class DivergesOnce(real):
+        """Reports one mid-run solve as diverged, with a NaN iterate."""
+
+        solves = 0
+
+        def solve(self):
+            state = super().solve()
+            if DivergesOnce.solves == diverged_at:
+                state.status = "diverged"
+                state.x = np.full_like(state.x, np.nan)
+            DivergesOnce.solves += 1
+            return state
+
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=10 * spec.ts)
+    clean = run_closed_loop(model, scenario)
+    monkeypatch.setattr(etmpc.simulate, "AdmmSolver", DivergesOnce)
+    tr = run_closed_loop(model, scenario)
+
+    k = diverged_at   # the budget drops here, so the clean run moves its operating point
+    assert not np.array_equal(clean.applied_f[k], clean.applied_f[k - 1])
+    assert tr.status[k] == "diverged" and tr.status.count("diverged") == 1
+    for held in (tr.applied_v, tr.applied_f, tr.clamped):
+        np.testing.assert_array_equal(held[k], held[k - 1])
+    assert np.isnan(tr.predicted_si[k]).all()
+    assert not np.isnan(np.delete(tr.predicted_si, k, axis=0)).any()
+    rmse = rmse_series(tr)
+    assert rmse[k + 1] == rmse[k] > 0
+    # the steps before the diverged one are the clean run's
+    np.testing.assert_array_equal(tr.plant_si[:k + 1], clean.plant_si[:k + 1])
+    np.testing.assert_array_equal(tr.applied_f[:k], clean.applied_f[:k])

@@ -49,6 +49,13 @@ def test_rejects_nonpositive_constants():
         build_thermal_model(GridSpec(2, 2), ThermalConstants(c_si=-1.0))
 
 
+@pytest.mark.parametrize("name", ["r_si_lat", "r_si_cu", "r_cu_sink", "r_sink_amb",
+                                  "c_si", "c_cu", "c_sink"])
+def test_rejects_nan_constants(name):
+    with pytest.raises(ValueError, match=name):
+        build_thermal_model(GridSpec(2, 2), ThermalConstants(**{name: np.nan}))
+
+
 def test_discretize_scalar_analytic():
     spec = GridSpec(1, 1, ts=0.1)
     model = ThermalPlantModel(spec, ThermalConstants(), np.array([[-1.0]]),
