@@ -19,6 +19,13 @@ class DimensionError(ValueError):
     pass
 
 
+def has_entry_below_diagonal(mat):
+    """Whether the scipy sparse matrix ``mat`` stores an entry (an explicit
+    zero included) below its diagonal, read off its CSC index arrays."""
+    mat = scipy.sparse.csc_array(mat)
+    return bool(np.any(mat.indices > np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))))
+
+
 class SparseCSC:
     """The canonical CSC arrays of the scipy sparse matrix ``mat``."""
 

@@ -28,7 +28,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import _kernels as K
-from .csc import SparseCSC, DimensionError
+from .csc import SparseCSC, DimensionError, has_entry_below_diagonal
 
 DEFAULT_PIVOT_TOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
 
@@ -84,7 +84,7 @@ def ldl_numeric(upper) -> LdlFactor:
     """
     if upper.shape[0] != upper.shape[1]:
         raise DimensionError("factorization needs a square matrix")
-    if scipy.sparse.tril(upper, k=-1).nnz:
+    if has_entry_below_diagonal(upper):
         raise ValueError("input matrix is not upper triangular")
     dtype = upper.dtype
     up = upper.astype(np.float64)

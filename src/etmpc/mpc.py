@@ -1,12 +1,13 @@
 """Condense the receding-horizon control problem into a sparse QP.
 
-Decision vector: (x_0, ..., x_hp, u_0, ..., u_{hp-1}). P and A are frozen
+Decision vector: (x_1, ..., x_hp, u_0, ..., u_{hp-1}). P and A are frozen
 at build time; each controller step only rewrites q (power targets), the
-initial-condition equality bounds, and the budget rows.
+bounds D x_meas of the stage-0 dynamics rows, and the budget rows.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ class MpcIndexMap:
     n_u: int
     hp: int
     rows_dynamics: slice
-    rows_init: slice
     rows_caps: slice
     rows_boxes: slice
     rows_budget: slice
@@ -34,10 +34,14 @@ class MpcIndexMap:
     n_domains: int
 
     def state_offset(self, h):
-        return h * self.n_x
+        if not 1 <= h <= self.hp:
+            raise ValueError(f"state stage {h} outside 1..{self.hp}")
+        return (h - 1) * self.n_x
 
     def input_offset(self, h):
-        return (self.hp + 1) * self.n_x + h * self.n_u
+        if not 0 <= h < self.hp:
+            raise ValueError(f"input stage {h} outside 0..{self.hp - 1}")
+        return self.hp * self.n_x + h * self.n_u
 
 
 @dataclass
@@ -47,6 +51,7 @@ class MpcQp:
     spec: GridSpec
     params: PowerModelParams
     weights: np.ndarray
+    d: np.ndarray   # the controller model's D, by reference: bounds of the first dynamics rows
 
 
 def _tile(block, row0, row_step, col0, col_step, stages):
@@ -63,9 +68,9 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     """Assemble P, A and the static parts of q, l, u.
 
     Constraint rows follow one layout table, in order: dynamics equalities
-    per stage, the initial state equality, silicon thermal caps for stages
-    1..hp, per-element power boxes, one total-budget row per stage, then
-    per-domain budget rows (domain-major, row ``j*hp + h`` of the block).
+    per stage (D x_meas on the right at stage 0), silicon thermal caps for
+    stages 1..hp, per-element power boxes, one total-budget row per stage,
+    then per-domain budget rows (domain-major: block row ``j*hp + h``).
     Nothing here checks the bounds for feasibility: ``update_mpc_step``
     warns when a budget falls below the static power floor, and
     ``assemble_kkt`` validates the problem when the solver factors it.
@@ -78,7 +83,7 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     n_x, n_u, hp = model.n_x, model.n_u, spec.hp
     nc = spec.n_pe
     n_domains = len(spec.domains)
-    n = n_x * (hp + 1) + n_u * hp
+    n = (n_x + n_u) * hp
 
     if weights is None:
         weights = np.ones(n_u)
@@ -86,7 +91,7 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         raise ValueError("weights must be finite and non-negative")
 
-    layout = [("dynamics", n_x * hp), ("init", n_x), ("caps", nc * hp),
+    layout = [("dynamics", n_x * hp), ("caps", nc * hp),
               ("boxes", n_u * hp), ("budget", hp), ("domains", n_domains * hp)]
     row_slices = {}
     m = 0
@@ -97,12 +102,10 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
 
     x1, u0 = idx.state_offset(1), idx.input_offset(0)
     blocks = [
-        # dynamics: x_{h+1} - D x_h - E u_h = 0
+        # dynamics: x_{h+1} - D x_h - E u_h = 0, with D x_meas on the right at h = 0
         _tile(np.eye(n_x), idx.rows_dynamics.start, n_x, x1, n_x, hp),
-        _tile(-model.d, idx.rows_dynamics.start, n_x, 0, n_x, hp),
+        _tile(-model.d, idx.rows_dynamics.start + n_x, n_x, x1, n_x, hp - 1),
         _tile(-model.e, idx.rows_dynamics.start, n_x, u0, n_u, hp),
-        # initial state equality
-        _tile(np.eye(n_x), idx.rows_init.start, 0, 0, 0, 1),
         # thermal caps on predicted silicon states (c_t selects them)
         _tile(model.c_t, idx.rows_caps.start, nc, x1, n_x, hp),
         # per-element power boxes, total budget per stage
@@ -128,8 +131,6 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     u = np.full(m, INF)
     l[idx.rows_dynamics] = 0.0
     u[idx.rows_dynamics] = 0.0
-    l[idx.rows_init] = 0.0
-    u[idx.rows_init] = 0.0
     cap = params.t_limit - model.constants.t_amb  # states are ambient-relative
     u[idx.rows_caps] = cap
     l[idx.rows_boxes] = params.p_min
@@ -137,12 +138,13 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     u[idx.rows_budget] = params.p_max * nc
     u[idx.rows_domains] = params.p_max * nc
 
-    return MpcQp(QpProblem(P, q, A, l, u), idx, spec, params, weights)
+    return MpcQp(QpProblem(P, q, A, l, u), idx, spec, params, weights, model.d)
 
 
 def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
                     budget_domains=None):
-    """Write the time-varying data for one controller step.
+    """Write the time-varying data for one controller step. A non-finite
+    state or target and a NaN budget raise ``ValueError``; +inf is no budget.
 
     Touches only q, l, u; P and A stay frozen so the cached KKT
     factorization remains valid.
@@ -153,9 +155,18 @@ def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
     p_star = np.asarray(p_star, dtype=np.float64)
     if x_init.shape != (idx.n_x,) or p_star.shape != (idx.n_u,):
         raise ValueError("state/target length mismatch")
+    if not (np.isfinite(x_init).all() and np.isfinite(p_star).all()):
+        raise ValueError("non-finite measured state or power target")
+    budgets = [] if budget_total is None else [budget_total]
+    if budget_domains is not None:
+        if len(budget_domains) != idx.n_domains:
+            raise ValueError("one budget per domain required")
+        budgets.extend(budget_domains)
+    if any(map(math.isnan, budgets)):
+        raise ValueError("NaN budget")
 
-    qp.l[idx.rows_init] = x_init
-    qp.u[idx.rows_init] = x_init
+    stage0 = slice(idx.rows_dynamics.start, idx.rows_dynamics.start + idx.n_x)
+    qp.l[stage0] = qp.u[stage0] = mpcqp.d @ x_init
     for h in range(idx.hp):
         uh = idx.input_offset(h)
         qp.q[uh:uh + idx.n_u] = -2.0 * mpcqp.weights * p_star
@@ -165,8 +176,6 @@ def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
                           "step may be infeasible", stacklevel=2)
         qp.u[idx.rows_budget] = budget_total
     if budget_domains is not None:
-        if len(budget_domains) != idx.n_domains:
-            raise ValueError("one budget per domain required")
         for j, b in enumerate(budget_domains):
             if b < mpcqp.params.p_min * len(mpcqp.spec.domains[j]):
                 warnings.warn(f"domain {j} budget below its static floor",
@@ -176,11 +185,12 @@ def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
 
 
 def predicted_stage_states(mpcqp: MpcQp, x_solution, h):
-    """Slice the stage-h state prediction out of a solver solution."""
+    """Slice the stage-h state prediction (h in 1..hp) out of a solver solution."""
     off = mpcqp.index.state_offset(h)
     return x_solution[off:off + mpcqp.index.n_x]
 
 
 def stage_inputs(mpcqp: MpcQp, x_solution, h=0):
+    """Slice the stage-h inputs (h in 0..hp-1) out of a solver solution."""
     off = mpcqp.index.input_offset(h)
     return x_solution[off:off + mpcqp.index.n_u]

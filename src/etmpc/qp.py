@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .csc import SparseCSC, DimensionError
+from .csc import SparseCSC, DimensionError, has_entry_below_diagonal
 from .ldl import LdlFactor, ldl_numeric
 
 INF = np.inf
@@ -79,7 +79,7 @@ class QpProblem:
             raise DimensionError("q length mismatch")
         if self.l.shape != (self.m,) or self.u.shape != (self.m,):
             raise DimensionError("bound length mismatch")
-        if scipy.sparse.tril(self.P, k=-1).nnz:
+        if has_entry_below_diagonal(self.P):
             raise ValueError("P must be stored as its upper triangle")
         if not (np.isfinite(self.P.data).all() and np.isfinite(self.A.data).all()):
             raise ValueError("non-finite entry in P or A")

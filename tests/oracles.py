@@ -142,36 +142,44 @@ def random_kkt_upper(rng, n, m, rho=0.1, sigma=1e-6, density=0.3):
     return np.triu(K)
 
 
-def dense_mpc_matrices(d, e, c_t, domains, hp, weights):
+def dense_mpc_matrices(d, e, c_t, domains, hp, weights, with_x0=False):
     """Dense A and P of the condensed MPC QP, each block placed by slicing.
 
-    Columns: x_0..x_hp, then u_0..u_{hp-1}. Rows, in order: dynamics
-    x_{h+1} - D x_h - E u_h = 0 per stage, the initial state, the silicon
-    caps C x_h for h = 1..hp, the power boxes u_h, one budget row per
-    stage, then one row per domain and stage (domain-major). P holds
-    2*weights on the diagonal of every input block.
+    Columns: x_1..x_hp, then u_0..u_{hp-1}. Rows, in order: dynamics
+    x_{h+1} - D x_h - E u_h = 0 per stage, where stage 0 has no D block
+    (D x_0 is its right-hand side), the silicon caps C x_h for
+    h = 1..hp, the power boxes u_h, one budget row per stage, then one row
+    per domain and stage (domain-major). P holds 2*weights on the diagonal
+    of every input block.
+
+    ``with_x0`` gives the layout that keeps x_0 as a variable: columns
+    x_0..x_hp first, stage 0's dynamics read -D x_0, and n_x rows pinning
+    x_0 (to the measurement, through their bounds) follow the dynamics.
     """
     n_x, n_u = e.shape
     nc = c_t.shape[0]
-    n = n_x * (hp + 1) + n_u * hp
-    m = n_x * hp + n_x + nc * hp + n_u * hp + hp + len(domains) * hp
+    k = int(with_x0)   # state blocks ahead of x_1
+    n = n_x * (hp + k) + n_u * hp
+    m = n_x * hp + k * n_x + nc * hp + n_u * hp + hp + len(domains) * hp
 
     def x(h):
-        return slice(h * n_x, (h + 1) * n_x)
+        return slice((h - 1 + k) * n_x, (h + k) * n_x)
 
     def u(h):
-        start = n_x * (hp + 1) + h * n_u
+        start = n_x * (hp + k) + h * n_u
         return slice(start, start + n_u)
 
     A = np.zeros((m, n))
     r = 0
     for h in range(hp):
         A[r:r + n_x, x(h + 1)] = np.eye(n_x)
-        A[r:r + n_x, x(h)] = -d
+        if h > 0 or with_x0:
+            A[r:r + n_x, x(h)] = -d
         A[r:r + n_x, u(h)] = -e
         r += n_x
-    A[r:r + n_x, x(0)] = np.eye(n_x)
-    r += n_x
+    if with_x0:
+        A[r:r + n_x, x(0)] = np.eye(n_x)
+        r += n_x
     for h in range(1, hp + 1):
         A[r:r + nc, x(h)] = c_t
         r += nc

@@ -291,6 +291,13 @@ def test_validate_rejects_nan(vector):
         AdmmSolver(p)
 
 
+def test_validate_rejects_p_stored_below_the_diagonal():
+    p = box_problem()
+    p.P = scipy.sparse.csc_array(np.array([[1.0, 0.0], [0.5, 1.0]]))
+    with pytest.raises(ValueError, match="upper triangle"):
+        p.validate()
+
+
 @pytest.mark.parametrize("matrix", ["P", "A"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_validate_rejects_non_finite_matrix_entry(matrix, value):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from etmpc.mpc import build_mpc_qp, stage_inputs, update_mpc_step
+from etmpc.mpc import build_mpc_qp, predicted_stage_states, stage_inputs, update_mpc_step
 from etmpc.power import PowerModelParams
 from etmpc.pruning import prune_model
 from etmpc.qp import AdmmSettings, AdmmSolver, QpProblem, assemble_kkt
@@ -30,8 +30,8 @@ def checksum(arr):
 def test_1x1_hp1_row_and_column_counts():
     mpcqp, model = make_mpcqp(1, 1, hp=1)
     n_x = model.n_x
-    assert mpcqp.qp.n == n_x * 2 + 1
-    assert mpcqp.qp.m == n_x + n_x + 1 + 1 + 1
+    assert mpcqp.qp.n == n_x + 1
+    assert mpcqp.qp.m == n_x + 1 + 1 + 1
 
 
 @pytest.mark.parametrize("nw, nh, hp, domains, cutoff, weights", [
@@ -51,8 +51,8 @@ def test_matrices_match_dense_oracle(nw, nh, hp, domains, cutoff, weights):
     # a zero weight is stored as an explicit zero on P's diagonal
     assert qp.P.nnz == np.count_nonzero(P_ref) + hp * np.count_nonzero(w == 0)
     idx = mpcqp.index
-    blocks = [idx.rows_dynamics, idx.rows_init, idx.rows_caps, idx.rows_boxes,
-              idx.rows_budget, idx.rows_domains]
+    blocks = [idx.rows_dynamics, idx.rows_caps, idx.rows_boxes, idx.rows_budget,
+              idx.rows_domains]
     assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
     assert blocks[-1].stop == qp.m
 
@@ -67,18 +67,18 @@ def test_matrices_match_dense_oracle(nw, nh, hp, domains, cutoff, weights):
 # L's values, d and dinv come from SuperLU, so they may also depend on the
 # SuperLU in scipy and the BLAS it calls.
 BRING_UP_DIGESTS = {
-    2: {"K": "ba9091d57f24abc9c73288e95bfea95d5e131cca71b4d18a006e398d517c525b",
-        "perm": "6e5f5f836078a37fd0cad2a89e026ec208798716a755788155bbf7a3f468b9d7",
-        "rowidx": "09e774438f0853b034b16b90962257a57bace26c1abc5175a284f3be3cfafa01",
-        "values": "05a23fef214e3b2dc0e7ab2b9531b6306b340cf02f67c96831254edec74d9dd8",
-        "d": "36823ef0ccc298f748a662a3f78fce27f632f450d9e4dea5f34821d78ebf5017",
-        "dinv": "347397fb65adb655cf87ab64b205f7a1b713fe9989c07043b6744e141f663c0f"},
-    4: {"K": "76b07afe5399b4e0c6782c695069393e3c2cfb13b67b955bdc0834c011c5a245",
-        "perm": "ac053df3cdc462ae63bd5c5316f9bcd000841e6a3248c1769fef201219684fed",
-        "rowidx": "190cb24db08b92396c4ab23ddf3975175eebc6c44f52359a9fb15c432c09e3ca",
-        "values": "9215cd7bac220184f62a020ca205ceeef7055545f089877faa62927a59b7a314",
-        "d": "6af4be5839e0c7826c19fe5757b1c819d1f4576a5651f30c3fd89620bafaebf3",
-        "dinv": "6fe1d8f3fbad69b7aa2c2e1c2a4e7e505f0c01a667fa70fd359f9034969278a5"},
+    2: {"K": "475feef0002d6bf871e783d3ac2e416c2b10003174b871d55f6f9f8ab4c43d46",
+        "perm": "58b8b7dd5aad4be9999b8b01ede99a0687b04c43d2249afe094eb45e7db0c900",
+        "rowidx": "276f7d4952696a37a6652536fc84152705404aef6250dec467357e942515fe54",
+        "values": "e0d817ba32bdf14430414d784a01edd912241238e67be19a4a72e7505ad86392",
+        "d": "97eda076c6074b67c74cc4881ad23b9d132bcd9cb12c2ed35bee7dd82629dbfe",
+        "dinv": "188893ae4e360f89350f61988b04e15cd991305808d5ac93a2aa8d33d20a06c1"},
+    4: {"K": "f9146f9b9d4eb47683b757140fa377b1ff1519c5a3ce8ae2bc6fc705910cea9e",
+        "perm": "837f601e0272a33af978741d46c699d539bee7357e0458bd95881af28575292a",
+        "rowidx": "2b2f05cf0232d04e90f5f157a417bc29995d8a2598f07a72f19a883c744d611f",
+        "values": "a00d68da2d4168ecc9a164906e36c6e59843c4b8574c831ed1473d8e2b656e9b",
+        "d": "06bb685e3c4b3727294f7a2b78ba0c5b67a1230c6315df6fc0508e4bc8c5f812",
+        "dinv": "543a83465a072296908a11cb1072681ed367d430bff99b1e3da969c0b7ef1bf8"},
 }
 
 
@@ -112,12 +112,47 @@ def test_kkt_solve_backward_error(grid):
 
 
 def test_equality_rows_have_l_equal_u():
-    mpcqp, _ = make_mpcqp(2, 2, hp=2)
-    idx = mpcqp.index
-    np.testing.assert_array_equal(mpcqp.qp.l[idx.rows_dynamics],
-                                  mpcqp.qp.u[idx.rows_dynamics])
-    np.testing.assert_array_equal(mpcqp.qp.l[idx.rows_init],
-                                  mpcqp.qp.u[idx.rows_init])
+    # stage 0's dynamics rows carry the measurement as D x_meas, with the
+    # controller model's (pruned) D; the later stages' rows are 0
+    mpcqp, model = make_mpcqp(2, 2, hp=2, cutoff=0.005)
+    assert mpcqp.d is model.d
+    x_meas = np.linspace(30.0, 36.0, model.n_x)
+    update_mpc_step(mpcqp, x_meas, np.ones(4))
+    dyn = mpcqp.index.rows_dynamics
+    l, u = mpcqp.qp.l[dyn], mpcqp.qp.u[dyn]
+    np.testing.assert_array_equal(l, u)
+    np.testing.assert_array_equal(l[:model.n_x], model.d @ x_meas)
+    np.testing.assert_array_equal(l[model.n_x:], 0.0)
+
+
+@pytest.mark.parametrize("nw, nh, hp", [(2, 2, 2), (3, 2, 3)], ids=["P2x2_H2", "P3x2_H3"])
+def test_same_optimum_as_the_layout_with_x0(nw, nh, hp):
+    # the QP with x_0 as a variable pinned by n_x equality rows, built
+    # densely, has the same minimiser; a hot state makes a silicon cap bind
+    domains = default_domains(nw, nh)
+    mpcqp, model = make_mpcqp(nw, nh, hp=hp, domains=domains, cutoff=0.005)
+    n_x, n_u = model.n_x, model.n_u
+    rng = np.random.default_rng(5)
+    x_meas = rng.uniform(33.0, 39.9, n_x)          # ambient-relative; the cap is 40
+    update_mpc_step(mpcqp, x_meas, rng.uniform(0.5, 4.0, n_u))
+    qp = mpcqp.qp
+    A, P = dense_mpc_matrices(model.d, model.e, model.c_t, domains, hp, np.ones(n_u),
+                              with_x0=True)
+    # same rows but for stage 0's dynamics, now 0, and the x_0 rows after them
+    split = mpcqp.index.rows_dynamics.stop
+    l, u = (np.concatenate([np.zeros(n_x), b[n_x:split], x_meas, b[split:]])
+            for b in (qp.l, qp.u))
+    with_x0 = QpProblem(scipy.sparse.csc_array(np.triu(P)),
+                        np.concatenate([np.zeros(n_x), qp.q]), scipy.sparse.csc_array(A), l, u)
+    settings = AdmmSettings(termination_mode="residual", max_iter=5000,
+                            eps_prim=1e-8, eps_dual=1e-8)
+    res, ref = AdmmSolver(qp, settings).solve(), AdmmSolver(with_x0, settings).solve()
+    assert res.status == ref.status == "solved"
+    caps = mpcqp.index.rows_caps   # some cap binds at the optimum
+    assert np.max(qp.A[caps] @ res.x - qp.u[caps]) > -1e-6
+    u0 = (hp + 1) * n_x
+    np.testing.assert_allclose(stage_inputs(mpcqp, res.x, 0), ref.x[u0:u0 + n_u],
+                               rtol=0, atol=1e-6)
 
 
 def test_all_zero_weights_yields_feasible_point():
@@ -182,6 +217,49 @@ def test_budget_step_touches_expected_rows():
     assert len(changed) == mpcqp.index.hp
     assert all(mpcqp.index.rows_budget.start <= c < mpcqp.index.rows_budget.stop
                for c in changed)
+
+
+def test_stage_slices_tile_the_solution_and_reject_other_stages():
+    mpcqp, model = make_mpcqp(2, 2, hp=2)
+    x = np.arange(mpcqp.qp.n, dtype=np.float64)
+    parts = [predicted_stage_states(mpcqp, x, h) for h in (1, 2)] + \
+        [stage_inputs(mpcqp, x, h) for h in (0, 1)]
+    assert [p.size for p in parts] == [model.n_x] * 2 + [model.n_u] * 2
+    np.testing.assert_array_equal(np.concatenate(parts), x)
+    for h in (-1, 0, 3):
+        with pytest.raises(ValueError, match="stage"):
+            predicted_stage_states(mpcqp, x, h)
+    for h in (-1, 2):
+        with pytest.raises(ValueError, match="stage"):
+            stage_inputs(mpcqp, x, h)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("x_init", np.nan), ("x_init", np.inf), ("p_star", np.nan), ("p_star", -np.inf),
+    ("budget_total", np.nan), ("budget_domains", np.nan),
+])
+def test_update_rejects_non_finite_step_data_and_writes_nothing(name, bad):
+    mpcqp, model = make_mpcqp(2, 2, hp=2, domains=default_domains(2, 2))
+    step = dict(x_init=np.full(model.n_x, 30.0), p_star=np.ones(4), budget_total=8.0,
+                budget_domains=[4.0, 4.0])
+    update_mpc_step(mpcqp, **step)
+    before = [v.copy() for v in (mpcqp.qp.q, mpcqp.qp.l, mpcqp.qp.u)]
+    if name == "budget_total":
+        step[name] = bad
+    else:
+        step[name] = np.array(step[name], dtype=np.float64)
+        step[name][1] = bad
+    with pytest.raises(ValueError):
+        update_mpc_step(mpcqp, **step)
+    for old, new in zip(before, (mpcqp.qp.q, mpcqp.qp.l, mpcqp.qp.u)):
+        np.testing.assert_array_equal(old, new)
+
+
+def test_infinite_budget_is_no_budget():
+    mpcqp, model = make_mpcqp(2, 2, hp=2, domains=default_domains(2, 2))
+    update_mpc_step(mpcqp, np.zeros(model.n_x), np.ones(4), np.inf, [np.inf, np.inf])
+    idx = mpcqp.index
+    assert np.all(mpcqp.qp.u[idx.rows_budget.start:idx.rows_domains.stop] == np.inf)
 
 
 def test_infeasible_budget_warns():

@@ -14,18 +14,19 @@ from oracles import scalar_dispatch
 
 STEPS = 30
 
-# The trajectories must not move by a bit unless the solver's arithmetic
-# changes on purpose (they depend on the per-row step sizes, for one). Per
-# mode: sum of the plant silicon temperatures, sum of the dispatched power,
-# iterations per step, and the status counts.
+# The trajectories must not move by a bit unless the solver's arithmetic or
+# the QP layout changes on purpose (they depend on the per-row step sizes,
+# and on the measured state entering as D x_meas rather than through an x_0
+# column). Per mode: sum of the plant silicon temperatures, sum of the
+# dispatched power, iterations per step, and the status counts.
 REFERENCE = {
-    "fixed": (5679.550503262522, 198.5311922740663, [15] * STEPS,
+    "fixed": (5679.551109884731, 198.53139514452516, [15] * STEPS,
               {"max_iter": 7, "solved": 23}),
-    "residual": (5679.622928160108, 198.60768757293133,
-                 [52, 18, 18, 18, 17, 17, 17, 16, 16, 15, 15, 16, 16, 15, 15,
-                  116, 17, 17, 17, 16, 16, 15, 15, 16, 15, 14, 14, 16, 16, 14],
+    "residual": (5679.624492437206, 198.60841745622375,
+                 [52, 17, 16, 16, 16, 15, 15, 15, 14, 14, 15, 15, 14, 15, 14,
+                  116, 16, 15, 15, 14, 14, 14, 15, 15, 14, 14, 14, 16, 16, 14],
                  {"solved": 30}),
-    "fp32": (5679.550472060764, 198.53117662668228, [15] * STEPS,
+    "fp32": (5679.550932164041, 198.53135550022125, [15] * STEPS,
              {"max_iter": 7, "solved": 23}),
 }
 
@@ -191,6 +192,15 @@ def test_run_rejects_negative_or_nan_noise(sigma):
     scenario = default_scenario(spec, PowerModelParams(), duration=2 * spec.ts)
     scenario.noise_sigma = sigma
     with pytest.raises(ValueError, match="noise_sigma"):
+        run_closed_loop(model, scenario)
+
+
+def test_run_rejects_a_nan_budget():
+    # unchecked, a NaN bound ends every step "diverged" and dispatches f = 0
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=10 * spec.ts)
+    scenario.budget = [(0.0, np.nan)]
+    with pytest.raises(ValueError, match="NaN budget"):
         run_closed_loop(model, scenario)
 
 
