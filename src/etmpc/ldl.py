@@ -1,12 +1,14 @@
 """Sparse LDL^T factorization of quasi-definite matrices.
 
-The input is the upper triangle of a symmetric matrix K as a
-``scipy.sparse`` matrix. ``ldl_numeric`` mirrors it into the full matrix
-in double precision and hands it to SuperLU (``scipy.sparse.linalg.splu``),
-which orders the columns by multiple minimum degree on K + K^T and factors
-P K P^T with diagonal pivots only. A quasi-definite K has an LDL^T factor
-under every symmetric permutation, so SuperLU's L U is (I+L) D (I+L)^T: L
-is taken from its unit lower factor and D from the diagonal of U.
+The input is the upper triangle of a symmetric matrix K as canonical CSC
+arrays (``SparseCSC``; a scipy sparse matrix is converted to them first).
+``ldl_numeric`` mirrors it into the full matrix in double precision, on
+the index arrays (``csc.symmetric_from_upper``), and hands it to SuperLU
+(``scipy.sparse.linalg.splu``), which orders the columns by multiple
+minimum degree on K + K^T and factors P K P^T with diagonal pivots only. A
+quasi-definite K has an LDL^T factor under every symmetric permutation, so
+SuperLU's L U is (I+L) D (I+L)^T: L is masked out of its unit lower
+factor's arrays (``csc.strictly_lower``) and D read off the diagonal of U.
 
 The factor keeps only the raw arrays the triangular solves read: L
 strictly lower (unit diagonal implicit) as a ``SparseCSC``, the pivots
@@ -14,9 +16,9 @@ and their reciprocals, so the solves are division-free, and the
 permutation and its inverse as two int32 arrays.
 
 Bring-up runs once per model, ahead of time. SuperLU computes in double
-precision whatever the storage precision, and L, d and dinv are rounded
-to it once. numba, when installed, compiles only the reference triangular
-solves in ``_kernels``.
+precision whatever the storage precision, fp32 or fp64, and L, d and dinv
+are rounded to it once. numba, when installed, compiles only the
+reference triangular solves in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from . import _kernels as K
-from .csc import SparseCSC, DimensionError, has_entry_below_diagonal
+from .csc import (SparseCSC, DimensionError, has_entry_below_diagonal, strictly_lower,
+                  symmetric_from_upper)
 
 DEFAULT_PIVOT_TOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
 
@@ -58,8 +60,8 @@ class LdlFactor:
     def solve(self, b):
         """Solve K x = b using the permuted FE / diagonal / BS chain."""
         b = np.asarray(b)
-        if b.shape[0] != self.n:
-            raise DimensionError("rhs length mismatch")
+        if b.shape != (self.n,):
+            raise DimensionError(f"rhs must be a vector of length {self.n}, got shape {b.shape}")
         xp = np.ascontiguousarray(b[self.perm], dtype=self.L.dtype)
         K.solve_fe(self.L.colptr, self.L.rowidx, self.L.values, xp)
         xp *= self.dinv
@@ -73,24 +75,31 @@ class LdlFactor:
 
 
 def ldl_numeric(upper) -> LdlFactor:
-    """Order and factor the symmetric matrix whose upper triangle is the
-    scipy sparse matrix ``upper``: P K P^T = (I+L) D (I+L)^T, with P
-    SuperLU's multiple minimum degree ordering of K + K^T.
+    """Order and factor the symmetric matrix whose upper triangle is
+    ``upper``, a ``SparseCSC`` or a scipy sparse matrix: P K P^T =
+    (I+L) D (I+L)^T, with P SuperLU's multiple minimum degree ordering of
+    K + K^T.
 
-    An entry of ``upper`` below the diagonal raises ``ValueError``. A pivot
-    below ``DEFAULT_PIVOT_TOL`` of the storage precision (rounded to it), a
-    row pivot off the diagonal and an exactly zero pivot raise
+    A storage precision other than fp32 or fp64 raises ``TypeError``, an
+    entry of ``upper`` below the diagonal ``ValueError``. A pivot below
+    ``DEFAULT_PIVOT_TOL`` of the storage precision (rounded to it), a row
+    pivot off the diagonal and an exactly zero pivot raise
     ``FactorizationError``.
     """
-    if upper.shape[0] != upper.shape[1]:
+    if not isinstance(upper, SparseCSC):
+        upper = SparseCSC(upper)
+    if upper.nrows != upper.ncols:
         raise DimensionError("factorization needs a square matrix")
-    if has_entry_below_diagonal(upper):
-        raise ValueError("input matrix is not upper triangular")
     dtype = upper.dtype
-    up = upper.astype(np.float64)
+    if dtype not in DEFAULT_PIVOT_TOL:
+        raise TypeError(f"ldl_numeric accepts only float32 and float64 matrices, not {dtype}")
+    if has_entry_below_diagonal(upper.colptr, upper.rowidx):
+        raise ValueError("input matrix is not upper triangular")
+    full = symmetric_from_upper(upper)
+    full.values = full.values.astype(np.float64, copy=False)
     try:
         lu = scipy.sparse.linalg.splu(
-            (up + scipy.sparse.triu(up, k=1).T).tocsc(), permc_spec="MMD_AT_PLUS_A",
+            full.to_scipy(), permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:   # "Factor is exactly singular"
         raise FactorizationError(None, "exactly zero pivot") from exc
@@ -101,7 +110,8 @@ def ldl_numeric(upper) -> LdlFactor:
     small = np.flatnonzero(np.abs(d) < dtype.type(DEFAULT_PIVOT_TOL[dtype]))
     if small.size:
         raise FactorizationError(int(small[0]))
-    L = SparseCSC(scipy.sparse.tril(lu.L, k=-1, format="csc").astype(dtype))
+    L = strictly_lower(lu.L)
+    L.values = L.values.astype(dtype, copy=False)
     return LdlFactor(L, d.astype(dtype), (1.0 / d).astype(dtype),
                      np.argsort(lu.perm_c).astype(np.int32), lu.perm_c.astype(np.int32))
 

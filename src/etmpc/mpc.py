@@ -12,8 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
+from .csc import SparseCSC
 from .power import PowerModelParams
 from .qp import INF, QpProblem
 from .thermal import GridSpec, ThermalPlantModel
@@ -118,13 +118,12 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
         member_row[0, members] = 1.0
         blocks.append(_tile(member_row, idx.rows_domains.start + j * hp, 1, u0, n_u, hp))
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    A = scipy.sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc()
+    A = SparseCSC.from_triplets(rows, cols, vals, (m, n)).to_scipy()
 
     # objective: sum_h (u_h - p*)' D (u_h - p*); states unweighted. COO to CSC
     # keeps explicit zeros, so a zero weight stays stored on P's diagonal.
     u_cols = np.arange(u0, n)
-    P = scipy.sparse.coo_array((np.tile(2.0 * weights, hp), (u_cols, u_cols)),
-                               shape=(n, n)).tocsc()
+    P = SparseCSC.from_triplets(u_cols, u_cols, np.tile(2.0 * weights, hp), (n, n)).to_scipy()
 
     q = np.zeros(n)
     l = np.full(m, -INF)

@@ -10,9 +10,12 @@ rho is per constraint row and follows OSQP (Stellato et al., Math. Prog.
 Comp. 2020): an equality row (u - l < ``RHO_TOL``) gets
 ``RHO_EQ_OVER_RHO_INEQ`` times the inequality rows' ``AdmmSettings.rho``.
 
-P, A and K are ``scipy.sparse.csc_array``, and scipy does the residual
-products, the ordering and the factorization. The assembled K is kept as
-its raw upper-triangle arrays (``SparseCSC``), next to the factor's.
+P and A arrive as ``scipy.sparse.csc_array``. Bring-up works on their
+raw CSC arrays: K's triplets are read off P's and A's index arrays and
+compressed once into K's upper-triangle arrays (``SparseCSC``), which are
+kept next to the factor's, and the residual operator P is mirrored from
+P's upper triangle on the index arrays (``csc.symmetric_from_upper``).
+scipy does the residual products, the ordering and the factorization.
 
 The solver runs in one storage precision, fp64 or fp32
 (``AdmmSettings.precision``): P, A, K, its factor, the step sizes, the
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .csc import SparseCSC, DimensionError, has_entry_below_diagonal
+from .csc import (SparseCSC, DimensionError, column_indices, has_entry_below_diagonal,
+                  symmetric_from_upper)
 from .ldl import LdlFactor, ldl_numeric
 
 INF = np.inf
@@ -79,7 +83,7 @@ class QpProblem:
             raise DimensionError("q length mismatch")
         if self.l.shape != (self.m,) or self.u.shape != (self.m,):
             raise DimensionError("bound length mismatch")
-        if has_entry_below_diagonal(self.P):
+        if has_entry_below_diagonal(self.P.indptr, self.P.indices):
             raise ValueError("P must be stored as its upper triangle")
         if not (np.isfinite(self.P.data).all() and np.isfinite(self.A.data).all()):
             raise ValueError("non-finite entry in P or A")
@@ -142,17 +146,17 @@ class KktSystem:
     triangle of the quasi-definite KKT matrix assembled from them, and its
     cached factorization.
 
-    ``P`` (both triangles), ``A`` and ``At`` are the ``scipy.sparse``
-    operators of the residual products, and ``rho``/``rho_inv`` the per-row
-    step sizes and their reciprocals, all in the storage ``dtype``. q, l
-    and u are not held here: they are read from the problem at every use,
-    through ``stored``.
+    ``P`` (both triangles, mirrored from the canonical arrays ``P_upper``),
+    ``A`` and ``At`` are the ``scipy.sparse`` operators of the residual
+    products, and ``rho``/``rho_inv`` the per-row step sizes and their
+    reciprocals, all in the storage ``dtype``. q, l and u are not held
+    here: they are read from the problem at every use, through ``stored``.
     """
 
-    def __init__(self, K: SparseCSC, factor: LdlFactor, P_upper, A, rho, dtype):
+    def __init__(self, K: SparseCSC, factor: LdlFactor, P_upper: SparseCSC, A, rho, dtype):
         self.K = K
         self.factor = factor
-        self.P = (P_upper + scipy.sparse.triu(P_upper, k=1).T).tocsc()
+        self.P = symmetric_from_upper(P_upper).to_scipy()
         self.A = A
         self.At = A.T
         self.rho = rho.astype(dtype)
@@ -182,17 +186,18 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings) -> KktSystem:
     dtype = settings.dtype
     rho = np.where(problem.u - problem.l < RHO_TOL,
                    RHO_EQ_OVER_RHO_INEQ * settings.rho, settings.rho)
-    P, A = problem.P.astype(dtype, copy=False), problem.A.astype(dtype, copy=False)
-    pc, ac = P.tocoo(), A.tocoo()
-    rows = np.concatenate([pc.row, np.arange(n), ac.col, n + np.arange(m)])
-    cols = np.concatenate([pc.col, np.arange(n), n + ac.row, n + np.arange(m)])
+    P = SparseCSC(problem.P.astype(dtype, copy=False))
+    A = problem.A.astype(dtype, copy=False)
+    rows = np.concatenate([P.rowidx, np.arange(n), column_indices(A.indptr), n + np.arange(m)])
+    cols = np.concatenate([column_indices(P.colptr), np.arange(n), n + A.indices,
+                           n + np.arange(m)])
     vals = np.concatenate([
-        pc.data, np.full(n, settings.sigma),
-        ac.data, -1.0 / rho,
+        P.values, np.full(n, settings.sigma),
+        A.data, -1.0 / rho,
     ]).astype(dtype)
-    K = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n + m, n + m)).tocsc()
+    K = SparseCSC.from_triplets(rows, cols, vals, (n + m, n + m))
     factor = ldl_numeric(K)
-    return KktSystem(SparseCSC(K), factor, P, A, rho, dtype)
+    return KktSystem(K, factor, P, A, rho, dtype)
 
 
 def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import etmpc._kernels
 from etmpc.csc import DimensionError, SparseCSC
 from etmpc.ldl import FactorizationError, ldl_numeric, sptrsv_bs, sptrsv_fe
 
@@ -77,6 +78,13 @@ def test_factor_rejects_below_diagonal_entry():
     k = np.array([[2.0, 1.0], [1.0, 3.0]])  # both triangles stored
     with pytest.raises(ValueError):
         ldl_numeric(scipy.sparse.csc_array(k))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.complex128])
+def test_factor_rejects_non_float_storage(dtype):
+    k = scipy.sparse.csc_array(np.triu(np.array([[4, 1], [1, 3]])).astype(dtype))
+    with pytest.raises(TypeError, match=f"only float32 and float64.*{np.dtype(dtype)}"):
+        ldl_numeric(k)
 
 
 def test_fp32_factor_is_rounded_double_factor():
@@ -196,3 +204,13 @@ def test_dense_ldl_oracle_agreement():
     L_o, d_o = dense_ldl(permuted(k, f))
     np.testing.assert_allclose(f.L.to_dense() + np.eye(10), L_o, atol=1e-9)
     np.testing.assert_allclose(f.d, d_o, atol=1e-9)
+
+
+def test_factor_solve_rejects_matrix_rhs_before_any_work(monkeypatch):
+    f = ldl_numeric(upper_csc(np.array([[2.0, 1.0], [1.0, -3.0]])))
+    calls = []
+    monkeypatch.setattr(etmpc._kernels, "solve_fe", lambda *args: calls.append(args))
+    for b in (np.ones((2, 3)), np.ones((2, 1)), np.ones(3), np.float64(1.0)):
+        with pytest.raises(DimensionError):
+            f.solve(b)
+    assert calls == []

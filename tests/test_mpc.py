@@ -57,10 +57,13 @@ def test_matrices_match_dense_oracle(nw, nh, hp, domains, cutoff, weights):
     assert blocks[-1].stop == qp.m
 
 
-# sha256 of the fp64 bring-up's permutation and factor (default domains,
-# cutoff 0.005); any change to the ordering or the LDL arithmetic shows here.
-# perm and rowidx depend on K's pattern alone, so a change of the per-row
-# step sizes (K's (2,2) diagonal) may move the other digests, never these two.
+# sha256 of the fp64 bring-up's KKT matrix, permutation and factor, and of
+# the residual operator KktSystem.P (default domains, cutoff 0.005); any
+# change to the ordering, the LDL arithmetic or the pattern of K, L or P
+# shows here. perm, inv_perm and the index arrays depend on K's pattern
+# alone, so a change of the per-row step sizes (K's (2,2) diagonal) may move
+# the value digests, never these. P's index arrays are hashed as int64, as
+# their index dtype is scipy's choice.
 # K's values come from discretize's matrix exponential, whose last bits may
 # depend on the BLAS build; K's digest is pinned too, so that such a
 # difference shows as a different input rather than a different factor.
@@ -72,13 +75,27 @@ BRING_UP_DIGESTS = {
         "rowidx": "276f7d4952696a37a6652536fc84152705404aef6250dec467357e942515fe54",
         "values": "e0d817ba32bdf14430414d784a01edd912241238e67be19a4a72e7505ad86392",
         "d": "97eda076c6074b67c74cc4881ad23b9d132bcd9cb12c2ed35bee7dd82629dbfe",
-        "dinv": "188893ae4e360f89350f61988b04e15cd991305808d5ac93a2aa8d33d20a06c1"},
+        "dinv": "188893ae4e360f89350f61988b04e15cd991305808d5ac93a2aa8d33d20a06c1",
+        "K_colptr": "12f8467be46a19e160b835f5d80f3b4c4c21a4d63f5d3ce2dc5911603145c83b",
+        "K_rowidx": "a8650314be7d87be9cb7082f5af6638df9456ef8928edbdc87e6bc699c2217cf",
+        "L_colptr": "2af1eb3be47ac280e5a63871891ad87927a1c4265eeb385d3304edbde0bbe517",
+        "inv_perm": "8ed1be3c8c7edaf88b4f04596cc0a786945b277ed49a5e5c90a1d4df86308859",
+        "P_indptr": "5c7372bfab2fda5b9d833dee4b75875ee0dd4664d2d934e4783328a797ce4b4f",
+        "P_indices": "b3bc92a7edb5d4603b9a8dd5b6ce208eb265f7760e9338847a3fe9dad16b072b",
+        "P_data": "d12b361067e63a5dc640b9aceba9a97488e54a0d09171e72ae55512052fea7ba"},
     4: {"K": "f9146f9b9d4eb47683b757140fa377b1ff1519c5a3ce8ae2bc6fc705910cea9e",
         "perm": "837f601e0272a33af978741d46c699d539bee7357e0458bd95881af28575292a",
         "rowidx": "2b2f05cf0232d04e90f5f157a417bc29995d8a2598f07a72f19a883c744d611f",
         "values": "a00d68da2d4168ecc9a164906e36c6e59843c4b8574c831ed1473d8e2b656e9b",
         "d": "06bb685e3c4b3727294f7a2b78ba0c5b67a1230c6315df6fc0508e4bc8c5f812",
-        "dinv": "543a83465a072296908a11cb1072681ed367d430bff99b1e3da969c0b7ef1bf8"},
+        "dinv": "543a83465a072296908a11cb1072681ed367d430bff99b1e3da969c0b7ef1bf8",
+        "K_colptr": "8ec77e3a5a5790ec68934c72ec80ea99bab27f1dd736e837a4ba142bdc5b320b",
+        "K_rowidx": "c30d153f968a1cf0176528da46901a38f6954accf4f23e8f115574101a8432a3",
+        "L_colptr": "6d9b02339b1c9d08509d5929fd39cedd83d33164a4295c3a797a696f582e9572",
+        "inv_perm": "730fa98e2f41c6496c22c1df5fd847bfed66cc432d893d6d3ff33415e96b5647",
+        "P_indptr": "5368b7618376b3eb6c57cecbc1e1cdd27c2aae5872ddb7e222c7a82a99979cef",
+        "P_indices": "95b467bce5535c68162b289d706555a9ebf61536fbc72676a9662e82ab7d7312",
+        "P_data": "b17f803f8827b5906e19d56acdf8cb58eb2ddf299ea73ae6b51b6a3df175c79b"},
 }
 
 
@@ -88,7 +105,10 @@ def test_bring_up_factor_pinned(grid):
     kkt = assemble_kkt(mpcqp.qp, AdmmSettings(precision="fp64"))
     f = kkt.factor
     got = {"K": kkt.K.values, "perm": f.perm, "rowidx": f.L.rowidx, "values": f.L.values,
-           "d": f.d, "dinv": f.dinv}
+           "d": f.d, "dinv": f.dinv, "K_colptr": kkt.K.colptr, "K_rowidx": kkt.K.rowidx,
+           "L_colptr": f.L.colptr, "inv_perm": f.inv_perm,
+           "P_indptr": kkt.P.indptr.astype(np.int64), "P_indices": kkt.P.indices.astype(np.int64),
+           "P_data": kkt.P.data}
     assert {k: checksum(v) for k, v in got.items()} == BRING_UP_DIGESTS[grid]
 
 
