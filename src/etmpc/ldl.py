@@ -17,8 +17,10 @@ permutation and its inverse as two int32 arrays.
 
 Bring-up runs once per model, ahead of time. SuperLU computes in double
 precision whatever the storage precision, fp32 or fp64, and L, d and dinv
-are rounded to it once. numba, when installed, compiles only the
-reference triangular solves in ``_kernels``.
+are rounded to it once. The triangular solves are ``_kernels``'s: compiled
+on L's arrays when numba is installed, otherwise interpreted on Python
+lists made from them inside each call, with the same bits either way. The
+factor keeps no list, so every solve reads ``L.values`` as it is then.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class LdlFactor:
         return self.L.nrows
 
     def solve(self, b):
-        """Solve K x = b using the permuted FE / diagonal / BS chain."""
+        """Solve K x = b using the permuted FE / diagonal / BS chain, reading
+        L's arrays afresh."""
         b = np.asarray(b)
         if b.shape != (self.n,):
             raise DimensionError(f"rhs must be a vector of length {self.n}, got shape {b.shape}")

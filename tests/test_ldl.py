@@ -184,6 +184,44 @@ def test_fe_bs_reject_matrix_rhs(solve):
         solve(L, np.ones(3))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("body, public", [
+    (etmpc._kernels._forward, etmpc._kernels.solve_fe),
+    (etmpc._kernels._backward, etmpc._kernels.solve_bs),
+])
+def test_list_path_is_byte_exact_with_the_loop_body_on_arrays(body, public, dtype):
+    """L's arrays as Python lists must not change one bit of x, the sign of
+    a zero included: every update still rounds in x's dtype."""
+    rng = np.random.default_rng(13)
+    ldense = np.tril(rng.standard_normal((40, 40)), -1)
+    ldense[rng.random((40, 40)) < 0.7] = 0.0
+    for L in (unit_lower(ldense.astype(dtype)), unit_lower(np.zeros((3, 3), dtype=dtype))):
+        assert L.dtype == dtype
+        for zero_share in (0.0, 0.5, 0.9):
+            b = rng.standard_normal(L.nrows).astype(dtype)
+            zeros = rng.random(L.nrows) < zero_share
+            b[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+            ref = b.copy()
+            body(L.colptr, L.rowidx, L.values, ref)
+            for solve in (etmpc._kernels._on_lists(body), public):
+                x = b.copy()
+                solve(L.colptr, L.rowidx, L.values, x)
+                assert x.dtype == dtype and x.tobytes() == ref.tobytes()
+
+
+def test_factor_solve_reads_L_values_on_every_call():
+    """A factor must keep no copy of L's values: the benchmark's KKT gate
+    perturbs one of them in place and expects the solve to change."""
+    rng = np.random.default_rng(21)
+    f = ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 6, 4)))
+    assert f.L.nnz > 0
+    b = rng.standard_normal(f.n)
+    before = f.solve(b)
+    np.testing.assert_array_equal(f.solve(b), before)
+    f.L.values[np.argmax(np.abs(f.L.values))] *= 1 + 1e-6
+    assert not np.array_equal(f.solve(b), before)
+
+
 def test_solve_round_trip_fuzz():
     rng = np.random.default_rng(42)
     for trial in range(100):
