@@ -5,12 +5,14 @@ indices, values) and solve in place in ``x``. They have two execution
 paths over one loop body each:
 
 - with numba installed, the bodies are compiled and run on the arrays;
-- without it, the interpreter runs them on L's arrays converted to Python
-  lists inside each call, which it indexes several times faster than it
-  boxes numpy scalars. ``x`` stays the caller's numpy vector, so every
-  update still rounds in its dtype: ``tolist`` is exact for fp32 and fp64,
-  and under NumPy >= 2 (NEP 50) a Python float times an ``np.float32`` is
-  computed in float32. Both paths give the same bits.
+- without it, the interpreter runs them on Python lists made inside each
+  call, which it indexes several times faster than numpy arrays: L's
+  arrays through ``tolist``, and ``x`` through ``list(x)``, a list of
+  numpy scalars of x's own dtype that is written back into ``x`` once
+  when the body returns. Every update still rounds in that dtype:
+  ``tolist`` is exact for fp32 and fp64, and under NumPy >= 2 (NEP 50) a
+  Python float times an ``np.float32`` is computed in float32. Both paths
+  give the same bits.
 
 No list outlives a call, so a factor holds nothing but its arrays and a
 change to ``L.values`` shows in the next solve. The factorization itself
@@ -42,12 +44,14 @@ def _backward(Lp, Li, Lx, x):
 
 
 def _on_lists(body):
-    """``body`` run on L's arrays converted to Python lists; ``x`` is
-    passed through unchanged."""
+    """``body`` run on Python lists: L's arrays as ``tolist`` gives them,
+    ``x`` as its own scalars, written back into ``x`` once at the end."""
 
     @functools.wraps(body)
     def solve(Lp, Li, Lx, x):
-        body(Lp.tolist(), Li.tolist(), Lx.tolist(), x)
+        xs = list(x)
+        body(Lp.tolist(), Li.tolist(), Lx.tolist(), xs)
+        x[:] = xs
 
     return solve
 

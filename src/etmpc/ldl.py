@@ -19,8 +19,10 @@ Bring-up runs once per model, ahead of time. SuperLU computes in double
 precision whatever the storage precision, fp32 or fp64, and L, d and dinv
 are rounded to it once. The triangular solves are ``_kernels``'s: compiled
 on L's arrays when numba is installed, otherwise interpreted on Python
-lists made from them inside each call, with the same bits either way. The
-factor keeps no list, so every solve reads ``L.values`` as it is then.
+lists made inside each call, from L's arrays and from the right-hand side
+as scalars of its storage precision, which is written back once at the
+end; the bits are the same either way. The factor keeps no list, so every
+solve reads ``L.values`` as it is then.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ def prune_matrix(mat, cutoff, keep_mask=None):
     The diagonal is always kept; ``keep_mask`` marks additional protected
     positions (typically the continuous-time nonzero structure).
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
+    if not cutoff >= 0:
+        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     mat = np.asarray(mat)
     out = mat.copy()
     drop = np.abs(mat) < cutoff
@@ -75,6 +75,11 @@ def select_cutoff(model: ThermalPlantModel, scenario, candidates,
     stays within ``band`` wins (ties break toward more pruning).
     """
     candidates = sorted(set(float(c) for c in candidates))
+    if not candidates:
+        raise ValueError("no candidate cutoff given")
+    bad = [c for c in candidates if not c >= 0]
+    if bad:
+        raise ValueError(f"candidate cutoffs must be non-negative, got {bad}")
     baseline = run_closed_loop(model, scenario, solver_settings=solver_settings)
     base_rmse = rmse_series(baseline)
 

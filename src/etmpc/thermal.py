@@ -10,6 +10,7 @@ State ordering: (si_0, cu_0, si_1, cu_1, ..., si_{Nc-1}, cu_{Nc-1}, sink).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,8 +26,11 @@ class GridSpec:
     domains: list = field(default_factory=list)  # PE-index sets sharing a VRM budget
 
     def __post_init__(self):
-        if self.nw * self.nh < 1:
-            raise ValueError("grid must contain at least one element")
+        for name in ("nw", "nh", "hp"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        if self.nw < 1 or self.nh < 1:
+            raise ValueError("grid must be at least 1 x 1")
         if self.hp < 1:
             raise ValueError("horizon must be at least 1")
         if not self.ts > 0:

@@ -190,8 +190,9 @@ def test_fe_bs_reject_matrix_rhs(solve):
     (etmpc._kernels._backward, etmpc._kernels.solve_bs),
 ])
 def test_list_path_is_byte_exact_with_the_loop_body_on_arrays(body, public, dtype):
-    """L's arrays as Python lists must not change one bit of x, the sign of
-    a zero included: every update still rounds in x's dtype."""
+    """Solving on Python lists must not change one bit of x, the sign of a
+    zero included: every update still rounds in x's dtype, and the result
+    lands in x, a strided view included, leaving what lies between alone."""
     rng = np.random.default_rng(13)
     ldense = np.tril(rng.standard_normal((40, 40)), -1)
     ldense[rng.random((40, 40)) < 0.7] = 0.0
@@ -207,6 +208,10 @@ def test_list_path_is_byte_exact_with_the_loop_body_on_arrays(body, public, dtyp
                 x = b.copy()
                 solve(L.colptr, L.rowidx, L.values, x)
                 assert x.dtype == dtype and x.tobytes() == ref.tobytes()
+                buf = np.full(2 * L.nrows, 7.0, dtype=dtype)
+                buf[::2] = b
+                solve(L.colptr, L.rowidx, L.values, buf[::2])
+                assert buf[::2].tobytes() == ref.tobytes() and np.all(buf[1::2] == 7.0)
 
 
 def test_factor_solve_reads_L_values_on_every_call():

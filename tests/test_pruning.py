@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+from etmpc import pruning
 from etmpc.power import PowerModelParams
-from etmpc.pruning import CutoffSelectionError, select_cutoff
+from etmpc.pruning import CutoffSelectionError, prune_matrix, select_cutoff
 from etmpc.simulate import default_scenario
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
@@ -29,3 +31,20 @@ def test_select_cutoff_raises_with_best_candidate_when_none_passes(p2x2):
         select_cutoff(model, scenario, [0.02, 0.005], band=1e-9)
     assert err.value.best_candidate == 0.005
     assert err.value.deviation > 1e-9
+
+
+@pytest.mark.parametrize("cutoff", [np.nan, -1e-3])
+def test_prune_matrix_rejects_a_cutoff_that_is_not_non_negative(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        prune_matrix(np.ones((2, 2)), cutoff)
+
+
+@pytest.mark.parametrize("candidates", [[], [0.005, np.nan], [-0.01]])
+def test_select_cutoff_rejects_bad_candidates_before_any_run(p2x2, candidates, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the closed loop")
+
+    monkeypatch.setattr(pruning, "run_closed_loop", no_run)
+    model, scenario = p2x2
+    with pytest.raises(ValueError, match="cutoff"):
+        select_cutoff(model, scenario, candidates)

@@ -87,6 +87,14 @@ def test_discrete_spectral_radius_below_one():
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
+        GridSpec(-1, -1)  # nw * nh is 1, but it is no grid
+    with pytest.raises(ValueError):
+        GridSpec(0, 3)
+    with pytest.raises(ValueError):
+        GridSpec(2, 2, hp=1.5)
+    with pytest.raises(ValueError):
+        GridSpec(2.0, 2)
+    with pytest.raises(ValueError):
         GridSpec(2, 2, hp=0)
     with pytest.raises(ValueError):
         GridSpec(2, 2, ts=0.0)
