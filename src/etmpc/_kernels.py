@@ -7,12 +7,15 @@ paths over one loop body each:
 - with numba installed, the bodies are compiled and run on the arrays;
 - without it, the interpreter runs them on Python lists made inside each
   call, which it indexes several times faster than numpy arrays: L's
-  arrays through ``tolist``, and ``x`` through ``list(x)``, a list of
-  numpy scalars of x's own dtype that is written back into ``x`` once
-  when the body returns. Every update still rounds in that dtype:
-  ``tolist`` is exact for fp32 and fp64, and under NumPy >= 2 (NEP 50) a
-  Python float times an ``np.float32`` is computed in float32. Both paths
-  give the same bits.
+  arrays through ``tolist``, and ``x`` as a list that is written back
+  into ``x`` once when the body returns. Every update still rounds in x's
+  dtype, and ``tolist`` is exact for fp32 and fp64. An fp64 ``x`` becomes
+  Python floats (``x.tolist()``), whose arithmetic is the same IEEE
+  double arithmetic and costs less per operation than numpy scalars'. An
+  fp32 ``x`` becomes ``np.float32`` scalars (``list(x)``): Python floats
+  would compute in double and round twice, while under NumPy >= 2
+  (NEP 50) a Python float times an ``np.float32`` is computed in float32.
+  Both paths give the same bits.
 
 No list outlives a call, so a factor holds nothing but its arrays and a
 change to ``L.values`` shows in the next solve. The factorization itself
@@ -22,6 +25,8 @@ is SuperLU's, called from ``ldl``.
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 
 def _forward(Lp, Li, Lx, x):
@@ -45,11 +50,12 @@ def _backward(Lp, Li, Lx, x):
 
 def _on_lists(body):
     """``body`` run on Python lists: L's arrays as ``tolist`` gives them,
-    ``x`` as its own scalars, written back into ``x`` once at the end."""
+    ``x`` as Python floats if it is fp64 and as its own scalars otherwise,
+    written back into ``x`` once at the end."""
 
     @functools.wraps(body)
     def solve(Lp, Li, Lx, x):
-        xs = list(x)
+        xs = x.tolist() if x.dtype == np.float64 else list(x)
         body(Lp.tolist(), Li.tolist(), Lx.tolist(), xs)
         x[:] = xs
 

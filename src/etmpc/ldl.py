@@ -19,10 +19,12 @@ Bring-up runs once per model, ahead of time. SuperLU computes in double
 precision whatever the storage precision, fp32 or fp64, and L, d and dinv
 are rounded to it once. The triangular solves are ``_kernels``'s: compiled
 on L's arrays when numba is installed, otherwise interpreted on Python
-lists made inside each call, from L's arrays and from the right-hand side
-as scalars of its storage precision, which is written back once at the
-end; the bits are the same either way. The factor keeps no list, so every
-solve reads ``L.values`` as it is then.
+lists made inside each call, from L's arrays and from the right-hand side,
+which is written back once at the end. An fp64 right-hand side becomes
+Python floats, whose arithmetic is IEEE double; an fp32 one stays
+``np.float32`` scalars, since Python floats would compute in double and
+round twice. The bits are the same either way. The factor keeps no list,
+so every solve reads ``L.values`` as it is then.
 """
 
 from __future__ import annotations

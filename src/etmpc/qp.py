@@ -24,6 +24,7 @@ iterates and the q, l, u they read are all in that dtype.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,14 +109,19 @@ class AdmmSettings:
     precision: str = "fp64"   # or "fp32"
 
     def __post_init__(self):
-        if not (self.rho > 0 and self.sigma > 0):
-            raise ValueError("rho and sigma must be positive")
+        if not (0 < self.rho < np.inf and 0 < self.sigma < np.inf):
+            raise ValueError("rho and sigma must be positive and finite")
         if not (0.0 < self.alpha < 2.0):
             raise ValueError("alpha must lie in (0, 2)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.check_interval < 1:
-            raise ValueError("check_interval must be at least 1")
+        if not (self.eps_prim >= 0 and self.eps_dual >= 0):
+            raise ValueError("eps_prim and eps_dual must be non-negative")
+        for name in ("max_iter", "check_interval"):
+            value = getattr(self, name)
+            # bool is an Integral, but True is no iteration count
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.termination_mode not in ("fixed_iterations", "residual"):
             raise ValueError(f"unknown termination mode {self.termination_mode!r}")
         if self.precision not in DTYPES:

@@ -248,11 +248,12 @@ def test_fp32_pipeline_runs_in_float32():
     assert res.status == "solved"
 
 
-def test_divergence_guard():
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_divergence_guard(precision):
     # an indefinite objective makes the splitting iteration expansive here
     p = make_problem([[-0.5, 3.0], [0.0, 1.0]], [1.0, -2.0], np.eye(2),
                      [-1e30, -1e30], [1e30, 1e30])
-    settings = AdmmSettings(max_iter=2000, sigma=1e-6, rho=1.0, alpha=1.9)
+    settings = AdmmSettings(max_iter=2000, sigma=1e-6, rho=1.0, alpha=1.9, precision=precision)
     res = AdmmSolver(p, settings).solve()
     assert res.status == "diverged"
 
@@ -277,10 +278,19 @@ def test_solver_bring_up_validates_once(monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("rho", 0.0), ("alpha", 2.0), ("max_iter", 0),
     ("termination_mode", "x"), ("precision", "fp16emu"), ("check_interval", 0),
+    ("rho", np.inf), ("sigma", np.inf), ("rho", np.nan), ("sigma", 0.0),
+    ("eps_prim", np.nan), ("eps_dual", -1.0), ("eps_prim", -1e-3),
+    ("max_iter", 2.5), ("max_iter", True), ("max_iter", np.float64(15.0)),
+    ("check_interval", 1.5), ("check_interval", False),
 ])
 def test_settings_reject_bad_values(field, value):
     with pytest.raises(ValueError):
         AdmmSettings(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["max_iter", "check_interval"])
+def test_settings_accept_numpy_integer_counts(field):
+    assert getattr(AdmmSettings(**{field: np.int64(3)}), field) == 3
 
 
 @pytest.mark.parametrize("vector", ["q", "l", "u"])

@@ -214,6 +214,46 @@ def test_list_path_is_byte_exact_with_the_loop_body_on_arrays(body, public, dtyp
                 assert buf[::2].tobytes() == ref.tobytes() and np.all(buf[1::2] == 7.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("body, public", [
+    (etmpc._kernels._forward, etmpc._kernels.solve_fe),
+    (etmpc._kernels._backward, etmpc._kernels.solve_bs),
+])
+def test_list_path_is_byte_exact_on_extreme_inputs(body, public, dtype):
+    """An fp64 x is solved on Python floats, not numpy scalars, so the IEEE
+    special cases must keep their bits too: inf and NaN in b (a NaN payload
+    and inf - inf included), subnormals in b and L, and L values whose
+    products with x overflow."""
+    info = np.finfo(dtype)
+    uint = {np.float64: np.uint64, np.float32: np.uint32}[dtype]
+    nan_payload = np.array(0xFFF8_0000_0000_0123 if dtype == np.float64 else 0xFFC0_0123,
+                           dtype=uint).view(dtype)[()]
+    rng = np.random.default_rng(17)
+    n, big = 40, info.max / 4
+    lvals = [0.5, -2.0, 3.0, big, -big, info.smallest_subnormal, 0.25 * info.tiny]
+    L = unit_lower(np.where(rng.random((n, n)) < 0.08, rng.choice(lvals, (n, n)), 0.0).astype(dtype))
+    specials = np.array([np.inf, -np.inf, np.nan, nan_payload, info.smallest_subnormal,
+                         -3 * info.smallest_subnormal, info.max, -info.max, -0.0], dtype=dtype)
+    refs = []
+    for _ in range(10):
+        b = rng.standard_normal(n).astype(dtype)
+        pick = rng.random(n) < 0.15
+        b[pick] = rng.choice(specials, pick.sum())
+        with np.errstate(all="ignore"):
+            ref = b.copy()
+            body(L.colptr, L.rowidx, L.values, ref)
+            for solve in (etmpc._kernels._on_lists(body), public):
+                x = b.copy()
+                solve(L.colptr, L.rowidx, L.values, x)
+                assert x.tobytes() == ref.tobytes()
+        refs.append(ref)
+    seen = np.concatenate(refs)
+    finite = np.abs(seen[np.isfinite(seen)])
+    # the cases above all reach the result
+    assert np.isnan(seen).any() and np.isinf(seen).any()
+    assert ((finite > 0) & (finite < info.tiny)).any() and (finite >= info.tiny).any()
+
+
 def test_factor_solve_reads_L_values_on_every_call():
     """A factor must keep no copy of L's values: the benchmark's KKT gate
     perturbs one of them in place and expects the solve to change."""
