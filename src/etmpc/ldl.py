@@ -17,26 +17,31 @@ permutation and its inverse as two int32 arrays.
 
 Bring-up runs once per model, ahead of time. SuperLU computes in double
 precision whatever the storage precision, fp32 or fp64, and L, d and dinv
-are rounded to it once. The triangular solves are ``_kernels``'s: compiled
-on L's arrays when numba is installed, otherwise interpreted on Python
-lists made inside each call, from L's arrays and from the right-hand side,
-which is written back once at the end. An fp64 right-hand side becomes
-Python floats, whose arithmetic is IEEE double; an fp32 one stays
-``np.float32`` scalars, since Python floats would compute in double and
-round twice. The bits are the same either way. The factor keeps no list,
-so every solve reads ``L.values`` as it is then.
+are rounded to it once. ``LdlFactor.solve`` runs FE, the diagonal scale
+and BS in one pass (``_kernels.solve_ldl``): compiled on L's arrays when
+numba is installed, otherwise interpreted on Python lists. The operands
+are converted (``_kernels.ldl_operands``: L's arrays, L's per-entry
+column index and dinv) once per ``LdlFactor.converted`` block, which
+``AdmmSolver.solve`` opens around its iterations, and once per call
+outside such a block. The right-hand side becomes a list in each call
+and is written back once at the end: Python floats in fp64, whose
+arithmetic is IEEE double, ``np.float32`` scalars in fp32, since Python
+floats would compute in double and round twice. The bits are the same on
+every path. No conversion outlives its block or call, so each reads
+``L.values`` as it is then.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg
 
 from . import _kernels as K
-from .csc import (SparseCSC, DimensionError, has_entry_below_diagonal, strictly_lower,
-                  symmetric_from_upper)
+from .csc import (SparseCSC, DimensionError, column_indices, has_entry_below_diagonal,
+                  strictly_lower, symmetric_from_upper)
 
 DEFAULT_PIVOT_TOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
 
@@ -59,26 +64,44 @@ class LdlFactor:
     perm: np.ndarray            # int32; perm[k] = original index of the k-th pivot
     inv_perm: np.ndarray        # int32; inv_perm[perm] = arange(n)
 
+    # the operands of the open ``converted`` block, None outside one
+    _operands: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
     @property
     def n(self) -> int:
         return self.L.nrows
 
     def solve(self, b):
-        """Solve K x = b using the permuted FE / diagonal / BS chain, reading
-        L's arrays afresh."""
+        """Solve K x = b: permute b, run FE / diagonal / BS in one pass and
+        permute back. Inside a ``converted`` block the pass reuses the
+        block's operands; outside one it converts L's arrays and dinv for
+        this call alone."""
         b = np.asarray(b)
         if b.shape != (self.n,):
             raise DimensionError(f"rhs must be a vector of length {self.n}, got shape {b.shape}")
         xp = np.ascontiguousarray(b[self.perm], dtype=self.L.dtype)
-        K.solve_fe(self.L.colptr, self.L.rowidx, self.L.values, xp)
-        xp *= self.dinv
-        K.solve_bs(self.L.colptr, self.L.rowidx, self.L.values, xp)
+        operands = self._operands if self._operands is not None else self._convert()
+        K.solve_ldl(*operands, xp)
         return xp[self.inv_perm]
 
-    def reconstruct_permuted(self):
-        """Dense (I+L) D (I+L)^T; equals P K P^T up to roundoff."""
-        ldense = self.L.to_dense() + np.eye(self.n, dtype=self.L.dtype)
-        return (ldense * self.d) @ ldense.T
+    @contextlib.contextmanager
+    def converted(self):
+        """A block in which every ``solve`` reuses one conversion of L's
+        arrays and dinv, made on entry and dropped on exit, by return or
+        raise. A nested block keeps the outer conversion. A change to
+        ``L.values`` inside the block shows only in the next one."""
+        if self._operands is not None:
+            yield self
+            return
+        self._operands = self._convert()
+        try:
+            yield self
+        finally:
+            self._operands = None
+
+    def _convert(self):
+        L = self.L
+        return K.ldl_operands(L.colptr, L.rowidx, L.values, column_indices(L.colptr), self.dinv)
 
 
 def ldl_numeric(upper) -> LdlFactor:
@@ -121,30 +144,3 @@ def ldl_numeric(upper) -> LdlFactor:
     L.values = L.values.astype(dtype, copy=False)
     return LdlFactor(L, d.astype(dtype), (1.0 / d).astype(dtype),
                      np.argsort(lu.perm_c).astype(np.int32), lu.perm_c.astype(np.int32))
-
-
-# Sequential reference solves of one right-hand side.
-
-
-def sptrsv_fe(L: SparseCSC, b):
-    """Solve (I+L) x = b with L strictly lower triangular."""
-    x = _rhs_copy(L, b)
-    K.solve_fe(L.colptr, L.rowidx, L.values, x)
-    return x
-
-
-def sptrsv_bs(L: SparseCSC, b):
-    """Solve (I+L)^T x = b."""
-    x = _rhs_copy(L, b)
-    K.solve_bs(L.colptr, L.rowidx, L.values, x)
-    return x
-
-
-def _rhs_copy(L: SparseCSC, b):
-    """b as a fresh vector in L's precision, after checking the shapes."""
-    if L.nrows != L.ncols:
-        raise DimensionError("triangular solve needs a square matrix")
-    x = np.array(b, dtype=L.dtype, copy=True)
-    if x.shape != (L.nrows,):
-        raise DimensionError(f"rhs must be a vector of length {L.nrows}, got shape {x.shape}")
-    return x

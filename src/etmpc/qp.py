@@ -12,9 +12,10 @@ Comp. 2020): an equality row (u - l < ``RHO_TOL``) gets
 
 P and A arrive as ``scipy.sparse.csc_array``. Bring-up works on their
 raw CSC arrays: K's triplets are read off P's and A's index arrays and
-compressed once into K's upper-triangle arrays (``SparseCSC``), which are
-kept next to the factor's, and the residual operator P is mirrored from
-P's upper triangle on the index arrays (``csc.symmetric_from_upper``).
+compressed into K's upper-triangle arrays (``SparseCSC``), which are
+factored and then dropped (``KktSystem.K`` assembles them again), and the
+residual operator P is mirrored from P's upper triangle on the index
+arrays (``csc.symmetric_from_upper``).
 scipy does the residual products, the ordering and the factorization.
 
 The solver runs in one storage precision, fp64 or fp32
@@ -148,30 +149,51 @@ class AdmmState:
 
 
 class KktSystem:
-    """P and A frozen in storage precision, the raw arrays of the upper
-    triangle of the quasi-definite KKT matrix assembled from them, and its
-    cached factorization.
+    """P and A frozen in storage precision, the per-row step sizes, and the
+    cached factorization of the quasi-definite KKT matrix assembled from
+    them.
 
     ``P`` (both triangles, mirrored from the canonical arrays ``P_upper``),
     ``A`` and ``At`` are the ``scipy.sparse`` operators of the residual
     products, and ``rho``/``rho_inv`` the per-row step sizes and their
     reciprocals, all in the storage ``dtype``. q, l and u are not held
     here: they are read from the problem at every use, through ``stored``.
+    The solves need only the factor, so K itself is not kept: ``K``
+    assembles it again from the frozen parts, with the bits it was
+    factored from.
     """
 
-    def __init__(self, K: SparseCSC, factor: LdlFactor, P_upper: SparseCSC, A, rho, dtype):
-        self.K = K
+    def __init__(self, factor: LdlFactor, P_upper: SparseCSC, A, rho, rho_inv, sigma):
         self.factor = factor
+        self.P_upper = P_upper
         self.P = symmetric_from_upper(P_upper).to_scipy()
         self.A = A
         self.At = A.T
-        self.rho = rho.astype(dtype)
-        self.rho_inv = (1.0 / rho).astype(dtype)
-        self.dtype = dtype
+        self.rho = rho
+        self.rho_inv = rho_inv
+        self.sigma = sigma
+        self.dtype = rho.dtype.type
+
+    @property
+    def K(self) -> SparseCSC:
+        """The upper triangle of [[P + sigma I, A'], [A, -diag(1/rho)]]."""
+        return kkt_upper(self.P_upper, self.A, self.sigma, self.rho_inv)
 
     def stored(self, vec):
         """q, l or u in storage precision; the vector itself in fp64."""
         return vec.astype(self.dtype, copy=False)
+
+
+def kkt_upper(P: SparseCSC, A, sigma, rho_inv) -> SparseCSC:
+    """The upper triangle of [[P + sigma I, A'], [A, -diag(rho_inv)]] in
+    the precision of ``rho_inv``, from P's upper triangle and A in it; the
+    sums on P's diagonal round in that precision."""
+    n, m = P.ncols, A.shape[0]
+    rows = np.concatenate([P.rowidx, np.arange(n), column_indices(A.indptr), n + np.arange(m)])
+    cols = np.concatenate([column_indices(P.colptr), np.arange(n), n + A.indices,
+                           n + np.arange(m)])
+    vals = np.concatenate([P.values, np.full(n, sigma), A.data, -rho_inv]).astype(rho_inv.dtype)
+    return SparseCSC.from_triplets(rows, cols, vals, (n + m, n + m))
 
 
 def assemble_kkt(problem: QpProblem, settings: AdmmSettings) -> KktSystem:
@@ -188,22 +210,14 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings) -> KktSystem:
     correct, only slower; ``update_mpc_step`` never changes a row's type.
     """
     problem.validate()
-    n, m = problem.n, problem.m
     dtype = settings.dtype
     rho = np.where(problem.u - problem.l < RHO_TOL,
                    RHO_EQ_OVER_RHO_INEQ * settings.rho, settings.rho)
     P = SparseCSC(problem.P.astype(dtype, copy=False))
     A = problem.A.astype(dtype, copy=False)
-    rows = np.concatenate([P.rowidx, np.arange(n), column_indices(A.indptr), n + np.arange(m)])
-    cols = np.concatenate([column_indices(P.colptr), np.arange(n), n + A.indices,
-                           n + np.arange(m)])
-    vals = np.concatenate([
-        P.values, np.full(n, settings.sigma),
-        A.data, -1.0 / rho,
-    ]).astype(dtype)
-    K = SparseCSC.from_triplets(rows, cols, vals, (n + m, n + m))
-    factor = ldl_numeric(K)
-    return KktSystem(K, factor, P, A, rho, dtype)
+    rho_inv = (1.0 / rho).astype(dtype)
+    factor = ldl_numeric(kkt_upper(P, A, settings.sigma, rho_inv))
+    return KktSystem(factor, P, A, rho.astype(dtype), rho_inv, settings.sigma)
 
 
 def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem):
@@ -248,26 +262,34 @@ class AdmmSolver:
 
     def solve(self) -> AdmmState:
         """Iterate from zero, or from the previous solve's iterate when
-        ``settings.warm_start`` is set."""
+        ``settings.warm_start`` is set.
+
+        The iterations run inside one ``LdlFactor.converted`` block, so
+        their KKT solves share one conversion of the factor's operands
+        (Python lists without numba). It is dropped when the solve returns
+        or raises: between solves the factor holds its arrays alone, and
+        a change to ``L.values`` shows in the next solve."""
         settings = self.settings
         state = AdmmState.zeros(self.problem.n, self.problem.m, settings.dtype)
         if settings.warm_start and self._last is not None:
             state.x, state.z, state.y = (v.copy() for v in self._last)
 
-        while state.iterations < settings.max_iter:
-            admm_step(state, self.problem, self.kkt, settings)
-            it = state.iterations
-            if it % settings.check_interval == 0 or it == settings.max_iter:
-                state.r_prim, state.r_dual = residuals(state, self.problem, self.kkt)
-                if not np.isfinite(state.r_prim) or \
-                        max(np.max(np.abs(state.x), initial=0.0),
-                            np.max(np.abs(state.z), initial=0.0)) > DIVERGENCE_LIMIT:
-                    state.status = "diverged"
-                    break
-                if settings.termination_mode == "residual" and \
-                        state.r_prim <= settings.eps_prim and state.r_dual <= settings.eps_dual:
-                    state.status = "solved"
-                    break
+        with self.kkt.factor.converted():
+            while state.iterations < settings.max_iter:
+                admm_step(state, self.problem, self.kkt, settings)
+                it = state.iterations
+                if it % settings.check_interval == 0 or it == settings.max_iter:
+                    state.r_prim, state.r_dual = residuals(state, self.problem, self.kkt)
+                    if not np.isfinite(state.r_prim) or \
+                            max(np.max(np.abs(state.x), initial=0.0),
+                                np.max(np.abs(state.z), initial=0.0)) > DIVERGENCE_LIMIT:
+                        state.status = "diverged"
+                        break
+                    if settings.termination_mode == "residual" and \
+                            state.r_prim <= settings.eps_prim and \
+                            state.r_dual <= settings.eps_dual:
+                        state.status = "solved"
+                        break
         if state.status is None:
             converged = state.r_prim <= settings.eps_prim and state.r_dual <= settings.eps_dual
             state.status = "solved" if converged else "max_iter"

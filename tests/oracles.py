@@ -1,12 +1,17 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive (dense algebra, enumeration) and
-shares no code with the package's own factorization/solve/schedule paths.
+shares no code with the package's own factorization/solve/schedule paths,
+except ``sptrsv_fe``/``sptrsv_bs``: they run the package's sequential
+reference solves, ``_kernels.solve_fe``/``solve_bs``, on a copy of b.
 """
 
 import itertools
 
 import numpy as np
+
+from etmpc import _kernels
+from etmpc.csc import DimensionError
 
 
 def dense_ldl(a):
@@ -251,3 +256,34 @@ def assert_permutation_pair(perm, inv_perm):
     assert perm.dtype == inv_perm.dtype == np.int32
     assert sorted(perm.tolist()) == list(range(n))
     np.testing.assert_array_equal(inv_perm[perm], np.arange(n))
+
+
+def reconstruct_permuted(factor):
+    """Dense (I+L) D (I+L)^T of an ``LdlFactor``; equals P K P^T up to
+    roundoff."""
+    ldense = factor.L.to_dense() + np.eye(factor.n, dtype=factor.L.dtype)
+    return (ldense * factor.d) @ ldense.T
+
+
+def sptrsv_fe(L, b):
+    """Solve (I+L) x = b with L (a ``SparseCSC``) strictly lower triangular."""
+    x = _rhs_copy(L, b)
+    _kernels.solve_fe(L.colptr, L.rowidx, L.values, x)
+    return x
+
+
+def sptrsv_bs(L, b):
+    """Solve (I+L)^T x = b."""
+    x = _rhs_copy(L, b)
+    _kernels.solve_bs(L.colptr, L.rowidx, L.values, x)
+    return x
+
+
+def _rhs_copy(L, b):
+    """b as a fresh vector in L's precision, after checking the shapes."""
+    if L.nrows != L.ncols:
+        raise DimensionError("triangular solve needs a square matrix")
+    x = np.array(b, dtype=L.dtype, copy=True)
+    if x.shape != (L.nrows,):
+        raise DimensionError(f"rhs must be a vector of length {L.nrows}, got shape {x.shape}")
+    return x

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import etmpc._kernels
+import etmpc.qp
 from etmpc.csc import DimensionError
+from etmpc.ldl import LdlFactor
 from etmpc.qp import (
     AdmmSettings,
     AdmmSolver,
@@ -49,6 +52,20 @@ def test_assemble_kkt_rejects_empty():
         assemble_kkt(p, AdmmSettings())
 
 
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_kkt_K_is_assembled_again_with_the_factored_bits(monkeypatch, precision):
+    factored = []
+    real = etmpc.qp.ldl_numeric
+    monkeypatch.setattr(etmpc.qp, "ldl_numeric", lambda K: factored.append(K) or real(K))
+    P, q, A, l, u = mixed_row_qp()
+    kkt = assemble_kkt(make_problem(P, q, A, l, u), AdmmSettings(precision=precision))
+    assert "K" not in vars(kkt)   # the solver keeps the factor, not K
+    (ref,) = factored
+    for name in ("colptr", "rowidx", "values"):
+        got, want = getattr(kkt.K, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_kkt_nnz_recount():
     rng = np.random.default_rng(0)
     P, q, A, l, u = random_qp(rng, 6, 5)
@@ -81,6 +98,85 @@ def test_in_place_q_update_reaches_the_solver(precision):
     assert before.status == after.status == "solved"
     np.testing.assert_allclose(before.x, [0.5, 1.0], atol=1e-2)
     np.testing.assert_allclose(after.x, [0.25, 0.5], atol=1e-2)
+
+
+def fixed_solver():
+    """A 15-iteration solver, without warm start, whose factor has L entries."""
+    rng = np.random.default_rng(4)
+    solver = AdmmSolver(make_problem(*random_qp(rng, 6, 5)),
+                        AdmmSettings(max_iter=15, warm_start=False))
+    assert solver.kkt.factor.L.nnz > 0
+    return solver
+
+
+def holds_no_conversion(factor):
+    """The factor holds its arrays alone: no list, no open conversion."""
+    return factor._operands is None and not any(
+        isinstance(v, (list, tuple)) for v in vars(factor).values())
+
+
+def test_kkt_solves_of_one_admm_solve_share_one_conversion(monkeypatch):
+    solver = fixed_solver()
+    conversions = []
+    real = etmpc._kernels.ldl_operands
+
+    def counted(*arrays):
+        conversions.append(1)
+        return real(*arrays)
+
+    monkeypatch.setattr(etmpc._kernels, "ldl_operands", counted)
+    solver.solve()
+    solver.solve()
+    assert len(conversions) == 2
+    solver.kkt.factor.solve(np.ones(solver.kkt.factor.n))   # on its own: converts for itself
+    assert len(conversions) == 3
+
+
+def test_a_change_to_L_between_solves_shows_in_the_next_solve():
+    solver = fixed_solver()
+    values = solver.kkt.factor.L.values
+    first = solver.solve().x
+    np.testing.assert_array_equal(solver.solve().x, first)
+    values[np.argmax(np.abs(values))] *= 1 + 1e-6
+    assert not np.array_equal(solver.solve().x, first)
+
+
+def test_factor_holds_no_conversion_after_a_solve_returns_or_raises(monkeypatch):
+    solver = fixed_solver()
+    factor = solver.kkt.factor
+    solver.solve()
+    assert holds_no_conversion(factor)
+    real = etmpc.qp.admm_step
+
+    def failing(state, *args):
+        if state.iterations == 3:
+            assert factor._operands is not None
+            raise FloatingPointError("injected")
+        real(state, *args)
+
+    monkeypatch.setattr(etmpc.qp, "admm_step", failing)
+    with pytest.raises(FloatingPointError, match="injected"):
+        solver.solve()
+    assert holds_no_conversion(factor)
+
+
+def test_a_nested_block_keeps_the_outer_conversion():
+    solver = fixed_solver()
+    factor = solver.kkt.factor
+    seen = []
+
+    def spy(b):
+        seen.append(factor._operands)
+        return LdlFactor.solve(factor, b)
+
+    factor.solve = spy   # shadows the method, for this factor alone
+    with factor.converted():
+        outer = factor._operands
+        assert outer is not None
+        solver.solve()
+        assert factor._operands is outer
+    assert len(seen) == 15 and all(ops is outer for ops in seen)
+    assert factor._operands is None
 
 
 def test_admm_step_fixed_point():

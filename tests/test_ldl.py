@@ -3,11 +3,16 @@ import pytest
 import scipy.sparse
 
 import etmpc._kernels
-from etmpc.csc import DimensionError, SparseCSC
-from etmpc.ldl import FactorizationError, ldl_numeric, sptrsv_bs, sptrsv_fe
+from etmpc.csc import DimensionError, SparseCSC, column_indices
+from etmpc.ldl import FactorizationError, LdlFactor, ldl_numeric
+from etmpc.mpc import build_mpc_qp, update_mpc_step
+from etmpc.power import PowerModelParams
+from etmpc.pruning import prune_model
+from etmpc.qp import AdmmSettings, AdmmSolver, assemble_kkt
+from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
 from oracles import (assert_permutation_pair, dense_ldl, dense_lower_pattern_after_elimination,
-                     random_kkt_upper)
+                     random_kkt_upper, reconstruct_permuted, sptrsv_bs, sptrsv_fe)
 
 
 def upper_csc(dense):
@@ -104,7 +109,7 @@ def test_reconstruction_random_kkt():
     k = random_kkt_upper(rng, 12, 8)
     f = ldl_numeric(scipy.sparse.csc_array(k))
     assert_permutation_pair(f.perm, f.inv_perm)
-    err = np.max(np.abs(permuted(k, f) - f.reconstruct_permuted()))
+    err = np.max(np.abs(permuted(k, f) - reconstruct_permuted(f)))
     assert err <= 1e-10
 
 
@@ -214,6 +219,38 @@ def test_list_path_is_byte_exact_with_the_loop_body_on_arrays(body, public, dtyp
                 assert buf[::2].tobytes() == ref.tobytes() and np.all(buf[1::2] == 7.0)
 
 
+def extreme_inputs(dtype, rng, n=40):
+    """An L whose values, and right-hand sides whose entries, hold the IEEE
+    special cases: inf and NaN in b (a NaN payload and inf - inf
+    included), subnormals in b and L, and L values whose products with x
+    overflow. Returns (L, list of b, the values for dinv)."""
+    info = np.finfo(dtype)
+    uint = {np.float64: np.uint64, np.float32: np.uint32}[dtype]
+    nan_payload = np.array(0xFFF8_0000_0000_0123 if dtype == np.float64 else 0xFFC0_0123,
+                           dtype=uint).view(dtype)[()]
+    big = info.max / 4
+    lvals = [0.5, -2.0, 3.0, big, -big, info.smallest_subnormal, 0.25 * info.tiny]
+    L = unit_lower(np.where(rng.random((n, n)) < 0.08, rng.choice(lvals, (n, n)), 0.0).astype(dtype))
+    specials = np.array([np.inf, -np.inf, np.nan, nan_payload, info.smallest_subnormal,
+                         -3 * info.smallest_subnormal, info.max, -info.max, -0.0], dtype=dtype)
+    bs = []
+    for _ in range(10):
+        b = rng.standard_normal(n).astype(dtype)
+        pick = rng.random(n) < 0.15
+        b[pick] = rng.choice(specials, pick.sum())
+        bs.append(b)
+    return L, bs, np.array([1.0, -0.5, 3.0, big, info.smallest_subnormal, info.tiny], dtype=dtype)
+
+
+def assert_extremes_reach(results, dtype):
+    """The cases of ``extreme_inputs`` all reach the results."""
+    info = np.finfo(dtype)
+    seen = np.concatenate(results)
+    finite = np.abs(seen[np.isfinite(seen)])
+    assert np.isnan(seen).any() and np.isinf(seen).any()
+    assert ((finite > 0) & (finite < info.tiny)).any() and (finite >= info.tiny).any()
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("body, public", [
     (etmpc._kernels._forward, etmpc._kernels.solve_fe),
@@ -221,24 +258,10 @@ def test_list_path_is_byte_exact_with_the_loop_body_on_arrays(body, public, dtyp
 ])
 def test_list_path_is_byte_exact_on_extreme_inputs(body, public, dtype):
     """An fp64 x is solved on Python floats, not numpy scalars, so the IEEE
-    special cases must keep their bits too: inf and NaN in b (a NaN payload
-    and inf - inf included), subnormals in b and L, and L values whose
-    products with x overflow."""
-    info = np.finfo(dtype)
-    uint = {np.float64: np.uint64, np.float32: np.uint32}[dtype]
-    nan_payload = np.array(0xFFF8_0000_0000_0123 if dtype == np.float64 else 0xFFC0_0123,
-                           dtype=uint).view(dtype)[()]
-    rng = np.random.default_rng(17)
-    n, big = 40, info.max / 4
-    lvals = [0.5, -2.0, 3.0, big, -big, info.smallest_subnormal, 0.25 * info.tiny]
-    L = unit_lower(np.where(rng.random((n, n)) < 0.08, rng.choice(lvals, (n, n)), 0.0).astype(dtype))
-    specials = np.array([np.inf, -np.inf, np.nan, nan_payload, info.smallest_subnormal,
-                         -3 * info.smallest_subnormal, info.max, -info.max, -0.0], dtype=dtype)
+    special cases of ``extreme_inputs`` must keep their bits too."""
+    L, bs, _ = extreme_inputs(dtype, np.random.default_rng(17))
     refs = []
-    for _ in range(10):
-        b = rng.standard_normal(n).astype(dtype)
-        pick = rng.random(n) < 0.15
-        b[pick] = rng.choice(specials, pick.sum())
+    for b in bs:
         with np.errstate(all="ignore"):
             ref = b.copy()
             body(L.colptr, L.rowidx, L.values, ref)
@@ -247,11 +270,105 @@ def test_list_path_is_byte_exact_on_extreme_inputs(body, public, dtype):
                 solve(L.colptr, L.rowidx, L.values, x)
                 assert x.tobytes() == ref.tobytes()
         refs.append(ref)
-    seen = np.concatenate(refs)
-    finite = np.abs(seen[np.isfinite(seen)])
-    # the cases above all reach the result
-    assert np.isnan(seen).any() and np.isinf(seen).any()
-    assert ((finite > 0) & (finite < info.tiny)).any() and (finite >= info.tiny).any()
+    assert_extremes_reach(refs, dtype)
+
+
+def ldl_reference(L, dinv, b):
+    """FE, the diagonal scale and BS on arrays, one after the other: the
+    sequential reference of ``_kernels.solve_ldl``."""
+    x = b.copy()
+    etmpc._kernels._forward(L.colptr, L.rowidx, L.values, x)
+    x *= dinv
+    etmpc._kernels._backward(L.colptr, L.rowidx, L.values, x)
+    return x
+
+
+def ldl_paths():
+    """``solve_ldl`` as the package runs it (compiled with numba), and on
+    Python lists whether numba is installed or not; each takes (L, dinv, x)."""
+    k = etmpc._kernels
+    operands = lambda L, dinv, convert: convert(L.colptr, L.rowidx, L.values,
+                                                column_indices(L.colptr), dinv)
+    return (lambda L, dinv, x: k.solve_ldl(*operands(L, dinv, k.ldl_operands), x),
+            lambda L, dinv, x: k._x_on_list(k._ldl)(*operands(L, dinv, k._as_lists), x))
+
+
+def mpc_qp(grid):
+    """The P{grid}x{grid}_H2 controller's QP (``MpcQp``) and thermal model."""
+    spec = GridSpec(grid, grid, hp=2, domains=default_domains(grid, grid))
+    model = build_thermal_model(spec)
+    discretize(model)
+    model = prune_model(model, 0.005)
+    return build_mpc_qp(model, spec, PowerModelParams()), model
+
+
+def mpc_factor(grid, dtype):
+    """The factor of the P{grid}x{grid}_H2 controller's KKT matrix."""
+    precision = {np.float64: "fp64", np.float32: "fp32"}[dtype]
+    return assemble_kkt(mpc_qp(grid)[0].qp, AdmmSettings(precision=precision)).factor
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_solve_ldl_is_byte_exact_with_the_array_reference(dtype):
+    """The one-pass solve, flat FE included, must give the bits of FE,
+    ``*= dinv`` and BS on arrays, on the controller's factors and on random
+    ones, and write the result into x, a strided view included."""
+    rng = np.random.default_rng(23)
+    factors = [mpc_factor(grid, dtype) for grid in (2, 3, 4, 8)]
+    factors += [ldl_numeric(scipy.sparse.csc_array(
+        random_kkt_upper(rng, int(rng.integers(2, 30)), int(rng.integers(1, 20))).astype(dtype)))
+        for _ in range(20)]
+    assert all(f.L.dtype == dtype for f in factors) and factors[3].L.nnz > 5000
+    for f in factors:
+        for zero_share in (0.0, 0.5):
+            b = rng.standard_normal(f.n).astype(dtype)
+            zeros = rng.random(f.n) < zero_share
+            b[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+            ref = ldl_reference(f.L, f.dinv, b)
+            for solve in ldl_paths():
+                x = b.copy()
+                solve(f.L, f.dinv, x)
+                assert x.dtype == dtype and x.tobytes() == ref.tobytes()
+                buf = np.full(2 * f.n, 7.0, dtype=dtype)
+                buf[::2] = b
+                solve(f.L, f.dinv, buf[::2])
+                assert buf[::2].tobytes() == ref.tobytes() and np.all(buf[1::2] == 7.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_solve_ldl_is_byte_exact_on_extreme_inputs(dtype):
+    rng = np.random.default_rng(29)
+    L, bs, dvals = extreme_inputs(dtype, rng)
+    refs = []
+    for b in bs:
+        dinv = rng.choice(dvals, L.nrows)
+        with np.errstate(all="ignore"):
+            ref = ldl_reference(L, dinv, b)
+            for solve in ldl_paths():
+                x = b.copy()
+                solve(L, dinv, x)
+                assert x.tobytes() == ref.tobytes()
+        refs.append(ref)
+    assert_extremes_reach(refs, dtype)
+
+
+def factor_reference(f, b):
+    """``LdlFactor.solve`` on the sequential reference."""
+    xp = np.ascontiguousarray(np.asarray(b)[f.perm], dtype=f.L.dtype)
+    return ldl_reference(f.L, f.dinv, xp)[f.inv_perm]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_factor_solve_is_byte_exact_with_the_reference(dtype):
+    """Outside an ADMM solve, each call converts L for itself and keeps
+    nothing."""
+    rng = np.random.default_rng(31)
+    for f in [mpc_factor(grid, dtype) for grid in (2, 4)] + [
+            ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 12, 8).astype(dtype)))]:
+        for _ in range(3):
+            b = rng.standard_normal(f.n)
+            assert f.solve(b).tobytes() == factor_reference(f, b).tobytes()
+            assert f._operands is None
 
 
 def test_factor_solve_reads_L_values_on_every_call():
@@ -292,8 +409,34 @@ def test_dense_ldl_oracle_agreement():
 def test_factor_solve_rejects_matrix_rhs_before_any_work(monkeypatch):
     f = ldl_numeric(upper_csc(np.array([[2.0, 1.0], [1.0, -3.0]])))
     calls = []
-    monkeypatch.setattr(etmpc._kernels, "solve_fe", lambda *args: calls.append(args))
+    for name in ("ldl_operands", "solve_ldl"):
+        monkeypatch.setattr(etmpc._kernels, name, lambda *args: calls.append(args))
     for b in (np.ones((2, 3)), np.ones((2, 1)), np.ones(3), np.float64(1.0)):
         with pytest.raises(DimensionError):
             f.solve(b)
     assert calls == []
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_kkt_solves_inside_an_admm_solve_are_byte_exact(precision):
+    """Inside ``AdmmSolver.solve`` every KKT solve runs on the solve's one
+    conversion of L and must still give the reference's bits."""
+    rng = np.random.default_rng(37)
+    for grid, solves in ((2, 2), (4, 2), (8, 1)):
+        mpcqp, model = mpc_qp(grid)
+        update_mpc_step(mpcqp, rng.uniform(30.0, 36.0, model.n_x),
+                        rng.uniform(0.5, 4.0, model.n_u))
+        solver = AdmmSolver(mpcqp.qp, AdmmSettings(precision=precision))
+        f = solver.kkt.factor
+        exact = []
+
+        def spy(b):
+            x = LdlFactor.solve(f, b)
+            exact.append(f._operands is not None
+                         and x.tobytes() == factor_reference(f, b).tobytes())
+            return x
+
+        f.solve = spy   # shadows the method, for this factor alone
+        for _ in range(solves):
+            solver.solve()
+        assert exact == [True] * (solves * solver.settings.max_iter)

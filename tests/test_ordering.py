@@ -10,7 +10,7 @@ import scipy.sparse
 from etmpc.csc import DimensionError
 from etmpc.ldl import ldl_numeric
 
-from oracles import assert_permutation_pair, symbolic_fill_count
+from oracles import assert_permutation_pair, reconstruct_permuted, symbolic_fill_count
 
 
 def arrow_pattern(n):
@@ -92,5 +92,5 @@ def test_unsymmetric_input_symmetrized():
     f = ldl_numeric(scipy.sparse.csc_array(a))
     assert_permutation_pair(f.perm, f.inv_perm)
     full = a + np.triu(a, 1).T
-    np.testing.assert_allclose(f.reconstruct_permuted(), full[np.ix_(f.perm, f.perm)])
+    np.testing.assert_allclose(reconstruct_permuted(f), full[np.ix_(f.perm, f.perm)])
 
