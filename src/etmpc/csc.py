@@ -1,7 +1,10 @@
 """Raw compressed-sparse-column arrays of the KKT matrix and its factor.
 
 ``SparseCSC`` holds a matrix's canonical CSC arrays: 0-based int32
-indices, rows sorted within each column, no duplicates. P and A come from
+indices, rows sorted within each column, no duplicates. The LDL^T factor
+alone narrows its index arrays to int16 where they fit
+(``narrow_index_dtype``), since only the package's own solves read them;
+every other ``SparseCSC`` stays int32, which scipy needs. P and A come from
 the QP build as ``scipy.sparse.csc_array``; from there, bring-up works on
 the raw arrays. K is assembled from P's and A's index arrays, SuperLU's
 input and the residual operator P are mirrored from an upper triangle,
@@ -9,7 +12,8 @@ and the strictly lower factor is masked out of SuperLU's L, each by one
 numpy COO-to-CSC conversion (``from_triplets``). scipy objects are built
 only where scipy computes: SuperLU's input and the residual products.
 What stays on chip is the factor's raw arrays, read by the
-forward-elimination and backward-substitution kernels.
+forward-elimination and backward-substitution kernels; at P8x8 the
+16-bit indices save about 18 KB per factor.
 """
 
 from __future__ import annotations
@@ -18,6 +22,13 @@ import numpy as np
 import scipy.sparse
 
 INDEX_DTYPE = np.int32
+
+
+def narrow_index_dtype(*counts):
+    """int16 when every count (a dimension, a number of entries) is below
+    2**15, so that each index and pointer bounded by one fits; otherwise
+    ``INDEX_DTYPE``."""
+    return np.int16 if max(counts) < 2**15 else INDEX_DTYPE
 
 
 class DimensionError(ValueError):

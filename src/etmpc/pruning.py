@@ -80,6 +80,8 @@ def select_cutoff(model: ThermalPlantModel, scenario, candidates,
     bad = [c for c in candidates if not c >= 0]
     if bad:
         raise ValueError(f"candidate cutoffs must be non-negative, got {bad}")
+    if not band >= 0:
+        raise ValueError(f"band must be non-negative, got {band}")
     baseline = run_closed_loop(model, scenario, solver_settings=solver_settings)
     base_rmse = rmse_series(baseline)
 

@@ -33,8 +33,8 @@ class GridSpec:
             raise ValueError("grid must be at least 1 x 1")
         if self.hp < 1:
             raise ValueError("horizon must be at least 1")
-        if not self.ts > 0:
-            raise ValueError("sample time must be positive")
+        if not 0 < self.ts < np.inf:
+            raise ValueError("sample time must be positive and finite")
         if self.domains:
             flat = sorted(i for d in self.domains for i in d)
             if flat != list(range(self.n_pe)):
@@ -86,8 +86,10 @@ class ThermalConstants:
     def validate(self):
         for name in ("r_si_lat", "r_si_cu", "r_cu_sink", "r_sink_amb",
                      "c_si", "c_cu", "c_sink"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"thermal constant {name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"thermal constant {name} must be positive and finite")
+        if not np.isfinite(self.t_amb):
+            raise ValueError("thermal constant t_amb must be finite")
         return self
 
 

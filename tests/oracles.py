@@ -250,12 +250,32 @@ def scalar_dispatch(params, u0, classes, gain, domains):
     return v_out, f_out, clamped
 
 
-def assert_permutation_pair(perm, inv_perm):
-    """perm is an int32 bijection of range(n) and inv_perm undoes it."""
+def assert_permutation_pair(perm, inv_perm, nnz):
+    """perm is a bijection of range(n) and inv_perm undoes it, both stored
+    as int16 when n and ``nnz``, the factor's entry count, are below 2**15,
+    and as int32 otherwise."""
     n = perm.size
-    assert perm.dtype == inv_perm.dtype == np.int32
+    assert perm.dtype == inv_perm.dtype == (np.int16 if max(n, nnz) < 2**15 else np.int32)
     assert sorted(perm.tolist()) == list(range(n))
     np.testing.assert_array_equal(inv_perm[perm], np.arange(n))
+
+
+def longest_path_levels(lower):
+    """(FE level of each row, BS level of each column) of the dense
+    boolean strictly lower pattern ``lower``, by relaxing every edge of
+    the dependency DAG at once until nothing changes: a row's FE level is
+    the longest chain of entries that ends in it, a column's BS level the
+    longest that starts from it."""
+    rows, cols = np.nonzero(lower)
+    fe = np.zeros(lower.shape[0], dtype=np.int64)
+    bs = fe.copy()
+    while True:
+        new_fe, new_bs = fe.copy(), bs.copy()
+        np.maximum.at(new_fe, rows, fe[cols] + 1)
+        np.maximum.at(new_bs, cols, bs[rows] + 1)
+        if np.array_equal(new_fe, fe) and np.array_equal(new_bs, bs):
+            return fe, bs
+        fe, bs = new_fe, new_bs
 
 
 def reconstruct_permuted(factor):

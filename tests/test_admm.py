@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import etmpc._kernels
@@ -100,13 +101,28 @@ def test_in_place_q_update_reaches_the_solver(precision):
     np.testing.assert_allclose(after.x, [0.25, 0.5], atol=1e-2)
 
 
-def fixed_solver():
-    """A 15-iteration solver, without warm start, whose factor has L entries."""
+def fixed_solver(blocks=1):
+    """A 15-iteration solver, without warm start, whose factor has L entries:
+    of one random QP, or of ``blocks`` of them side by side, whose factor
+    has one QP's levels and ``blocks`` times its entries, so that 40 of
+    them make a wide factor."""
     rng = np.random.default_rng(4)
-    solver = AdmmSolver(make_problem(*random_qp(rng, 6, 5)),
-                        AdmmSettings(max_iter=15, warm_start=False))
-    assert solver.kkt.factor.L.nnz > 0
+    parts = [random_qp(rng, 6, 5) for _ in range(blocks)]
+    P, A = (scipy.linalg.block_diag(*(part[k] for part in parts)) for k in (0, 2))
+    q, l, u = (np.concatenate([part[k] for part in parts]) for k in (1, 3, 4))
+    solver = AdmmSolver(make_problem(P, q, A, l, u), AdmmSettings(max_iter=15, warm_start=False))
+    factor = solver.kkt.factor
+    assert factor.L.nnz > 0
+    assert (factor.L.nnz >= 40 * factor.levels) == (blocks >= 40)
     return solver
+
+
+def narrow_and_wide_solvers():
+    """``fixed_solver`` with a narrow factor, and with a wide one that runs on
+    the level schedule unless numba compiles the one-pass solve."""
+    solvers = fixed_solver(), fixed_solver(blocks=40)
+    assert solvers[1].kkt.factor.scheduled == (etmpc._kernels.SCHEDULE_MIN_WIDTH < np.inf)
+    return solvers
 
 
 def holds_no_conversion(factor):
@@ -116,48 +132,47 @@ def holds_no_conversion(factor):
 
 
 def test_kkt_solves_of_one_admm_solve_share_one_conversion(monkeypatch):
-    solver = fixed_solver()
     conversions = []
-    real = etmpc._kernels.ldl_operands
-
-    def counted(*arrays):
-        conversions.append(1)
-        return real(*arrays)
-
-    monkeypatch.setattr(etmpc._kernels, "ldl_operands", counted)
-    solver.solve()
-    solver.solve()
-    assert len(conversions) == 2
-    solver.kkt.factor.solve(np.ones(solver.kkt.factor.n))   # on its own: converts for itself
-    assert len(conversions) == 3
+    for name in ("ldl_operands", "level_schedule"):
+        real = getattr(etmpc._kernels, name)
+        monkeypatch.setattr(etmpc._kernels, name,
+                            lambda *arrays, real=real: conversions.append(1) or real(*arrays))
+    for solver in narrow_and_wide_solvers():
+        conversions.clear()
+        solver.solve()
+        solver.solve()
+        assert len(conversions) == 2
+        solver.kkt.factor.solve(np.ones(solver.kkt.factor.n))   # on its own: converts for itself
+        assert len(conversions) == 3
 
 
 def test_a_change_to_L_between_solves_shows_in_the_next_solve():
-    solver = fixed_solver()
-    values = solver.kkt.factor.L.values
-    first = solver.solve().x
-    np.testing.assert_array_equal(solver.solve().x, first)
-    values[np.argmax(np.abs(values))] *= 1 + 1e-6
-    assert not np.array_equal(solver.solve().x, first)
+    for solver in narrow_and_wide_solvers():
+        values = solver.kkt.factor.L.values
+        first = solver.solve().x
+        np.testing.assert_array_equal(solver.solve().x, first)
+        values[np.argmax(np.abs(values))] *= 1 + 1e-6
+        assert not np.array_equal(solver.solve().x, first)
 
 
 def test_factor_holds_no_conversion_after_a_solve_returns_or_raises(monkeypatch):
-    solver = fixed_solver()
-    factor = solver.kkt.factor
-    solver.solve()
-    assert holds_no_conversion(factor)
     real = etmpc.qp.admm_step
-
-    def failing(state, *args):
-        if state.iterations == 3:
-            assert factor._operands is not None
-            raise FloatingPointError("injected")
-        real(state, *args)
-
-    monkeypatch.setattr(etmpc.qp, "admm_step", failing)
-    with pytest.raises(FloatingPointError, match="injected"):
+    for solver in narrow_and_wide_solvers():
+        factor = solver.kkt.factor
         solver.solve()
-    assert holds_no_conversion(factor)
+        assert holds_no_conversion(factor)
+
+        def failing(state, *args):
+            if state.iterations == 3:
+                assert factor._operands is not None
+                raise FloatingPointError("injected")
+            real(state, *args)
+
+        monkeypatch.setattr(etmpc.qp, "admm_step", failing)
+        with pytest.raises(FloatingPointError, match="injected"):
+            solver.solve()
+        assert holds_no_conversion(factor)
+        monkeypatch.setattr(etmpc.qp, "admm_step", real)
 
 
 def test_a_nested_block_keeps_the_outer_conversion():

@@ -12,7 +12,12 @@ from etmpc.qp import AdmmSettings, AdmmSolver, assemble_kkt
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
 from oracles import (assert_permutation_pair, dense_ldl, dense_lower_pattern_after_elimination,
-                     random_kkt_upper, reconstruct_permuted, sptrsv_bs, sptrsv_fe)
+                     longest_path_levels, random_kkt_upper, reconstruct_permuted, sptrsv_bs,
+                     sptrsv_fe)
+
+
+# without numba, a wide factor's solve runs on the level schedule
+INTERPRETED = etmpc._kernels.SCHEDULE_MIN_WIDTH < np.inf
 
 
 def upper_csc(dense):
@@ -108,7 +113,7 @@ def test_reconstruction_random_kkt():
     rng = np.random.default_rng(11)
     k = random_kkt_upper(rng, 12, 8)
     f = ldl_numeric(scipy.sparse.csc_array(k))
-    assert_permutation_pair(f.perm, f.inv_perm)
+    assert_permutation_pair(f.perm, f.inv_perm, f.L.nnz)
     err = np.max(np.abs(permuted(k, f) - reconstruct_permuted(f)))
     assert err <= 1e-10
 
@@ -284,13 +289,16 @@ def ldl_reference(L, dinv, b):
 
 
 def ldl_paths():
-    """``solve_ldl`` as the package runs it (compiled with numba), and on
-    Python lists whether numba is installed or not; each takes (L, dinv, x)."""
+    """``solve_ldl`` as the package runs it (compiled with numba), on Python
+    lists whether numba is installed or not, and the level-scheduled pass
+    on arrays; each takes (L, dinv, x)."""
     k = etmpc._kernels
     operands = lambda L, dinv, convert: convert(L.colptr, L.rowidx, L.values,
                                                 column_indices(L.colptr), dinv)
     return (lambda L, dinv, x: k.solve_ldl(*operands(L, dinv, k.ldl_operands), x),
-            lambda L, dinv, x: k._x_on_list(k._ldl)(*operands(L, dinv, k._as_lists), x))
+            lambda L, dinv, x: k._x_on_list(k._ldl)(*operands(L, dinv, k._as_lists), x),
+            lambda L, dinv, x: k.solve_levels(*k.level_schedule(
+                L.rowidx, L.values, column_indices(L.colptr), dinv), x))
 
 
 def mpc_qp(grid):
@@ -310,9 +318,10 @@ def mpc_factor(grid, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_solve_ldl_is_byte_exact_with_the_array_reference(dtype):
-    """The one-pass solve, flat FE included, must give the bits of FE,
-    ``*= dinv`` and BS on arrays, on the controller's factors and on random
-    ones, and write the result into x, a strided view included."""
+    """The one-pass solve, flat FE included, and the level-scheduled pass
+    must give the bits of FE, ``*= dinv`` and BS on arrays, on the
+    controller's factors and on random ones, and write the result into x,
+    a strided view included."""
     rng = np.random.default_rng(23)
     factors = [mpc_factor(grid, dtype) for grid in (2, 3, 4, 8)]
     factors += [ldl_numeric(scipy.sparse.csc_array(
@@ -363,7 +372,7 @@ def test_factor_solve_is_byte_exact_with_the_reference(dtype):
     """Outside an ADMM solve, each call converts L for itself and keeps
     nothing."""
     rng = np.random.default_rng(31)
-    for f in [mpc_factor(grid, dtype) for grid in (2, 4)] + [
+    for f in [mpc_factor(grid, dtype) for grid in (2, 4, 8)] + [
             ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 12, 8).astype(dtype)))]:
         for _ in range(3):
             b = rng.standard_normal(f.n)
@@ -372,16 +381,20 @@ def test_factor_solve_is_byte_exact_with_the_reference(dtype):
 
 
 def test_factor_solve_reads_L_values_on_every_call():
-    """A factor must keep no copy of L's values: the benchmark's KKT gate
-    perturbs one of them in place and expects the solve to change."""
+    """A factor must keep no copy of L's values, on the list pass or the
+    level schedule: the benchmark's KKT gate perturbs one of them in place
+    and expects the solve to change."""
     rng = np.random.default_rng(21)
-    f = ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 6, 4)))
-    assert f.L.nnz > 0
-    b = rng.standard_normal(f.n)
-    before = f.solve(b)
-    np.testing.assert_array_equal(f.solve(b), before)
-    f.L.values[np.argmax(np.abs(f.L.values))] *= 1 + 1e-6
-    assert not np.array_equal(f.solve(b), before)
+    narrow = ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 6, 4)))
+    wide = mpc_factor(8, np.float64)
+    assert not narrow.scheduled and wide.scheduled == INTERPRETED
+    for f in (narrow, wide):
+        assert f.L.nnz > 0
+        b = rng.standard_normal(f.n)
+        before = f.solve(b)
+        np.testing.assert_array_equal(f.solve(b), before)
+        f.L.values[np.argmax(np.abs(f.L.values))] *= 1 + 1e-6
+        assert not np.array_equal(f.solve(b), before)
 
 
 def test_solve_round_trip_fuzz():
@@ -440,3 +453,61 @@ def test_kkt_solves_inside_an_admm_solve_are_byte_exact(precision):
         for _ in range(solves):
             solver.solve()
         assert exact == [True] * (solves * solver.settings.max_iter)
+
+
+def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_list_pass():
+    """Without numba a factor whose mean level width, nnz(L) / levels,
+    reaches ``SCHEDULE_MIN_WIDTH`` runs on the level schedule: P8x8
+    (6244 / 82 = 76.1) does, P2x2 (11.9) and P4x4 (35.6) do not. With
+    numba every factor runs the compiled one-pass solve."""
+    k = etmpc._kernels
+    for grid, wide in ((2, False), (4, False), (8, True)):
+        f = mpc_factor(grid, np.float64)
+        assert (f.L.nnz >= 40 * f.levels) == wide
+        with f.converted():
+            kernel, operands = f._operands
+            if wide and INTERPRETED:
+                fe, dinv, bs = operands
+                # one group per level above 0, in each direction
+                assert kernel is k.solve_levels and len(fe) == len(bs) == f.levels - 1
+                assert dinv is f.dinv
+                assert sum(len(values) for _, _, values in fe + bs) == 2 * f.L.nnz
+            else:
+                assert kernel is k.solve_ldl and len(operands) == 5
+        assert f._operands is None
+
+
+def test_levels_match_a_longest_path_oracle():
+    rng = np.random.default_rng(41)
+    factors = [ldl_numeric(scipy.sparse.csc_array(
+        random_kkt_upper(rng, int(rng.integers(2, 30)), int(rng.integers(1, 20)))))
+        for _ in range(30)]
+    factors.append(mpc_factor(8, np.float64))
+    for f in factors:
+        L = f.L
+        rows, cols = L.rowidx.tolist(), column_indices(L.colptr).tolist()
+        fe, bs = longest_path_levels(index_pattern(L))
+        assert etmpc._kernels.row_levels(rows, cols, f.n) == fe.tolist()
+        assert etmpc._kernels.column_levels(rows, cols, f.n) == bs.tolist()
+        assert f.levels == fe.max() + 1 == bs.max() + 1
+    assert factors[-1].levels == 82
+
+
+def test_factor_indices_are_16_bit_while_n_and_nnz_are_below_2_to_the_15():
+    """perm, inv_perm and L's index arrays are int16 while n and nnz(L) are
+    below 2**15, and int32 from there; the solve is the same either way."""
+    for n in (2**15 - 1, 2**15):
+        diag = np.linspace(1.0, 2.0, n)
+        f = ldl_numeric(scipy.sparse.diags_array(diag, format="csc"))
+        index = np.int16 if n < 2**15 else np.int32
+        assert f.L.nnz == 0 and f.levels == 1
+        assert f.L.colptr.dtype == f.L.rowidx.dtype == f.perm.dtype == f.inv_perm.dtype == index
+        assert_permutation_pair(f.perm, f.inv_perm, f.L.nnz)
+        assert f.solve(diag).tobytes() == factor_reference(f, diag).tobytes()
+    for n in (256, 257):   # nnz(L) = n (n - 1) / 2: 32640, then 32896
+        f = ldl_numeric(upper_csc(np.ones((n, n)) + n * np.eye(n)))
+        index = np.int16 if n == 256 else np.int32
+        assert f.L.nnz == n * (n - 1) // 2
+        assert f.L.colptr.dtype == f.L.rowidx.dtype == f.perm.dtype == index
+        b = np.arange(n, dtype=np.float64)
+        assert f.solve(b).tobytes() == factor_reference(f, b).tobytes()

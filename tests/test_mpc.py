@@ -104,9 +104,11 @@ def test_bring_up_factor_pinned(grid):
     mpcqp, _ = make_mpcqp(grid, grid, hp=2, domains=default_domains(grid, grid), cutoff=0.005)
     kkt = assemble_kkt(mpcqp.qp, AdmmSettings(precision="fp64"))
     f = kkt.factor
-    got = {"K": kkt.K.values, "perm": f.perm, "rowidx": f.L.rowidx, "values": f.L.values,
+    # the factor's index arrays are hashed at int32, the width they were pinned at
+    got = {"K": kkt.K.values, "perm": f.perm.astype(np.int32),
+           "rowidx": f.L.rowidx.astype(np.int32), "values": f.L.values,
            "d": f.d, "dinv": f.dinv, "K_colptr": kkt.K.colptr, "K_rowidx": kkt.K.rowidx,
-           "L_colptr": f.L.colptr, "inv_perm": f.inv_perm,
+           "L_colptr": f.L.colptr.astype(np.int32), "inv_perm": f.inv_perm.astype(np.int32),
            "P_indptr": kkt.P.indptr.astype(np.int64), "P_indices": kkt.P.indices.astype(np.int64),
            "P_data": kkt.P.data}
     assert {k: checksum(v) for k, v in got.items()} == BRING_UP_DIGESTS[grid]

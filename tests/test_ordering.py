@@ -44,13 +44,13 @@ def factor_of(pattern):
 def test_diagonal_matrix_returns_identity():
     f = ldl_numeric(scipy.sparse.csc_array(np.eye(6)))
     np.testing.assert_array_equal(f.perm, np.arange(6))
-    assert_permutation_pair(f.perm, f.inv_perm)
+    assert_permutation_pair(f.perm, f.inv_perm, f.L.nnz)
 
 
 def test_arrow_matrix_is_fill_free():
     pat = arrow_pattern(5)
     f = factor_of(pat)
-    assert_permutation_pair(f.perm, f.inv_perm)
+    assert_permutation_pair(f.perm, f.inv_perm, f.L.nnz)
     # brute force: the best achievable fill over all 120 orders is 0
     best = min(symbolic_fill_count(pat, order)
                for order in itertools.permutations(range(5)))
@@ -90,7 +90,7 @@ def test_unsymmetric_input_symmetrized():
     a = np.eye(4) * 2.0
     a[0, 3] = 1.0
     f = ldl_numeric(scipy.sparse.csc_array(a))
-    assert_permutation_pair(f.perm, f.inv_perm)
+    assert_permutation_pair(f.perm, f.inv_perm, f.L.nnz)
     full = a + np.triu(a, 1).T
     np.testing.assert_allclose(reconstruct_permuted(f), full[np.ix_(f.perm, f.perm)])
 

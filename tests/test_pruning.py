@@ -48,3 +48,14 @@ def test_select_cutoff_rejects_bad_candidates_before_any_run(p2x2, candidates, m
     model, scenario = p2x2
     with pytest.raises(ValueError, match="cutoff"):
         select_cutoff(model, scenario, candidates)
+
+
+@pytest.mark.parametrize("band", [np.nan, -0.1])
+def test_select_cutoff_rejects_a_bad_band_before_any_run(p2x2, band, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the closed loop")
+
+    monkeypatch.setattr(pruning, "run_closed_loop", no_run)
+    model, scenario = p2x2
+    with pytest.raises(ValueError, match="band"):
+        select_cutoff(model, scenario, [0.005], band=band)

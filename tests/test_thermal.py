@@ -56,6 +56,14 @@ def test_rejects_nan_constants(name):
         build_thermal_model(GridSpec(2, 2), ThermalConstants(**{name: np.nan}))
 
 
+@pytest.mark.parametrize("name", ["r_si_lat", "r_si_cu", "r_cu_sink", "r_sink_amb",
+                                  "c_si", "c_cu", "c_sink", "t_amb"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_rejects_non_finite_constants(name, value):
+    with pytest.raises(ValueError, match=name):
+        ThermalConstants(**{name: value}).validate()
+
+
 def test_discretize_scalar_analytic():
     spec = GridSpec(1, 1, ts=0.1)
     model = ThermalPlantModel(spec, ThermalConstants(), np.array([[-1.0]]),
@@ -100,6 +108,8 @@ def test_grid_spec_validation():
         GridSpec(2, 2, ts=0.0)
     with pytest.raises(ValueError):
         GridSpec(2, 2, ts=-1e-3)
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(2, 2, ts=np.inf)   # discretize would return non-finite matrices
     with pytest.raises(ValueError):
         GridSpec(2, 2, domains=[[0, 1]])  # does not cover all four elements
 
