@@ -1,58 +1,61 @@
 """Triangular solves with the LDL^T factor.
 
 ``LdlFactor.solve`` runs forward elimination (FE), the diagonal scale and
-backward substitution (BS) in place in the permuted right-hand side
-``x``, in one of two passes. Both are byte-identical to the sequential
-reference ``solve_fe``, ``x *= dinv``, ``solve_bs``: FE and BS alone, on
-L's three CSC arrays (column pointers, row indices, values), column by
-column.
+backward substitution (BS) in one of three passes. All are byte-identical
+to the sequential reference ``solve_fe``, ``x *= dinv``, ``solve_bs`` on
+the permuted right-hand side: FE and BS alone, on L's three CSC arrays
+(column pointers, row indices, values), column by column.
 
-- ``solve_ldl``, the one-pass list solve, over the operands that
-  ``ldl_operands`` makes of L's CSC arrays, L's per-entry column index
-  and the reciprocal pivots. FE is one flat loop over L's (row, value,
-  column) triples in CSC order. It reads ``x[column]`` per entry, which
-  gives the same value as reading it once per column, since no entry of
-  a column updates that column's own row. BS is the column loop of
-  ``_backward``.
-- ``solve_levels``, the level-scheduled solve, over the groups that
-  ``level_schedule`` makes of L's entries (Anderson and Saad, "Solving
-  sparse triangular linear systems on parallel computers", 1989). The FE
-  level of a row is 1 + the largest level among the columns that update
-  it, the BS level of a column 1 + the largest level among its rows. FE
-  applies L's entries grouped by the level of their row, BS grouped by
-  the level of their column, each group with one ``np.subtract.at`` on
-  the array ``x``. The stable sort that groups them keeps CSC order
-  inside a group, so each entry of x sees the reference's subtractions in
-  the reference's order. Its cost per solve is one numpy call per level,
-  not one interpreted step per entry, so it wins on wide factors: those
-  whose mean level width, nnz(L) / levels, reaches
-  ``SCHEDULE_MIN_WIDTH``.
+- ``SolvePlan.solve``, the generated solve, for a narrow factor without
+  numba. ``ldl_source`` writes the solve of one sparsity pattern of L and
+  one permutation as straight-line Python: b is unpacked into one local
+  per entry, FE is one chained statement per row of L, the diagonal scale
+  one statement per entry, BS one chained statement per column, and x is
+  returned in the original order, so the permutation costs nothing. Each
+  statement subtracts the reference's products in the reference's order.
+  ``solve_plan`` compiles it once per pattern and keeps it, with the
+  pattern's arrays, in a cache of ``PLAN_CACHE_SIZE`` patterns; each
+  solve then only feeds it L's values and dinv, as lists.
+- ``solve_levels``, the level-scheduled solve, for a wide factor without
+  numba, over the groups that ``level_schedule`` makes of L's entries
+  (Anderson and Saad, "Solving sparse triangular linear systems on
+  parallel computers", 1989). The FE level of a row is 1 + the largest
+  level among the columns that update it, the BS level of a column 1 +
+  the largest level among its rows. FE applies L's entries grouped by the
+  level of their row, BS grouped by the level of their column, each group
+  with one ``np.subtract.at`` on the array ``x``. The stable sort that
+  groups them keeps CSC order inside a group, so each entry of x sees the
+  reference's subtractions in the reference's order. Its cost per solve
+  is one numpy call per level, not one interpreted step per entry, so it
+  wins on wide factors: those whose mean level width, nnz(L) / levels,
+  reaches ``SCHEDULE_MIN_WIDTH``.
+- ``solve_ldl``, the one-pass loop, compiled by numba for every factor
+  when numba is installed (``SCHEDULE_MIN_WIDTH`` is then infinite). FE
+  is one flat loop over L's (row, value, column) triples in CSC order. It
+  reads ``x[column]`` per entry, which gives the same value as reading it
+  once per column, since no entry of a column updates that column's own
+  row. BS is the column loop of ``_backward``.
 
-``solve_ldl``, ``solve_fe`` and ``solve_bs`` have two execution paths over
-one loop body:
+Without numba the reference solves ``solve_fe`` and ``solve_bs`` run
+their loop bodies on Python lists, which the interpreter indexes several
+times faster than numpy arrays: L's arrays through ``tolist``, converted
+inside each call, and x through ``as_list``, written back into x once
+when the body returns. The generated solve computes on the same scalars.
+Every update still rounds in x's dtype, and the conversions are exact for
+fp32 and fp64. An fp64 x becomes Python floats, whose arithmetic is the
+same IEEE double arithmetic and costs less per operation than numpy
+scalars'. An fp32 x becomes ``np.float32`` scalars: Python floats would
+compute in double and round twice. L's values and dinv, which meet x in
+products, take the same form; under NumPy >= 2 (NEP 50) a Python float
+from ``tolist`` would also round in float32, but costs more per product.
 
-- with numba installed, the bodies are compiled and run on the arrays,
-  and ``ldl_operands`` returns the arrays themselves. The compiled
-  ``solve_ldl`` then runs for every factor: ``SCHEDULE_MIN_WIDTH`` is
-  infinite;
-- without it, the interpreter runs them on Python lists, which it indexes
-  several times faster than numpy arrays. ``ldl_operands`` converts the
-  operands through ``tolist``, and the reference solves convert L's
-  arrays inside each call. ``x`` becomes a list that is written back into
-  ``x`` once when the body returns. Every update still rounds in x's
-  dtype, and ``tolist`` is exact for fp32 and fp64. An fp64 ``x`` becomes
-  Python floats (``x.tolist()``), whose arithmetic is the same IEEE
-  double arithmetic and costs less per operation than numpy scalars'. An
-  fp32 ``x`` becomes ``np.float32`` scalars (``list(x)``): Python floats
-  would compute in double and round twice, while under NumPy >= 2
-  (NEP 50) a Python float times an ``np.float32`` is computed in float32.
-  Both paths give the same bits.
-
-Nothing here keeps a list or a schedule: the operands live as long as
-their caller holds them (``LdlFactor.solve`` for one call,
-``LdlFactor.converted`` for one ADMM solve), so a change to ``L.values``
-shows in the next conversion. The factorization itself is SuperLU's,
-called from ``ldl``.
+What this module keeps is the compiled code and the read-only pattern
+arrays of the cached plans, which factors of those patterns share as
+their own index arrays. Values are never kept: the operands, lists or
+schedule, live as long as their caller holds them (``LdlFactor.solve``
+for one call, ``LdlFactor.converted`` for one ADMM solve), so a change to
+``L.values`` shows in the next conversion. The factorization itself is
+SuperLU's, called from ``ldl``.
 """
 
 from __future__ import annotations
@@ -167,56 +170,135 @@ def solve_levels(fe, dinv, bs, x):
     _apply_levels(bs, x)
 
 
-def _x_on_list(body):
-    """``body`` run with ``x`` as Python floats if it is fp64 and as its
-    own scalars otherwise, written back into ``x`` once at the end; the
-    other operands are passed on as given."""
+def as_list(x):
+    """The entries of the fp32 or fp64 vector ``x`` as the interpreted
+    solves compute on them: Python floats if it is fp64, its own scalars
+    otherwise."""
+    return x.tolist() if x.dtype == np.float64 else list(x)
+
+
+def _on_lists(body):
+    """``body`` run on Python lists: the operand arrays as ``tolist`` gives
+    them, ``x`` as ``as_list`` gives it, written back into ``x`` once at
+    the end."""
 
     @functools.wraps(body)
     def solve(*args):
         x = args[-1]
-        xs = x.tolist() if x.dtype == np.float64 else list(x)
-        body(*args[:-1], xs)
+        xs = as_list(x)
+        body(*(a.tolist() for a in args[:-1]), xs)
         x[:] = xs
 
     return solve
 
 
-def _as_lists(*arrays):
-    return tuple(a.tolist() for a in arrays)
+# The most products one generated statement subtracts. Python's compiler
+# recurses once per operator of an expression, and a longer row continues
+# in the next statement, which rounds the same.
+STATEMENT_TERMS = 32
+# Sparsity patterns whose generated solves stay cached in a process.
+PLAN_CACHE_SIZE = 8
 
 
-def _as_arrays(*arrays):
-    return arrays
+def _chained(target, terms):
+    """Statements that subtract ``terms`` from ``target``, in order."""
+    return [f" {target} = {target} - {' - '.join(terms[a:a + STATEMENT_TERMS])}"
+            for a in range(0, len(terms), STATEMENT_TERMS)]
 
 
-def _on_lists(body):
-    """``body`` run on Python lists: the operand arrays as ``tolist`` gives
-    them, ``x`` as ``_x_on_list`` gives it."""
-    on_list = _x_on_list(body)
+def ldl_source(colptr, rowidx, inv_perm):
+    """Python source of ``solve(l, d, b)``, which solves K x = b as
+    straight-line code, for K[perm][:, perm] = (I+L) D (I+L)^T with L of
+    pattern (``colptr``, ``rowidx``) and ``perm`` the inverse of
+    ``inv_perm``. ``l`` holds L's values in CSC order, ``d`` the
+    reciprocal pivots, ``b`` the right-hand side in the original order;
+    it returns x in the original order.
 
-    @functools.wraps(body)
-    def solve(*args):
-        on_list(*_as_lists(*args[:-1]), args[-1])
+    ``x{k}`` is the k-th entry of the permuted vector, so unpacking ``b``
+    into ``x{inv_perm[i]}`` and returning them in that order applies the
+    permutation and its inverse. FE is one chained statement per row of L,
+    ``x5 = x5 - l0*x0 - l3*x1``: its products in column order, the order in
+    which ``_forward`` subtracts them. The diagonal scale follows, then BS,
+    one chained statement per column from the last, its products in CSC
+    order as in ``_backward``. Each product and difference has the
+    operands of the reference's, in the same order, so it rounds the
+    same."""
+    n = len(colptr) - 1
+    Lp, Li = colptr.tolist(), rowidx.tolist()
+    rows = [[] for _ in range(n)]
+    for j in range(n):
+        for p in range(Lp[j], Lp[j + 1]):
+            rows[Li[p]].append(f"l{p}*x{j}")
+    x = ", ".join(f"x{k}" for k in inv_perm.tolist())
+    lines = ["def solve(l, d, b):",
+             f" [{x}] = b",
+             f" [{', '.join(f'l{p}' for p in range(Lp[n]))}] = l",
+             f" [{', '.join(f'd{k}' for k in range(n))}] = d"]
+    for i in range(n):
+        lines += _chained(f"x{i}", rows[i])
+    lines += [f" x{k} = x{k} * d{k}" for k in range(n)]
+    for j in range(n - 1, -1, -1):
+        lines += _chained(f"x{j}", [f"l{p}*x{Li[p]}" for p in range(Lp[j], Lp[j + 1])])
+    lines.append(f" return [{x}]")
+    return "\n".join(lines)
 
-    return solve
+
+def ldl_kernel(colptr, rowidx, inv_perm):
+    """The function that ``ldl_source`` writes, compiled."""
+    namespace = {}
+    exec(compile(ldl_source(colptr, rowidx, inv_perm),
+                 f"<LDL solve, n={len(inv_perm)}, nnz={len(rowidx)}>", "exec"), namespace)
+    return namespace["solve"]
+
+
+class SolvePlan:
+    """The generated solve of one sparsity pattern of L and permutation,
+    and the pattern's arrays, read-only: L's ``colptr`` and ``rowidx``,
+    ``perm`` and ``inv_perm``. Every factor of the pattern shares them."""
+
+    __slots__ = ("colptr", "rowidx", "perm", "inv_perm", "kernel")
+
+    def __init__(self, colptr, rowidx, perm, inv_perm):
+        self.colptr, self.rowidx, self.perm, self.inv_perm = colptr, rowidx, perm, inv_perm
+        self.kernel = ldl_kernel(colptr, rowidx, inv_perm)
+
+    def solve(self, Lx, dinv, b):
+        """x of K x = b, for b an fp32 or fp64 vector in the original
+        order and L's values ``Lx`` and ``dinv`` in b's dtype, all three as
+        ``as_list`` gives them; x is returned in b's dtype."""
+        return np.array(self.kernel(Lx, dinv, as_list(b)), dtype=b.dtype)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cached_plan(*pattern):
+    return SolvePlan(*(np.frombuffer(data, dtype) for dtype, data in pattern))
+
+
+def solve_plan(colptr, rowidx, perm, inv_perm):
+    """The ``SolvePlan`` of this pattern: generated and compiled on the
+    first call, then taken from a cache of the last ``PLAN_CACHE_SIZE``
+    patterns, keyed by the arrays' dtypes and bytes. Its arrays are
+    read-only copies, made once per pattern."""
+    return _cached_plan(*((a.dtype.str, a.tobytes()) for a in (colptr, rowidx, perm, inv_perm)))
 
 
 try:
     from numba import njit
 except ImportError:  # pragma: no cover - exercised only without numba
+    COMPILED = False
     solve_fe = _on_lists(_forward)
     solve_bs = _on_lists(_backward)
-    solve_ldl = _x_on_list(_ldl)
-    ldl_operands = _as_lists
-    # nnz(L) / levels from which the level schedule beats the list solve.
-    # Per KKT solve in fp64 on a 2-vCPU x86 host, the schedule took 2.5x
-    # the list solve's time at a mean width of 12 (P2x2), 1.16x at 36
-    # (P4x4), 1.0x at 42 (P5x5) and 0.76x at 76 (P8x8).
+    # nnz(L) / levels from which a factor runs on the level schedule
+    # instead of the solve generated for its pattern. Per KKT solve on a
+    # 2-vCPU x86 host (Python 3.11), the schedule took 2.3-7x the
+    # generated solve's time in fp64 up to P6x6, and 1.5x at P8x8 (width
+    # 76), whose generated solve would cost an 80 ms compile and 1 MiB
+    # (250 KiB of bytecode) per pattern. In fp32 it took 1.0x at P4x4
+    # (width 36), 0.8x at P5x5 (42), 0.7x at P6x6 and 0.5x at P8x8.
     SCHEDULE_MIN_WIDTH = 40
 else:
+    COMPILED = True
     solve_fe = njit(cache=True)(_forward)
     solve_bs = njit(cache=True)(_backward)
     solve_ldl = njit(cache=True)(_ldl)
-    ldl_operands = _as_arrays
     SCHEDULE_MIN_WIDTH = np.inf

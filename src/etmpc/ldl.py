@@ -21,23 +21,30 @@ the permutation pair are int16 while n and nnz(L) are below 2**15
 Bring-up runs once per model, ahead of time. SuperLU computes in double
 precision whatever the storage precision, fp32 or fp64, and L, d and dinv
 are rounded to it once. ``LdlFactor.solve`` runs FE, the diagonal scale
-and BS in one pass, on one of two paths (``_kernels``), both
+and BS in one pass, on one of three paths (``_kernels``), all
 byte-identical to the sequential reference:
 
 - with numba installed, ``_kernels.solve_ldl`` compiled on L's arrays,
   for every factor;
-- without it, a narrow factor runs ``solve_ldl`` interpreted on Python
-  lists (``_kernels.ldl_operands``: L's arrays, L's per-entry column index
-  and dinv). A wide one, whose mean level width nnz(L) / levels reaches
-  ``_kernels.SCHEDULE_MIN_WIDTH`` (P8x8, not P2x2 or P4x4), runs
+- without it, a narrow factor runs the straight-line solve generated for
+  its sparsity pattern and permutation (``_kernels.SolvePlan``), which
+  reads L's values and dinv as lists and permutes b as it unpacks it.
+  ``ldl_numeric`` takes the plan from ``_kernels.solve_plan``, which
+  generates and compiles it once per pattern in a process, and the
+  factor's index arrays, ``perm`` and ``inv_perm`` become the plan's
+  read-only arrays, one copy per pattern;
+- without it, a wide factor, whose mean level width nnz(L) / levels
+  reaches ``_kernels.SCHEDULE_MIN_WIDTH`` (P8x8, not P2x2 or P4x4), runs
   ``_kernels.solve_levels``: one numpy update per level and direction, on
   L's entries grouped by level (``_kernels.level_schedule``).
 
-The operands, lists or schedule, are made once per
+The operands, value lists or schedule, are made once per
 ``LdlFactor.converted`` block, which ``AdmmSolver.solve`` opens around its
 iterations, and once per call outside such a block. No conversion
-outlives its block or call, so each reads ``L.values`` as it is then, and
-between solves the factor holds nothing O(n) beyond its arrays.
+outlives its block or call, so each reads ``L.values`` as it is then.
+Between solves the factor holds its arrays and, on the generated path, a
+reference to its plan, whose code is O(nnz(L)) but shared by every factor
+of the pattern.
 """
 
 from __future__ import annotations
@@ -73,6 +80,8 @@ class LdlFactor:
     perm: np.ndarray            # perm[k] = original index of the k-th pivot
     inv_perm: np.ndarray        # inv_perm[perm] = arange(n)
     levels: int                 # FE levels of L, as many as its BS levels
+    # the generated solve of a narrow factor without numba, else None
+    plan: K.SolvePlan | None = field(default=None, repr=False, compare=False)
 
     # the solve and its operands of the open ``converted`` block, None outside one
     _operands: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -89,23 +98,31 @@ class LdlFactor:
 
     def solve(self, b):
         """Solve K x = b: permute b, run FE / diagonal / BS in one pass and
-        permute back. Inside a ``converted`` block the pass reuses the
-        block's operands; outside one it makes them for this call alone."""
+        permute back; the generated solve of a plan permutes as it goes.
+        Inside a ``converted`` block the pass reuses the block's operands;
+        outside one it makes them for this call alone. A right-hand side
+        that is not a vector of length n raises ``DimensionError``, one
+        that is not real numbers (complex, bool, object) ``TypeError``."""
         b = np.asarray(b)
         if b.shape != (self.n,):
             raise DimensionError(f"rhs must be a vector of length {self.n}, got shape {b.shape}")
-        xp = np.ascontiguousarray(b[self.perm], dtype=self.L.dtype)
+        if b.dtype.kind not in "iuf":
+            raise TypeError(f"rhs must hold real numbers, not {b.dtype}")
         kernel, operands = self._operands if self._operands is not None else self._convert()
+        if self.plan is not None:
+            return kernel(*operands, b.astype(self.L.dtype, copy=False))
+        xp = np.ascontiguousarray(b[self.perm], dtype=self.L.dtype)
         kernel(*operands, xp)
         return xp[self.inv_perm]
 
     @contextlib.contextmanager
     def converted(self):
         """A block in which every ``solve`` reuses one conversion of L's
-        arrays and dinv, lists or level schedule, made on entry and
-        dropped on exit, by return or raise. A nested block keeps the
-        outer conversion. A change to ``L.values`` inside the block shows
-        only in the next one."""
+        values and dinv (value lists for a plan, a level schedule, or the
+        arrays themselves with numba), made on entry and dropped on exit,
+        by return or raise. A nested block keeps the outer conversion. A
+        change to ``L.values`` inside the block shows only in the next
+        one."""
         if self._operands is not None:
             yield self
             return
@@ -118,10 +135,12 @@ class LdlFactor:
     def _convert(self):
         """The pass this factor runs and its operands."""
         L = self.L
+        if self.plan is not None:
+            return self.plan.solve, (K.as_list(L.values), K.as_list(self.dinv))
         columns = column_indices(L.colptr)
         if self.scheduled:
             return K.solve_levels, K.level_schedule(L.rowidx, L.values, columns, self.dinv)
-        return K.solve_ldl, K.ldl_operands(L.colptr, L.rowidx, L.values, columns, self.dinv)
+        return K.solve_ldl, (L.colptr, L.rowidx, L.values, columns, self.dinv)
 
 
 def ldl_numeric(upper) -> LdlFactor:
@@ -131,7 +150,10 @@ def ldl_numeric(upper) -> LdlFactor:
     K + K^T.
 
     The factor's index arrays are int16 while n and nnz(L) are below
-    2**15, and its level count is computed here, once.
+    2**15, and its level count is computed here, once. Without numba a
+    narrow factor also takes its pattern's ``_kernels.SolvePlan`` here,
+    generated on the pattern's first bring-up in the process, and shares
+    the plan's read-only index arrays, ``perm`` and ``inv_perm``.
 
     A storage precision other than fp32 or fp64 raises ``TypeError``, an
     entry of ``upper`` below the diagonal ``ValueError``. A pivot below
@@ -167,6 +189,11 @@ def ldl_numeric(upper) -> LdlFactor:
     index = narrow_index_dtype(L.nrows, L.nnz)
     L.colptr, L.rowidx = L.colptr.astype(index), L.rowidx.astype(index)
     L.values = L.values.astype(dtype, copy=False)
-    return LdlFactor(L, d.astype(dtype), (1.0 / d).astype(dtype),
-                     np.argsort(lu.perm_c).astype(index), lu.perm_c.astype(index),
-                     K.level_count(L.rowidx, column_indices(L.colptr), L.nrows))
+    factor = LdlFactor(L, d.astype(dtype), (1.0 / d).astype(dtype),
+                       np.argsort(lu.perm_c).astype(index), lu.perm_c.astype(index),
+                       K.level_count(L.rowidx, column_indices(L.colptr), L.nrows))
+    if not (K.COMPILED or factor.scheduled):
+        plan = factor.plan = K.solve_plan(L.colptr, L.rowidx, factor.perm, factor.inv_perm)
+        L.colptr, L.rowidx, factor.perm, factor.inv_perm = (
+            plan.colptr, plan.rowidx, plan.perm, plan.inv_perm)
+    return factor

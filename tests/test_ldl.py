@@ -16,8 +16,11 @@ from oracles import (assert_permutation_pair, dense_ldl, dense_lower_pattern_aft
                      sptrsv_fe)
 
 
-# without numba, a wide factor's solve runs on the level schedule
-INTERPRETED = etmpc._kernels.SCHEDULE_MIN_WIDTH < np.inf
+# without numba, a wide factor's solve runs on the level schedule and a
+# narrow one's on the solve generated for its pattern
+INTERPRETED = not etmpc._kernels.COMPILED
+interpreted_only = pytest.mark.skipif(
+    not INTERPRETED, reason="with numba every factor runs the compiled solve_ldl")
 
 
 def upper_csc(dense):
@@ -280,7 +283,7 @@ def test_list_path_is_byte_exact_on_extreme_inputs(body, public, dtype):
 
 def ldl_reference(L, dinv, b):
     """FE, the diagonal scale and BS on arrays, one after the other: the
-    sequential reference of ``_kernels.solve_ldl``."""
+    sequential reference of every pass of ``LdlFactor.solve``."""
     x = b.copy()
     etmpc._kernels._forward(L.colptr, L.rowidx, L.values, x)
     x *= dinv
@@ -288,17 +291,41 @@ def ldl_reference(L, dinv, b):
     return x
 
 
-def ldl_paths():
-    """``solve_ldl`` as the package runs it (compiled with numba), on Python
-    lists whether numba is installed or not, and the level-scheduled pass
-    on arrays; each takes (L, dinv, x)."""
+def ldl_paths(L, generated=True):
+    """The passes of ``LdlFactor.solve`` on L, each a function of (dinv, x)
+    that solves in place in the permuted order: the level-scheduled pass,
+    ``solve_ldl`` compiled (with numba installed) and, if ``generated``,
+    the solve generated for L's pattern and a random permutation, which it
+    applies to b on entry and undoes on return."""
     k = etmpc._kernels
-    operands = lambda L, dinv, convert: convert(L.colptr, L.rowidx, L.values,
-                                                column_indices(L.colptr), dinv)
-    return (lambda L, dinv, x: k.solve_ldl(*operands(L, dinv, k.ldl_operands), x),
-            lambda L, dinv, x: k._x_on_list(k._ldl)(*operands(L, dinv, k._as_lists), x),
-            lambda L, dinv, x: k.solve_levels(*k.level_schedule(
-                L.rowidx, L.values, column_indices(L.colptr), dinv), x))
+    columns = column_indices(L.colptr)
+    paths = [lambda dinv, x: k.solve_levels(*k.level_schedule(L.rowidx, L.values, columns, dinv),
+                                            x)]
+    if k.COMPILED:
+        paths.append(lambda dinv, x: k.solve_ldl(L.colptr, L.rowidx, L.values, columns, dinv, x))
+    if generated:
+        perm = np.random.default_rng(L.nnz).permutation(L.nrows).astype(L.colptr.dtype)
+        plan = k.SolvePlan(L.colptr, L.rowidx, perm, np.argsort(perm).astype(perm.dtype))
+
+        def generated_solve(dinv, x):
+            b = np.empty_like(x)
+            b[perm] = x
+            x[:] = plan.solve(k.as_list(L.values), k.as_list(dinv), b)[perm]
+
+        paths.append(generated_solve)
+    return paths
+
+
+def long_row_factor(dtype, n=2002):
+    """(L, dinv) whose first column and last row are full: one FE row and
+    one BS column of n - 1 = 2001 products each."""
+    rng = np.random.default_rng(43)
+    ldense = np.zeros((n, n))
+    ldense[1:, 0] = rng.standard_normal(n - 1) / n
+    ldense[-1, :-1] = rng.standard_normal(n - 1) / n
+    L = unit_lower(ldense.astype(dtype))
+    L.colptr, L.rowidx = L.colptr.astype(np.int16), L.rowidx.astype(np.int16)
+    return L, rng.uniform(0.5, 2.0, n).astype(dtype)
 
 
 def mpc_qp(grid):
@@ -318,29 +345,35 @@ def mpc_factor(grid, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_solve_ldl_is_byte_exact_with_the_array_reference(dtype):
-    """The one-pass solve, flat FE included, and the level-scheduled pass
-    must give the bits of FE, ``*= dinv`` and BS on arrays, on the
-    controller's factors and on random ones, and write the result into x,
-    a strided view included."""
+    """Every pass, the solve generated for a narrow factor's pattern and a
+    row of 2001 products included, must give the bits of FE, ``*= dinv``
+    and BS on arrays, on the controller's factors and on random ones, and
+    write the result into x, a strided view included."""
     rng = np.random.default_rng(23)
     factors = [mpc_factor(grid, dtype) for grid in (2, 3, 4, 8)]
     factors += [ldl_numeric(scipy.sparse.csc_array(
         random_kkt_upper(rng, int(rng.integers(2, 30)), int(rng.integers(1, 20))).astype(dtype)))
         for _ in range(20)]
     assert all(f.L.dtype == dtype for f in factors) and factors[3].L.nnz > 5000
-    for f in factors:
+    # the solve is generated for the factors that are narrow without numba
+    cases = [(f.L, f.dinv, f.L.nnz < 40 * f.levels) for f in factors]
+    assert [narrow for _, _, narrow in cases[:4]] == [True, True, True, False]
+    cases.append((*long_row_factor(dtype), True))
+    for L, dinv, generated in cases:
+        n = L.nrows
+        paths = ldl_paths(L, generated)
         for zero_share in (0.0, 0.5):
-            b = rng.standard_normal(f.n).astype(dtype)
-            zeros = rng.random(f.n) < zero_share
+            b = rng.standard_normal(n).astype(dtype)
+            zeros = rng.random(n) < zero_share
             b[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
-            ref = ldl_reference(f.L, f.dinv, b)
-            for solve in ldl_paths():
+            ref = ldl_reference(L, dinv, b)
+            for solve in paths:
                 x = b.copy()
-                solve(f.L, f.dinv, x)
+                solve(dinv, x)
                 assert x.dtype == dtype and x.tobytes() == ref.tobytes()
-                buf = np.full(2 * f.n, 7.0, dtype=dtype)
+                buf = np.full(2 * n, 7.0, dtype=dtype)
                 buf[::2] = b
-                solve(f.L, f.dinv, buf[::2])
+                solve(dinv, buf[::2])
                 assert buf[::2].tobytes() == ref.tobytes() and np.all(buf[1::2] == 7.0)
 
 
@@ -348,14 +381,15 @@ def test_solve_ldl_is_byte_exact_with_the_array_reference(dtype):
 def test_solve_ldl_is_byte_exact_on_extreme_inputs(dtype):
     rng = np.random.default_rng(29)
     L, bs, dvals = extreme_inputs(dtype, rng)
+    paths = ldl_paths(L)
     refs = []
     for b in bs:
         dinv = rng.choice(dvals, L.nrows)
         with np.errstate(all="ignore"):
             ref = ldl_reference(L, dinv, b)
-            for solve in ldl_paths():
+            for solve in paths:
                 x = b.copy()
-                solve(L, dinv, x)
+                solve(dinv, x)
                 assert x.tobytes() == ref.tobytes()
         refs.append(ref)
     assert_extremes_reach(refs, dtype)
@@ -381,8 +415,8 @@ def test_factor_solve_is_byte_exact_with_the_reference(dtype):
 
 
 def test_factor_solve_reads_L_values_on_every_call():
-    """A factor must keep no copy of L's values, on the list pass or the
-    level schedule: the benchmark's KKT gate perturbs one of them in place
+    """A factor must keep no copy of L's values, on the generated solve or
+    the level schedule: the benchmark's KKT gate perturbs one of them in place
     and expects the solve to change."""
     rng = np.random.default_rng(21)
     narrow = ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 6, 4)))
@@ -419,15 +453,32 @@ def test_dense_ldl_oracle_agreement():
     np.testing.assert_allclose(f.d, d_o, atol=1e-9)
 
 
-def test_factor_solve_rejects_matrix_rhs_before_any_work(monkeypatch):
+def test_factor_solve_rejects_matrix_rhs_before_any_work(factor_conversions):
     f = ldl_numeric(upper_csc(np.array([[2.0, 1.0], [1.0, -3.0]])))
-    calls = []
-    for name in ("ldl_operands", "solve_ldl"):
-        monkeypatch.setattr(etmpc._kernels, name, lambda *args: calls.append(args))
     for b in (np.ones((2, 3)), np.ones((2, 1)), np.ones(3), np.float64(1.0)):
         with pytest.raises(DimensionError):
             f.solve(b)
-    assert calls == []
+    assert factor_conversions == []
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_factor_solve_rejects_a_complex_or_non_numeric_rhs(factor_conversions, dtype):
+    """Casting a complex b to the factor's dtype would drop its imaginary
+    part with no more than a warning; every pass refuses it, and any b
+    that is not real numbers, before any work. Integers are real."""
+    rng = np.random.default_rng(47)
+    narrow = ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 6, 4).astype(dtype)))
+    wide = mpc_factor(8, dtype)
+    assert not narrow.scheduled and wide.scheduled == INTERPRETED
+    for f in (narrow, wide):
+        for b in (np.array([1 + 2j] + [1.0] * (f.n - 1)), np.ones(f.n, dtype=np.complex64),
+                  [True] * f.n, ["1.0"] * f.n, [None] * f.n):
+            with pytest.raises(TypeError, match="real numbers"):
+                f.solve(b)
+    assert factor_conversions == []
+    for f in (narrow, wide):
+        b = rng.integers(-5, 5, f.n)
+        assert f.solve(b).tobytes() == factor_reference(f, b.astype(np.float64)).tobytes()
 
 
 @pytest.mark.parametrize("precision", ["fp64", "fp32"])
@@ -455,26 +506,91 @@ def test_kkt_solves_inside_an_admm_solve_are_byte_exact(precision):
         assert exact == [True] * (solves * solver.settings.max_iter)
 
 
-def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_list_pass():
+def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_generated_solve():
     """Without numba a factor whose mean level width, nnz(L) / levels,
     reaches ``SCHEDULE_MIN_WIDTH`` runs on the level schedule: P8x8
-    (6244 / 82 = 76.1) does, P2x2 (11.9) and P4x4 (35.6) do not. With
+    (6244 / 82 = 76.1) does. P2x2 (11.9) and P4x4 (35.6) run the solve
+    generated for their pattern, on two lists: L's values and dinv. With
     numba every factor runs the compiled one-pass solve."""
     k = etmpc._kernels
     for grid, wide in ((2, False), (4, False), (8, True)):
         f = mpc_factor(grid, np.float64)
         assert (f.L.nnz >= 40 * f.levels) == wide
+        assert (f.plan is not None) == (INTERPRETED and not wide)
         with f.converted():
             kernel, operands = f._operands
-            if wide and INTERPRETED:
+            if not INTERPRETED:
+                assert kernel is k.solve_ldl and len(operands) == 5
+            elif wide:
                 fe, dinv, bs = operands
                 # one group per level above 0, in each direction
                 assert kernel is k.solve_levels and len(fe) == len(bs) == f.levels - 1
                 assert dinv is f.dinv
                 assert sum(len(values) for _, _, values in fe + bs) == 2 * f.L.nnz
             else:
-                assert kernel is k.solve_ldl and len(operands) == 5
+                assert kernel == f.plan.solve
+                assert operands == (f.L.values.tolist(), f.dinv.tolist())
         assert f._operands is None
+
+
+@pytest.fixture
+def kernel_compiles(monkeypatch):
+    """The list that grows by one per generated solve compiled, from an
+    empty plan cache."""
+    k = etmpc._kernels
+    k._cached_plan.cache_clear()
+    calls = []
+    real = k.ldl_kernel
+    monkeypatch.setattr(k, "ldl_kernel", lambda *pattern: calls.append(1) or real(*pattern))
+    return calls
+
+
+@interpreted_only
+def test_solvers_of_one_grid_share_one_plan_built_at_bring_up(kernel_compiles):
+    """Every bring-up of a grid gives the same pattern: the first compiles
+    its solve, the next takes the cached plan and its arrays, and the
+    solves themselves compile nothing."""
+    mpcqp, model = mpc_qp(2)
+    first, second = (AdmmSolver(mpcqp.qp) for _ in range(2))
+    assert len(kernel_compiles) == 1
+    a, b = first.kkt.factor, second.kkt.factor
+    assert a.plan is not None and a.plan is b.plan
+    for f in (a, b):
+        assert f.L.colptr is f.plan.colptr and f.L.rowidx is f.plan.rowidx
+        assert f.perm is f.plan.perm and f.inv_perm is f.plan.inv_perm
+    update_mpc_step(mpcqp, np.full(model.n_x, 33.0), np.full(model.n_u, 2.0))
+    assert first.solve().x.tobytes() == second.solve().x.tobytes()
+    assert len(kernel_compiles) == 1
+
+
+@interpreted_only
+def test_a_factor_keeps_its_plan_after_the_cache_drops_it(kernel_compiles):
+    rng = np.random.default_rng(53)
+    factors = [ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 10, 8)))
+               for _ in range(etmpc._kernels.PLAN_CACHE_SIZE + 1)]
+    assert len(kernel_compiles) == len({f.L.rowidx.tobytes() for f in factors}) == len(factors)
+    first = factors[0]
+    again = etmpc._kernels.solve_plan(first.L.colptr, first.L.rowidx, first.perm, first.inv_perm)
+    assert again is not first.plan and len(kernel_compiles) == len(factors) + 1
+    b = rng.standard_normal(first.n)
+    assert first.solve(b).tobytes() == factor_reference(first, b).tobytes()
+
+
+@interpreted_only
+def test_shared_pattern_arrays_are_read_only_and_values_stay_live():
+    f = mpc_factor(2, np.float64)
+    for shared in (f.L.colptr, f.L.rowidx, f.perm, f.inv_perm):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = shared[0]
+    b = np.random.default_rng(59).standard_normal(f.n)
+    with f.converted():
+        before = f.solve(b)
+    f.L.values[np.argmax(np.abs(f.L.values))] *= 1 + 1e-6
+    with f.converted():
+        after = f.solve(b)
+    assert not np.array_equal(after, before)
+    assert after.tobytes() == factor_reference(f, b).tobytes()
 
 
 def test_levels_match_a_longest_path_oracle():
