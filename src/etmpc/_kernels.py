@@ -1,61 +1,67 @@
-"""Triangular solves with the LDL^T factor.
+"""Triangular solves with the LDL^T factor, planned once per sparsity pattern.
 
 ``LdlFactor.solve`` runs forward elimination (FE), the diagonal scale and
-backward substitution (BS) in one of three passes. All are byte-identical
-to the sequential reference ``solve_fe``, ``x *= dinv``, ``solve_bs`` on
-the permuted right-hand side: FE and BS alone, on L's three CSC arrays
-(column pointers, row indices, values), column by column.
+backward substitution (BS) through a plan: the one object that knows how
+a sparsity pattern of L and a permutation are solved. How a pattern is
+solved depends on the pattern alone, so its plan is made ahead of time,
+once, and each solve feeds it L's values and dinv (Anderson and Saad,
+"Solving sparse triangular linear systems on parallel computers", 1989).
+``solve_plan`` is the one place that picks a plan. It builds it on the
+pattern's first bring-up in a process and keeps it in a cache of
+``PLAN_CACHE_SIZE`` patterns.
 
-- ``SolvePlan.solve``, the generated solve, for a narrow factor without
-  numba. ``ldl_source`` writes the solve of one sparsity pattern of L and
-  one permutation as straight-line Python: b is unpacked into one local
-  per entry, FE is one chained statement per row of L, the diagonal scale
-  one statement per entry, BS one chained statement per column, and x is
+The two plan classes share one interface: the pattern's read-only arrays
+``colptr``, ``rowidx``, ``perm`` and ``inv_perm``, its number of
+``levels``, ``operands(Lx, dinv)``, called once per conversion of L's
+values, and ``solve(*operands, b)``, which takes b and returns x in the
+original order. Both are byte-identical to the sequential reference
+``solve_fe``, ``x *= dinv``, ``solve_bs`` on the permuted right-hand
+side: FE and BS alone, on L's three CSC arrays (column pointers, row
+indices, values), column by column.
+
+- ``SolvePlan``, the generated solve. ``ldl_source`` writes the solve of
+  the pattern as straight-line Python: b is unpacked into one local per
+  entry, FE is one chained statement per row of L, the diagonal scale one
+  statement per entry, BS one chained statement per column, and x is
   returned in the original order, so the permutation costs nothing. Each
   statement subtracts the reference's products in the reference's order.
-  ``solve_plan`` compiles it once per pattern and keeps it, with the
-  pattern's arrays, in a cache of ``PLAN_CACHE_SIZE`` patterns; each
-  solve then only feeds it L's values and dinv, as lists.
-- ``solve_levels``, the level-scheduled solve, for a wide factor without
-  numba, over the groups that ``level_schedule`` makes of L's entries
-  (Anderson and Saad, "Solving sparse triangular linear systems on
-  parallel computers", 1989). The FE level of a row is 1 + the largest
-  level among the columns that update it, the BS level of a column 1 +
-  the largest level among its rows. FE applies L's entries grouped by the
-  level of their row, BS grouped by the level of their column, each group
-  with one ``np.subtract.at`` on the array ``x``. The stable sort that
-  groups them keeps CSC order inside a group, so each entry of x sees the
-  reference's subtractions in the reference's order. Its cost per solve
-  is one numpy call per level, not one interpreted step per entry, so it
-  wins on wide factors: those whose mean level width, nnz(L) / levels,
-  reaches ``SCHEDULE_MIN_WIDTH``.
-- ``solve_ldl``, the one-pass loop, compiled by numba for every factor
-  when numba is installed (``SCHEDULE_MIN_WIDTH`` is then infinite). FE
-  is one flat loop over L's (row, value, column) triples in CSC order. It
-  reads ``x[column]`` per entry, which gives the same value as reading it
-  once per column, since no entry of a column updates that column's own
-  row. BS is the column loop of ``_backward``.
+  Its operands are L's values and dinv as lists.
+- ``LevelPlan``, the level schedule. The FE level of a row is 1 + the
+  largest level among the columns that update it, the BS level of a
+  column 1 + the largest level among its rows. FE applies L's entries
+  grouped by the level of their row, BS grouped by the level of their
+  column, each group with one ``np.subtract.at`` on the permuted x. The
+  stable sort that groups them keeps CSC order inside a group, so each
+  entry of x sees the reference's subtractions in the reference's order.
+  Its operands are L's values gathered per group, and dinv as it is.
 
-Without numba the reference solves ``solve_fe`` and ``solve_bs`` run
-their loop bodies on Python lists, which the interpreter indexes several
-times faster than numpy arrays: L's arrays through ``tolist``, converted
-inside each call, and x through ``as_list``, written back into x once
-when the body returns. The generated solve computes on the same scalars.
-Every update still rounds in x's dtype, and the conversions are exact for
-fp32 and fp64. An fp64 x becomes Python floats, whose arithmetic is the
-same IEEE double arithmetic and costs less per operation than numpy
-scalars'. An fp32 x becomes ``np.float32`` scalars: Python floats would
-compute in double and round twice. L's values and dinv, which meet x in
-products, take the same form; under NumPy >= 2 (NEP 50) a Python float
-from ``tolist`` would also round in float32, but costs more per product.
+The generated solve costs one interpreted step per entry of L and a
+compile that grows with n + nnz(L); the schedule costs one numpy call per
+group. ``solve_plan`` therefore schedules a pattern whose mean entries per
+group, nnz(L) / (levels - 1), reach ``SCHEDULE_MIN_WIDTH``, and generates
+the solve of the others. An L without entries has no group and is
+scheduled: its solve is the diagonal scale alone, and nothing is compiled.
 
-What this module keeps is the compiled code and the read-only pattern
-arrays of the cached plans, which factors of those patterns share as
-their own index arrays. Values are never kept: the operands, lists or
-schedule, live as long as their caller holds them (``LdlFactor.solve``
-for one call, ``LdlFactor.converted`` for one ADMM solve), so a change to
-``L.values`` shows in the next conversion. The factorization itself is
-SuperLU's, called from ``ldl``.
+The reference solves ``solve_fe`` and ``solve_bs`` run their loop bodies
+on Python lists, which the interpreter indexes several times faster than
+numpy arrays: L's arrays through ``tolist``, converted inside each call,
+and x through ``as_list``, written back into x once when the body
+returns. The generated solve computes on the same scalars. Every update
+still rounds in x's dtype, and the conversions are exact for fp32 and
+fp64. An fp64 x becomes Python floats, whose arithmetic is the same IEEE
+double arithmetic and costs less per operation than numpy scalars'. An
+fp32 x becomes ``np.float32`` scalars: Python floats would compute in
+double and round twice. L's values and dinv, which meet x in products,
+take the same form; under NumPy >= 2 (NEP 50) a Python float from
+``tolist`` would also round in float32, but costs more per product.
+
+What this module keeps is the cached plans: their compiled code or
+groups, and the read-only pattern arrays, which factors of the pattern
+share as their own index arrays. Values are never kept: the operands live
+as long as their caller holds them (``LdlFactor.solve`` for one call,
+``LdlFactor.converted`` for one ADMM solve), so a change to ``L.values``
+shows in the next conversion. The factorization itself is SuperLU's,
+called from ``ldl``.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .csc import column_indices
 
 
 def _forward(Lp, Li, Lx, x):
@@ -78,20 +86,6 @@ def _backward(Lp, Li, Lx, x):
     """In-place backward substitution: solve (I+L)^T x = b."""
     n = len(Lp) - 1
     for j in range(n - 1, -1, -1):
-        s = x[j]
-        for p in range(Lp[j], Lp[j + 1]):
-            s -= Lx[p] * x[Li[p]]
-        x[j] = s
-
-
-def _ldl(Lp, Li, Lx, Lj, dinv, x):
-    """In-place solve of (I+L) D (I+L)^T x = b for b given in x; ``Lj[p]``
-    is the column of L's entry p."""
-    for i, v, j in zip(Li, Lx, Lj):
-        x[i] -= v * x[j]
-    for k in range(len(x)):
-        x[k] *= dinv[k]
-    for j in range(len(Lp) - 2, -1, -1):
         s = x[j]
         for p in range(Lp[j], Lp[j + 1]):
             s -= Lx[p] * x[Li[p]]
@@ -122,54 +116,6 @@ def column_levels(Li, Lj, n):
     return level
 
 
-def level_count(Li, Lj, n):
-    """The number of FE levels of L, which is also its number of BS levels:
-    the longest dependency chain of the triangular solve."""
-    return max(row_levels(Li.tolist(), Lj.tolist(), n), default=0) + 1
-
-
-def _groups(level, targets, sources, values):
-    """L's entries grouped by ``level``, one level per entry, in ascending
-    order: one (targets, sources, values) triple of arrays per level. The
-    stable sort keeps CSC order inside a group."""
-    order = np.argsort(level, kind="stable")
-    level, targets, sources, values = level[order], targets[order], sources[order], values[order]
-    starts = np.flatnonzero(np.diff(level, prepend=-1)).tolist()
-    return [(targets[a:b], sources[a:b], values[a:b])
-            for a, b in zip(starts, starts[1:] + [len(level)])]
-
-
-def level_schedule(Li, Lx, Lj, dinv):
-    """The operands of ``solve_levels``: L's entries grouped for FE by the
-    level of their row and for BS by the level of their column, and dinv
-    as it is. Levels, like indices, are below n, so the levels and the
-    grouped indices are all in Li's dtype: 16 bits for a factor that fits,
-    whose level key numpy then radix-sorts."""
-    n = len(dinv)
-    Lj = Lj.astype(Li.dtype)
-    rows, cols = Li.tolist(), Lj.tolist()
-    fe = np.array(row_levels(rows, cols, n), dtype=Li.dtype)[Li]
-    bs = np.array(column_levels(rows, cols, n), dtype=Li.dtype)[Lj]
-    return _groups(fe, Li, Lj, Lx), dinv, _groups(bs, Lj, Li, Lx)
-
-
-def _apply_levels(groups, x):
-    for targets, sources, values in groups:
-        np.subtract.at(x, targets, values * x[sources])
-
-
-def solve_levels(fe, dinv, bs, x):
-    """In-place solve of (I+L) D (I+L)^T x = b for b given in the array x,
-    on the groups of ``level_schedule``: one ``np.subtract.at`` per level
-    and direction. ``ufunc.at`` applies a repeated target in order, so
-    each entry of x sees the subtractions of ``_forward`` and
-    ``_backward``, in their order; every source it reads is final, since
-    it lies on a lower level."""
-    _apply_levels(fe, x)
-    x *= dinv
-    _apply_levels(bs, x)
-
-
 def as_list(x):
     """The entries of the fp32 or fp64 vector ``x`` as the interpreted
     solves compute on them: Python floats if it is fp64, its own scalars
@@ -192,12 +138,23 @@ def _on_lists(body):
     return solve
 
 
+solve_fe = _on_lists(_forward)
+solve_bs = _on_lists(_backward)
+
 # The most products one generated statement subtracts. Python's compiler
 # recurses once per operator of an expression, and a longer row continues
 # in the next statement, which rounds the same.
 STATEMENT_TERMS = 32
-# Sparsity patterns whose generated solves stay cached in a process.
+# Sparsity patterns whose plans stay cached in a process.
 PLAN_CACHE_SIZE = 8
+# Mean entries of L per schedule group, nnz(L) / (levels - 1), from which
+# a pattern runs on the level schedule instead of the solve generated for
+# it. Per KKT solve on a 2-vCPU x86 host (Python 3.11), the schedule took
+# 2.3-7x the generated solve's time in fp64 up to P6x6, and 1.5x at P8x8
+# (77.1), whose generated solve would cost an 80 ms compile and 1 MiB
+# (250 KiB of bytecode) per pattern. In fp32 it took 1.0x at P4x4 (36.6),
+# 0.8x at P5x5, 0.7x at P6x6 and 0.5x at P8x8.
+SCHEDULE_MIN_WIDTH = 40
 
 
 def _chained(target, terms):
@@ -251,54 +208,104 @@ def ldl_kernel(colptr, rowidx, inv_perm):
     return namespace["solve"]
 
 
-class SolvePlan:
-    """The generated solve of one sparsity pattern of L and permutation,
-    and the pattern's arrays, read-only: L's ``colptr`` and ``rowidx``,
-    ``perm`` and ``inv_perm``. Every factor of the pattern shares them."""
+class _Plan:
+    """What both plans hold: the pattern's arrays, read-only and shared by
+    every factor of the pattern, and its number of FE levels, which is
+    also its number of BS levels. ``level`` is the FE level of each row,
+    as ``row_levels`` gives it."""
 
-    __slots__ = ("colptr", "rowidx", "perm", "inv_perm", "kernel")
+    __slots__ = ("colptr", "rowidx", "perm", "inv_perm", "levels")
 
-    def __init__(self, colptr, rowidx, perm, inv_perm):
+    def __init__(self, colptr, rowidx, perm, inv_perm, level):
         self.colptr, self.rowidx, self.perm, self.inv_perm = colptr, rowidx, perm, inv_perm
+        self.levels = max(level, default=0) + 1
+
+
+class SolvePlan(_Plan):
+    """The solve that ``ldl_source`` writes for the pattern, compiled."""
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, colptr, rowidx, perm, inv_perm, level):
+        super().__init__(colptr, rowidx, perm, inv_perm, level)
         self.kernel = ldl_kernel(colptr, rowidx, inv_perm)
 
+    def operands(self, Lx, dinv):
+        """L's values and dinv as ``as_list`` gives them."""
+        return as_list(Lx), as_list(dinv)
+
     def solve(self, Lx, dinv, b):
-        """x of K x = b, for b an fp32 or fp64 vector in the original
-        order and L's values ``Lx`` and ``dinv`` in b's dtype, all three as
-        ``as_list`` gives them; x is returned in b's dtype."""
+        """x of K x = b, for b an fp32 or fp64 vector in the original order
+        and the operands in b's dtype; x is returned in b's dtype."""
         return np.array(self.kernel(Lx, dinv, as_list(b)), dtype=b.dtype)
+
+
+def _groups(level, targets, sources):
+    """L's entries grouped by ``level``, one level per entry, in ascending
+    order: per level, the entries' ``targets`` and ``sources``, in their
+    dtype, and their positions in CSC order, in numpy's native index type,
+    which gathers L's values without a cast. The stable sort keeps CSC
+    order inside a group."""
+    order = np.argsort(level, kind="stable")
+    starts = np.flatnonzero(np.diff(level[order], prepend=-1)).tolist()
+    return [(targets[p], sources[p], p)
+            for p in (order[a:b] for a, b in zip(starts, starts[1:] + [len(order)]))]
+
+
+def _apply(groups, values, x):
+    for (targets, sources, _), v in zip(groups, values):
+        np.subtract.at(x, targets, v * x[sources])
+
+
+class LevelPlan(_Plan):
+    """The level schedule of the pattern: ``fe`` groups L's entries by the
+    level of their row, ``bs`` by the level of their column, one group per
+    level above 0. Levels, like indices, are below n, so the grouped
+    targets and sources and the level keys are in L's index dtype: 16
+    bits for a factor that fits, whose level key numpy then radix-sorts."""
+
+    __slots__ = ("fe", "bs")
+
+    def __init__(self, colptr, rowidx, perm, inv_perm, level):
+        super().__init__(colptr, rowidx, perm, inv_perm, level)
+        index = rowidx.dtype
+        columns = column_indices(colptr).astype(index)
+        bs = column_levels(rowidx.tolist(), columns.tolist(), len(perm))
+        self.fe = _groups(np.array(level, dtype=index)[rowidx], rowidx, columns)
+        self.bs = _groups(np.array(bs, dtype=index)[columns], columns, rowidx)
+
+    def operands(self, Lx, dinv):
+        """L's values gathered per FE group, dinv, and per BS group."""
+        return [Lx[p] for _, _, p in self.fe], dinv, [Lx[p] for _, _, p in self.bs]
+
+    def solve(self, fe, dinv, bs, b):
+        """x of K x = b, for b a vector in the original order, in the
+        dtype of the operands: one ``np.subtract.at`` per group and
+        direction on the permuted x. ``ufunc.at`` applies a repeated
+        target in order, so each entry of x sees the subtractions of
+        ``_forward`` and ``_backward``, in their order; every source it
+        reads is final, since it lies on a lower level."""
+        x = b[self.perm]
+        _apply(self.fe, fe, x)
+        x *= dinv
+        _apply(self.bs, bs, x)
+        return x[self.inv_perm]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _cached_plan(*pattern):
-    return SolvePlan(*(np.frombuffer(data, dtype) for dtype, data in pattern))
+    colptr, rowidx, perm, inv_perm = (np.frombuffer(data, dtype) for dtype, data in pattern)
+    level = row_levels(rowidx.tolist(), column_indices(colptr).tolist(), len(perm))
+    groups = max(level, default=0)   # levels - 1: one per level above 0
+    scheduled = len(rowidx) >= SCHEDULE_MIN_WIDTH * groups
+    return (LevelPlan if scheduled else SolvePlan)(colptr, rowidx, perm, inv_perm, level)
 
 
 def solve_plan(colptr, rowidx, perm, inv_perm):
-    """The ``SolvePlan`` of this pattern: generated and compiled on the
-    first call, then taken from a cache of the last ``PLAN_CACHE_SIZE``
-    patterns, keyed by the arrays' dtypes and bytes. Its arrays are
-    read-only copies, made once per pattern."""
+    """The plan of this pattern: a ``LevelPlan`` if L's mean entries per
+    schedule group, nnz(L) / (levels - 1), reach ``SCHEDULE_MIN_WIDTH``,
+    else a ``SolvePlan``. It is built on the first call, then taken from a
+    cache of the last ``PLAN_CACHE_SIZE`` patterns, keyed by the arrays'
+    dtypes and bytes. Its arrays are read-only copies, made once per
+    pattern."""
     return _cached_plan(*((a.dtype.str, a.tobytes()) for a in (colptr, rowidx, perm, inv_perm)))
-
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba
-    COMPILED = False
-    solve_fe = _on_lists(_forward)
-    solve_bs = _on_lists(_backward)
-    # nnz(L) / levels from which a factor runs on the level schedule
-    # instead of the solve generated for its pattern. Per KKT solve on a
-    # 2-vCPU x86 host (Python 3.11), the schedule took 2.3-7x the
-    # generated solve's time in fp64 up to P6x6, and 1.5x at P8x8 (width
-    # 76), whose generated solve would cost an 80 ms compile and 1 MiB
-    # (250 KiB of bytecode) per pattern. In fp32 it took 1.0x at P4x4
-    # (width 36), 0.8x at P5x5 (42), 0.7x at P6x6 and 0.5x at P8x8.
-    SCHEDULE_MIN_WIDTH = 40
-else:
-    COMPILED = True
-    solve_fe = njit(cache=True)(_forward)
-    solve_bs = njit(cache=True)(_backward)
-    solve_ldl = njit(cache=True)(_ldl)
-    SCHEDULE_MIN_WIDTH = np.inf

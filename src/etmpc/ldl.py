@@ -12,39 +12,26 @@ factor's arrays (``csc.strictly_lower``) and D read off the diagonal of U.
 
 The factor keeps only the raw arrays the triangular solves read: L
 strictly lower (unit diagonal implicit) as a ``SparseCSC``, the pivots
-and their reciprocals, so the solves are division-free, the permutation
-and its inverse, and one int: L's number of levels, the length of the
-longest dependency chain of its FE (and of its BS). L's index arrays and
-the permutation pair are int16 while n and nnz(L) are below 2**15
-(``csc.narrow_index_dtype``), int32 from there.
+and their reciprocals, so the solves are division-free, and the
+permutation and its inverse, plus the plan of L's pattern. L's index
+arrays and the permutation pair are int16 while n and nnz(L) are below
+2**15 (``csc.narrow_index_dtype``), int32 from there.
 
 Bring-up runs once per model, ahead of time. SuperLU computes in double
 precision whatever the storage precision, fp32 or fp64, and L, d and dinv
-are rounded to it once. ``LdlFactor.solve`` runs FE, the diagonal scale
-and BS in one pass, on one of three paths (``_kernels``), all
-byte-identical to the sequential reference:
+are rounded to it once. ``ldl_numeric`` then takes the plan of L's
+pattern and permutation from ``_kernels.solve_plan``, which alone picks
+how the pattern is solved: the straight-line solve generated for it
+(``_kernels.SolvePlan``) or its level schedule (``_kernels.LevelPlan``).
+The plan is built once per pattern in a process, and the factor's index
+arrays, ``perm`` and ``inv_perm`` are the plan's read-only arrays, one
+copy per pattern. ``LdlFactor.solve`` runs FE, the diagonal scale and BS
+through the plan, byte-identical to the sequential reference.
 
-- with numba installed, ``_kernels.solve_ldl`` compiled on L's arrays,
-  for every factor;
-- without it, a narrow factor runs the straight-line solve generated for
-  its sparsity pattern and permutation (``_kernels.SolvePlan``), which
-  reads L's values and dinv as lists and permutes b as it unpacks it.
-  ``ldl_numeric`` takes the plan from ``_kernels.solve_plan``, which
-  generates and compiles it once per pattern in a process, and the
-  factor's index arrays, ``perm`` and ``inv_perm`` become the plan's
-  read-only arrays, one copy per pattern;
-- without it, a wide factor, whose mean level width nnz(L) / levels
-  reaches ``_kernels.SCHEDULE_MIN_WIDTH`` (P8x8, not P2x2 or P4x4), runs
-  ``_kernels.solve_levels``: one numpy update per level and direction, on
-  L's entries grouped by level (``_kernels.level_schedule``).
-
-The operands, value lists or schedule, are made once per
-``LdlFactor.converted`` block, which ``AdmmSolver.solve`` opens around its
+The plan's operands, L's values and dinv in the form the plan reads,
+are made once per ``LdlFactor.converted`` block, which ``AdmmSolver.solve`` opens around its
 iterations, and once per call outside such a block. No conversion
 outlives its block or call, so each reads ``L.values`` as it is then.
-Between solves the factor holds its arrays and, on the generated path, a
-reference to its plan, whose code is O(nnz(L)) but shared by every factor
-of the pattern.
 """
 
 from __future__ import annotations
@@ -56,8 +43,8 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import _kernels as K
-from .csc import (SparseCSC, DimensionError, column_indices, has_entry_below_diagonal,
-                  narrow_index_dtype, strictly_lower, symmetric_from_upper)
+from .csc import (SparseCSC, DimensionError, has_entry_below_diagonal, narrow_index_dtype,
+                  strictly_lower, symmetric_from_upper)
 
 DEFAULT_PIVOT_TOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
 
@@ -79,50 +66,38 @@ class LdlFactor:
     dinv: np.ndarray            # reciprocal pivots
     perm: np.ndarray            # perm[k] = original index of the k-th pivot
     inv_perm: np.ndarray        # inv_perm[perm] = arange(n)
-    levels: int                 # FE levels of L, as many as its BS levels
-    # the generated solve of a narrow factor without numba, else None
-    plan: K.SolvePlan | None = field(default=None, repr=False, compare=False)
+    # how L's pattern is solved, shared by every factor of the pattern
+    plan: K.SolvePlan | K.LevelPlan = field(repr=False, compare=False)
 
-    # the solve and its operands of the open ``converted`` block, None outside one
+    # the plan's operands in the open ``converted`` block, None outside one
     _operands: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.L.nrows
 
-    @property
-    def scheduled(self) -> bool:
-        """Whether the solve runs on the level schedule: L's mean level
-        width, nnz(L) / levels, is at least ``_kernels.SCHEDULE_MIN_WIDTH``."""
-        return self.L.nnz >= K.SCHEDULE_MIN_WIDTH * self.levels
-
     def solve(self, b):
-        """Solve K x = b: permute b, run FE / diagonal / BS in one pass and
-        permute back; the generated solve of a plan permutes as it goes.
-        Inside a ``converted`` block the pass reuses the block's operands;
-        outside one it makes them for this call alone. A right-hand side
-        that is not a vector of length n raises ``DimensionError``, one
-        that is not real numbers (complex, bool, object) ``TypeError``."""
+        """Solve K x = b through the plan, which takes b and returns x in
+        the original order. Inside a ``converted`` block the plan reuses
+        the block's operands; outside one it gets them for this call
+        alone. A right-hand side that is not a vector of length n raises
+        ``DimensionError``, one that is not real numbers (complex, bool,
+        object) ``TypeError``."""
         b = np.asarray(b)
         if b.shape != (self.n,):
             raise DimensionError(f"rhs must be a vector of length {self.n}, got shape {b.shape}")
         if b.dtype.kind not in "iuf":
             raise TypeError(f"rhs must hold real numbers, not {b.dtype}")
-        kernel, operands = self._operands if self._operands is not None else self._convert()
-        if self.plan is not None:
-            return kernel(*operands, b.astype(self.L.dtype, copy=False))
-        xp = np.ascontiguousarray(b[self.perm], dtype=self.L.dtype)
-        kernel(*operands, xp)
-        return xp[self.inv_perm]
+        operands = self._operands if self._operands is not None else self._convert()
+        return self.plan.solve(*operands, b.astype(self.L.dtype, copy=False))
 
     @contextlib.contextmanager
     def converted(self):
         """A block in which every ``solve`` reuses one conversion of L's
-        values and dinv (value lists for a plan, a level schedule, or the
-        arrays themselves with numba), made on entry and dropped on exit,
-        by return or raise. A nested block keeps the outer conversion. A
-        change to ``L.values`` inside the block shows only in the next
-        one."""
+        values and dinv into the plan's operands, made on entry and
+        dropped on exit, by return or raise. A nested block keeps the
+        outer conversion. A change to ``L.values`` inside the block shows
+        only in the next one."""
         if self._operands is not None:
             yield self
             return
@@ -133,14 +108,7 @@ class LdlFactor:
             self._operands = None
 
     def _convert(self):
-        """The pass this factor runs and its operands."""
-        L = self.L
-        if self.plan is not None:
-            return self.plan.solve, (K.as_list(L.values), K.as_list(self.dinv))
-        columns = column_indices(L.colptr)
-        if self.scheduled:
-            return K.solve_levels, K.level_schedule(L.rowidx, L.values, columns, self.dinv)
-        return K.solve_ldl, (L.colptr, L.rowidx, L.values, columns, self.dinv)
+        return self.plan.operands(self.L.values, self.dinv)
 
 
 def ldl_numeric(upper) -> LdlFactor:
@@ -150,10 +118,9 @@ def ldl_numeric(upper) -> LdlFactor:
     K + K^T.
 
     The factor's index arrays are int16 while n and nnz(L) are below
-    2**15, and its level count is computed here, once. Without numba a
-    narrow factor also takes its pattern's ``_kernels.SolvePlan`` here,
-    generated on the pattern's first bring-up in the process, and shares
-    the plan's read-only index arrays, ``perm`` and ``inv_perm``.
+    2**15. The factor takes its pattern's plan (``_kernels.solve_plan``),
+    built on the pattern's first bring-up in the process, and shares the
+    plan's read-only index arrays, ``perm`` and ``inv_perm``.
 
     A storage precision other than fp32 or fp64 raises ``TypeError``, an
     entry of ``upper`` below the diagonal ``ValueError``. A pivot below
@@ -187,13 +154,8 @@ def ldl_numeric(upper) -> LdlFactor:
         raise FactorizationError(int(small[0]))
     L = strictly_lower(lu.L)
     index = narrow_index_dtype(L.nrows, L.nnz)
-    L.colptr, L.rowidx = L.colptr.astype(index), L.rowidx.astype(index)
+    plan = K.solve_plan(L.colptr.astype(index), L.rowidx.astype(index),
+                        np.argsort(lu.perm_c).astype(index), lu.perm_c.astype(index))
+    L.colptr, L.rowidx = plan.colptr, plan.rowidx
     L.values = L.values.astype(dtype, copy=False)
-    factor = LdlFactor(L, d.astype(dtype), (1.0 / d).astype(dtype),
-                       np.argsort(lu.perm_c).astype(index), lu.perm_c.astype(index),
-                       K.level_count(L.rowidx, column_indices(L.colptr), L.nrows))
-    if not (K.COMPILED or factor.scheduled):
-        plan = factor.plan = K.solve_plan(L.colptr, L.rowidx, factor.perm, factor.inv_perm)
-        L.colptr, L.rowidx, factor.perm, factor.inv_perm = (
-            plan.colptr, plan.rowidx, plan.perm, plan.inv_perm)
-    return factor
+    return LdlFactor(L, d.astype(dtype), (1.0 / d).astype(dtype), plan.perm, plan.inv_perm, plan)

@@ -265,10 +265,10 @@ class AdmmSolver:
         ``settings.warm_start`` is set.
 
         The iterations run inside one ``LdlFactor.converted`` block, so
-        their KKT solves share one conversion of the factor's operands
-        (Python lists without numba). It is dropped when the solve returns
-        or raises: between solves the factor holds its arrays alone, and
-        a change to ``L.values`` shows in the next solve."""
+        their KKT solves share one conversion of L's values and dinv into
+        the operands of the factor's plan. It is dropped when the solve
+        returns or raises: between solves the factor holds its arrays
+        alone, and a change to ``L.values`` shows in the next solve."""
         settings = self.settings
         state = AdmmState.zeros(self.problem.n, self.problem.m, settings.dtype)
         if settings.warm_start and self._last is not None:

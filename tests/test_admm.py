@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-import etmpc._kernels
 import etmpc.qp
+from etmpc._kernels import LevelPlan
 from etmpc.csc import DimensionError
 from etmpc.ldl import LdlFactor
 from etmpc.qp import (
@@ -113,16 +113,14 @@ def fixed_solver(blocks=1):
     solver = AdmmSolver(make_problem(P, q, A, l, u), AdmmSettings(max_iter=15, warm_start=False))
     factor = solver.kkt.factor
     assert factor.L.nnz > 0
-    assert (factor.L.nnz >= 40 * factor.levels) == (blocks >= 40)
+    assert isinstance(factor.plan, LevelPlan) == (blocks >= 40)
     return solver
 
 
 def narrow_and_wide_solvers():
-    """``fixed_solver`` with a narrow factor, and with a wide one that runs on
-    the level schedule unless numba compiles the one-pass solve."""
-    solvers = fixed_solver(), fixed_solver(blocks=40)
-    assert solvers[1].kkt.factor.scheduled == (etmpc._kernels.SCHEDULE_MIN_WIDTH < np.inf)
-    return solvers
+    """``fixed_solver`` with a narrow factor, which runs the solve generated
+    for its pattern, and with a wide one, which runs on the level schedule."""
+    return fixed_solver(), fixed_solver(blocks=40)
 
 
 def holds_no_conversion(factor):

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse
 
 import etmpc._kernels
+from etmpc._kernels import LevelPlan, SolvePlan
 from etmpc.csc import DimensionError, SparseCSC, column_indices
 from etmpc.ldl import FactorizationError, LdlFactor, ldl_numeric
 from etmpc.mpc import build_mpc_qp, update_mpc_step
@@ -14,13 +15,6 @@ from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discre
 from oracles import (assert_permutation_pair, dense_ldl, dense_lower_pattern_after_elimination,
                      longest_path_levels, random_kkt_upper, reconstruct_permuted, sptrsv_bs,
                      sptrsv_fe)
-
-
-# without numba, a wide factor's solve runs on the level schedule and a
-# narrow one's on the solve generated for its pattern
-INTERPRETED = not etmpc._kernels.COMPILED
-interpreted_only = pytest.mark.skipif(
-    not INTERPRETED, reason="with numba every factor runs the compiled solve_ldl")
 
 
 def upper_csc(dense):
@@ -291,29 +285,25 @@ def ldl_reference(L, dinv, b):
     return x
 
 
-def ldl_paths(L, generated=True):
-    """The passes of ``LdlFactor.solve`` on L, each a function of (dinv, x)
-    that solves in place in the permuted order: the level-scheduled pass,
-    ``solve_ldl`` compiled (with numba installed) and, if ``generated``,
-    the solve generated for L's pattern and a random permutation, which it
-    applies to b on entry and undoes on return."""
-    k = etmpc._kernels
-    columns = column_indices(L.colptr)
-    paths = [lambda dinv, x: k.solve_levels(*k.level_schedule(L.rowidx, L.values, columns, dinv),
-                                            x)]
-    if k.COMPILED:
-        paths.append(lambda dinv, x: k.solve_ldl(L.colptr, L.rowidx, L.values, columns, dinv, x))
-    if generated:
-        perm = np.random.default_rng(L.nnz).permutation(L.nrows).astype(L.colptr.dtype)
-        plan = k.SolvePlan(L.colptr, L.rowidx, perm, np.argsort(perm).astype(perm.dtype))
+def ldl_paths(L):
+    """Both plan classes built on L's pattern and a random permutation,
+    each as a function of (dinv, x) that solves in place in the permuted
+    order: it permutes x back into b's original order, solves through the
+    plan and permutes the result into x."""
+    perm = np.random.default_rng(L.nnz).permutation(L.nrows).astype(L.colptr.dtype)
+    pattern = (L.colptr, L.rowidx, perm, np.argsort(perm).astype(perm.dtype))
+    level = etmpc._kernels.row_levels(L.rowidx.tolist(), column_indices(L.colptr).tolist(),
+                                      L.nrows)
 
-        def generated_solve(dinv, x):
+    def path(plan):
+        def solve(dinv, x):
             b = np.empty_like(x)
             b[perm] = x
-            x[:] = plan.solve(k.as_list(L.values), k.as_list(dinv), b)[perm]
+            x[:] = plan.solve(*plan.operands(L.values, dinv), b)[perm]
 
-        paths.append(generated_solve)
-    return paths
+        return solve
+
+    return [path(plan(*pattern, level)) for plan in (SolvePlan, LevelPlan)]
 
 
 def long_row_factor(dtype, n=2002):
@@ -344,24 +334,21 @@ def mpc_factor(grid, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_solve_ldl_is_byte_exact_with_the_array_reference(dtype):
-    """Every pass, the solve generated for a narrow factor's pattern and a
-    row of 2001 products included, must give the bits of FE, ``*= dinv``
-    and BS on arrays, on the controller's factors and on random ones, and
-    write the result into x, a strided view included."""
+def test_both_plans_are_byte_exact_with_the_array_reference(dtype):
+    """Both plans, on every pattern, a row of 2001 products included, must
+    give the bits of FE, ``*= dinv`` and BS on arrays, on the controller's
+    factors and on random ones, and write the result into x, a strided
+    view included."""
     rng = np.random.default_rng(23)
     factors = [mpc_factor(grid, dtype) for grid in (2, 3, 4, 8)]
     factors += [ldl_numeric(scipy.sparse.csc_array(
         random_kkt_upper(rng, int(rng.integers(2, 30)), int(rng.integers(1, 20))).astype(dtype)))
         for _ in range(20)]
     assert all(f.L.dtype == dtype for f in factors) and factors[3].L.nnz > 5000
-    # the solve is generated for the factors that are narrow without numba
-    cases = [(f.L, f.dinv, f.L.nnz < 40 * f.levels) for f in factors]
-    assert [narrow for _, _, narrow in cases[:4]] == [True, True, True, False]
-    cases.append((*long_row_factor(dtype), True))
-    for L, dinv, generated in cases:
+    cases = [(f.L, f.dinv) for f in factors] + [long_row_factor(dtype)]
+    for L, dinv in cases:
         n = L.nrows
-        paths = ldl_paths(L, generated)
+        paths = ldl_paths(L)
         for zero_share in (0.0, 0.5):
             b = rng.standard_normal(n).astype(dtype)
             zeros = rng.random(n) < zero_share
@@ -378,7 +365,7 @@ def test_solve_ldl_is_byte_exact_with_the_array_reference(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_solve_ldl_is_byte_exact_on_extreme_inputs(dtype):
+def test_both_plans_are_byte_exact_on_extreme_inputs(dtype):
     rng = np.random.default_rng(29)
     L, bs, dvals = extreme_inputs(dtype, rng)
     paths = ldl_paths(L)
@@ -421,7 +408,7 @@ def test_factor_solve_reads_L_values_on_every_call():
     rng = np.random.default_rng(21)
     narrow = ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 6, 4)))
     wide = mpc_factor(8, np.float64)
-    assert not narrow.scheduled and wide.scheduled == INTERPRETED
+    assert isinstance(narrow.plan, SolvePlan) and isinstance(wide.plan, LevelPlan)
     for f in (narrow, wide):
         assert f.L.nnz > 0
         b = rng.standard_normal(f.n)
@@ -469,7 +456,7 @@ def test_factor_solve_rejects_a_complex_or_non_numeric_rhs(factor_conversions, d
     rng = np.random.default_rng(47)
     narrow = ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 6, 4).astype(dtype)))
     wide = mpc_factor(8, dtype)
-    assert not narrow.scheduled and wide.scheduled == INTERPRETED
+    assert isinstance(narrow.plan, SolvePlan) and isinstance(wide.plan, LevelPlan)
     for f in (narrow, wide):
         for b in (np.array([1 + 2j] + [1.0] * (f.n - 1)), np.ones(f.n, dtype=np.complex64),
                   [True] * f.n, ["1.0"] * f.n, [None] * f.n):
@@ -507,28 +494,24 @@ def test_kkt_solves_inside_an_admm_solve_are_byte_exact(precision):
 
 
 def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_generated_solve():
-    """Without numba a factor whose mean level width, nnz(L) / levels,
-    reaches ``SCHEDULE_MIN_WIDTH`` runs on the level schedule: P8x8
-    (6244 / 82 = 76.1) does. P2x2 (11.9) and P4x4 (35.6) run the solve
-    generated for their pattern, on two lists: L's values and dinv. With
-    numba every factor runs the compiled one-pass solve."""
-    k = etmpc._kernels
-    for grid, wide in ((2, False), (4, False), (8, True)):
+    """A pattern whose mean entries per schedule group, nnz(L) / (levels -
+    1), reach ``SCHEDULE_MIN_WIDTH`` = 40 runs on the level schedule: P5x5
+    and up. P2x2 (12.7), P3x3 (23.2) and P4x4 (36.6) run the solve
+    generated for their pattern, on two lists: L's values and dinv."""
+    for grid, plan in ((2, SolvePlan), (3, SolvePlan), (4, SolvePlan), (5, LevelPlan),
+                       (8, LevelPlan)):
         f = mpc_factor(grid, np.float64)
-        assert (f.L.nnz >= 40 * f.levels) == wide
-        assert (f.plan is not None) == (INTERPRETED and not wide)
+        assert type(f.plan) is plan
+        assert (f.L.nnz >= 40 * (f.plan.levels - 1)) == (plan is LevelPlan)
         with f.converted():
-            kernel, operands = f._operands
-            if not INTERPRETED:
-                assert kernel is k.solve_ldl and len(operands) == 5
-            elif wide:
+            operands = f._operands
+            if plan is LevelPlan:
                 fe, dinv, bs = operands
                 # one group per level above 0, in each direction
-                assert kernel is k.solve_levels and len(fe) == len(bs) == f.levels - 1
+                assert len(fe) == len(bs) == f.plan.levels - 1
                 assert dinv is f.dinv
-                assert sum(len(values) for _, _, values in fe + bs) == 2 * f.L.nnz
+                assert sum(len(values) for values in fe + bs) == 2 * f.L.nnz
             else:
-                assert kernel == f.plan.solve
                 assert operands == (f.L.values.tolist(), f.dinv.tolist())
         assert f._operands is None
 
@@ -545,25 +528,29 @@ def kernel_compiles(monkeypatch):
     return calls
 
 
-@interpreted_only
-def test_solvers_of_one_grid_share_one_plan_built_at_bring_up(kernel_compiles):
-    """Every bring-up of a grid gives the same pattern: the first compiles
-    its solve, the next takes the cached plan and its arrays, and the
-    solves themselves compile nothing."""
-    mpcqp, model = mpc_qp(2)
-    first, second = (AdmmSolver(mpcqp.qp) for _ in range(2))
-    assert len(kernel_compiles) == 1
-    a, b = first.kkt.factor, second.kkt.factor
-    assert a.plan is not None and a.plan is b.plan
-    for f in (a, b):
-        assert f.L.colptr is f.plan.colptr and f.L.rowidx is f.plan.rowidx
-        assert f.perm is f.plan.perm and f.inv_perm is f.plan.inv_perm
-    update_mpc_step(mpcqp, np.full(model.n_x, 33.0), np.full(model.n_u, 2.0))
-    assert first.solve().x.tobytes() == second.solve().x.tobytes()
-    assert len(kernel_compiles) == 1
+def test_solvers_of_one_grid_share_one_plan_built_at_bring_up(kernel_compiles, monkeypatch):
+    """Every bring-up of a grid gives the same pattern: the first builds its
+    plan, levels included, the next takes the cached plan and its arrays,
+    and the solves themselves build nothing. P2x2 compiles its generated
+    solve; P8x8 runs on the level schedule and compiles nothing."""
+    k = etmpc._kernels
+    level_runs = []
+    real = k.row_levels
+    monkeypatch.setattr(k, "row_levels", lambda *args: level_runs.append(1) or real(*args))
+    for grid, plan in ((2, SolvePlan), (8, LevelPlan)):
+        mpcqp, model = mpc_qp(grid)
+        first, second = (AdmmSolver(mpcqp.qp) for _ in range(2))
+        a, b = first.kkt.factor, second.kkt.factor
+        assert type(a.plan) is plan and a.plan is b.plan
+        for f in (a, b):
+            assert f.L.colptr is f.plan.colptr and f.L.rowidx is f.plan.rowidx
+            assert f.perm is f.plan.perm and f.inv_perm is f.plan.inv_perm
+        update_mpc_step(mpcqp, np.full(model.n_x, 33.0), np.full(model.n_u, 2.0))
+        for _ in range(2):
+            assert first.solve().x.tobytes() == second.solve().x.tobytes()
+    assert len(kernel_compiles) == 1 and len(level_runs) == 2
 
 
-@interpreted_only
 def test_a_factor_keeps_its_plan_after_the_cache_drops_it(kernel_compiles):
     rng = np.random.default_rng(53)
     factors = [ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 10, 8)))
@@ -576,21 +563,21 @@ def test_a_factor_keeps_its_plan_after_the_cache_drops_it(kernel_compiles):
     assert first.solve(b).tobytes() == factor_reference(first, b).tobytes()
 
 
-@interpreted_only
 def test_shared_pattern_arrays_are_read_only_and_values_stay_live():
-    f = mpc_factor(2, np.float64)
-    for shared in (f.L.colptr, f.L.rowidx, f.perm, f.inv_perm):
-        assert not shared.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0] = shared[0]
-    b = np.random.default_rng(59).standard_normal(f.n)
-    with f.converted():
-        before = f.solve(b)
-    f.L.values[np.argmax(np.abs(f.L.values))] *= 1 + 1e-6
-    with f.converted():
-        after = f.solve(b)
-    assert not np.array_equal(after, before)
-    assert after.tobytes() == factor_reference(f, b).tobytes()
+    for grid in (2, 8):   # a generated solve, a level schedule
+        f = mpc_factor(grid, np.float64)
+        for shared in (f.L.colptr, f.L.rowidx, f.perm, f.inv_perm):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = shared[0]
+        b = np.random.default_rng(59).standard_normal(f.n)
+        with f.converted():
+            before = f.solve(b)
+        f.L.values[np.argmax(np.abs(f.L.values))] *= 1 + 1e-6
+        with f.converted():
+            after = f.solve(b)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == factor_reference(f, b).tobytes()
 
 
 def test_levels_match_a_longest_path_oracle():
@@ -605,18 +592,20 @@ def test_levels_match_a_longest_path_oracle():
         fe, bs = longest_path_levels(index_pattern(L))
         assert etmpc._kernels.row_levels(rows, cols, f.n) == fe.tolist()
         assert etmpc._kernels.column_levels(rows, cols, f.n) == bs.tolist()
-        assert f.levels == fe.max() + 1 == bs.max() + 1
-    assert factors[-1].levels == 82
+        assert f.plan.levels == fe.max() + 1 == bs.max() + 1
+    assert factors[-1].plan.levels == 82
 
 
-def test_factor_indices_are_16_bit_while_n_and_nnz_are_below_2_to_the_15():
+def test_factor_indices_are_16_bit_while_n_and_nnz_are_below_2_to_the_15(kernel_compiles):
     """perm, inv_perm and L's index arrays are int16 while n and nnz(L) are
-    below 2**15, and int32 from there; the solve is the same either way."""
+    below 2**15, and int32 from there; the solve is the same either way.
+    An L without entries, and a dense one, run on the level schedule, so
+    none of these factors compiles a generated solve."""
     for n in (2**15 - 1, 2**15):
         diag = np.linspace(1.0, 2.0, n)
         f = ldl_numeric(scipy.sparse.diags_array(diag, format="csc"))
         index = np.int16 if n < 2**15 else np.int32
-        assert f.L.nnz == 0 and f.levels == 1
+        assert f.L.nnz == 0 and f.plan.levels == 1 and type(f.plan) is LevelPlan
         assert f.L.colptr.dtype == f.L.rowidx.dtype == f.perm.dtype == f.inv_perm.dtype == index
         assert_permutation_pair(f.perm, f.inv_perm, f.L.nnz)
         assert f.solve(diag).tobytes() == factor_reference(f, diag).tobytes()
@@ -627,3 +616,4 @@ def test_factor_indices_are_16_bit_while_n_and_nnz_are_below_2_to_the_15():
         assert f.L.colptr.dtype == f.L.rowidx.dtype == f.perm.dtype == index
         b = np.arange(n, dtype=np.float64)
         assert f.solve(b).tobytes() == factor_reference(f, b).tobytes()
+    assert kernel_compiles == []
