@@ -75,6 +75,21 @@ def power_forward(params: PowerModelParams, v, f, ceff, gain):
     return params.k_s0 + params.icc * v * gain + ceff * f * v * v
 
 
+def power_over_temperature(params: PowerModelParams, v, f, ceff):
+    """Power at fixed operating points (v, f) as a function of silicon
+    temperature: ``p(t)`` gives the bits of ``power_forward(params, v, f,
+    ceff, params.leakage_gain(t, v))``, in their operand order, with the
+    temperature-independent terms k_v*v, icc*v and ceff*f*v*v computed
+    once, here, rather than at each ``p(t)``."""
+    kv_v, icc_v, dynamic = params.k_v * v, params.icc * v, ceff * f * v * v
+    k_s0, k_t, k_t0 = params.k_s0, params.k_t, params.k_t0
+
+    def p(t_si):
+        return k_s0 + icc_v * np.exp(kv_v + k_t * t_si + k_t0) + dynamic
+
+    return p
+
+
 def _frequency(params, p, v, ceff, gain):
     """Frequency at which the model draws p on rail v."""
     return (p - (params.k_s0 + params.icc * v * gain)) / (ceff * v * v)

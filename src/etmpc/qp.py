@@ -138,7 +138,10 @@ class AdmmState:
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
-    r_prim: float = np.inf   # at the last residual check
+    # at the last residual check; r_dual is inf at a check that could not end
+    # the solve (see AdmmSolver.solve), so a returned state has both of its
+    # final iterate
+    r_prim: float = np.inf
     r_dual: float = np.inf
     iterations: int = 0
     status: str | None = None   # set when AdmmSolver.solve returns the state
@@ -220,11 +223,19 @@ def assemble_kkt(problem: QpProblem, settings: AdmmSettings) -> KktSystem:
     return KktSystem(factor, P, A, rho.astype(dtype), rho_inv, settings.sigma)
 
 
-def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem):
-    """(r_prim, r_dual) = (|Ax - z|, |Px + q + A'y|) in the infinity norm."""
+def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem, prim_bound=INF):
+    """(r_prim, r_dual) = (|Ax - z|, |Px + q + A'y|) in the infinity norm.
+
+    r_dual is computed only when r_prim <= ``prim_bound`` or r_prim is not
+    finite; otherwise it is returned as inf, without its two products. The
+    solve passes its primal tolerance where only both residuals below
+    tolerance can end it, and -inf where nothing but a divergence can."""
     rp = kkt.A @ state.x - state.z
+    r_prim = float(np.abs(rp).max(initial=0.0))
+    if prim_bound < r_prim < INF:
+        return r_prim, INF
     rd = kkt.P @ state.x + kkt.stored(problem.q) + kkt.At @ state.y
-    return float(np.max(np.abs(rp), initial=0.0)), float(np.max(np.abs(rd), initial=0.0))
+    return r_prim, float(np.abs(rd).max(initial=0.0))
 
 
 def admm_step(state: AdmmState, problem: QpProblem, kkt: KktSystem, settings: AdmmSettings):
@@ -232,16 +243,17 @@ def admm_step(state: AdmmState, problem: QpProblem, kkt: KktSystem, settings: Ad
     sizes of ``kkt``."""
     rho, rho_inv, alpha = kkt.rho, kkt.rho_inv, settings.alpha
     n = problem.n
+    rho_inv_y = rho_inv * state.y
     rhs = np.concatenate([
         settings.sigma * state.x - kkt.stored(problem.q),
-        state.z - rho_inv * state.y,
+        state.z - rho_inv_y,
     ])
     sol = kkt.factor.solve(rhs)
     xtilde, nu = sol[:n], sol[n:]
     ztilde = state.z + rho_inv * (nu - state.y)
     state.x = alpha * xtilde + (1.0 - alpha) * state.x
     z_pre = alpha * ztilde + (1.0 - alpha) * state.z
-    z_new = np.clip(z_pre + rho_inv * state.y, kkt.stored(problem.l), kkt.stored(problem.u))
+    z_new = np.clip(z_pre + rho_inv_y, kkt.stored(problem.l), kkt.stored(problem.u))
     state.y = state.y + rho * (z_pre - z_new)
     state.z = z_new
     state.iterations += 1
@@ -268,25 +280,39 @@ class AdmmSolver:
         their KKT solves share one conversion of L's values and dinv into
         the operands of the factor's plan. It is dropped when the solve
         returns or raises: between solves the factor holds its arrays
-        alone, and a change to ``L.values`` shows in the next solve."""
+        alone, and a change to ``L.values`` shows in the next solve.
+
+        Every ``check_interval`` iterations, and after the last, one call
+        of ``residuals`` checks the iterate. r_prim is computed at every
+        check; r_dual only where the check can end the solve, since
+        stopping needs both residuals within tolerance: in residual mode
+        with r_prim <= eps_prim, after the last iteration, and on a
+        divergence (an |x| or |z| entry above ``DIVERGENCE_LIMIT`` or NaN,
+        or a non-finite r_prim). The returned state therefore carries both
+        residuals of its final iterate."""
         settings = self.settings
         state = AdmmState.zeros(self.problem.n, self.problem.m, settings.dtype)
         if settings.warm_start and self._last is not None:
             state.x, state.z, state.y = (v.copy() for v in self._last)
 
+        residual_mode = settings.termination_mode == "residual"
         with self.kkt.factor.converted():
             while state.iterations < settings.max_iter:
                 admm_step(state, self.problem, self.kkt, settings)
                 it = state.iterations
-                if it % settings.check_interval == 0 or it == settings.max_iter:
-                    state.r_prim, state.r_dual = residuals(state, self.problem, self.kkt)
-                    if not np.isfinite(state.r_prim) or \
-                            max(np.max(np.abs(state.x), initial=0.0),
-                                np.max(np.abs(state.z), initial=0.0)) > DIVERGENCE_LIMIT:
+                last = it == settings.max_iter
+                if it % settings.check_interval == 0 or last:
+                    # written as <= so that a NaN entry counts as divergence
+                    bounded = (np.abs(state.x).max(initial=0.0) <= DIVERGENCE_LIMIT and
+                               np.abs(state.z).max(initial=0.0) <= DIVERGENCE_LIMIT)
+                    prim_bound = (INF if last or not bounded else
+                                  settings.eps_prim if residual_mode else -INF)
+                    state.r_prim, state.r_dual = residuals(state, self.problem, self.kkt,
+                                                           prim_bound)
+                    if not (bounded and np.isfinite(state.r_prim)):
                         state.status = "diverged"
                         break
-                    if settings.termination_mode == "residual" and \
-                            state.r_prim <= settings.eps_prim and \
+                    if residual_mode and state.r_prim <= settings.eps_prim and \
                             state.r_dual <= settings.eps_dual:
                         state.status = "solved"
                         break

@@ -115,16 +115,18 @@ class RunTrace:
 def plant_step(model: ThermalPlantModel, params: PowerModelParams, state, v, f, ceff):
     """Fixed-step 4th-order integration of the nonlinear plant over one
     sample time; its leakage gain tracks each element's instantaneous
-    temperature."""
+    temperature. The operating point (v, f, ceff) is held over the step,
+    so its temperature-independent power terms are computed once per call
+    (``power.power_over_temperature``), not in each of the
+    4 * ``PLANT_SUBSTEPS`` derivative evaluations."""
     h = model.spec.ts / PLANT_SUBSTEPS
     state = np.array(state, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    p = power.power_over_temperature(params, np.asarray(v, dtype=np.float64),
+                                     np.asarray(f, dtype=np.float64), ceff)
+    a_t, b_t = model.a_t, model.b_t
 
     def deriv(s):
-        gain = params.leakage_gain(model.silicon_c(s), v)
-        p = power.power_forward(params, v, f, ceff, gain)
-        return model.a_t @ s + model.b_t @ p
+        return a_t @ s + b_t @ p(model.silicon_c(s))
 
     for _ in range(PLANT_SUBSTEPS):
         k1 = deriv(state)

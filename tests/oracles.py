@@ -3,15 +3,22 @@
 Everything here is deliberately naive (dense algebra, enumeration) and
 shares no code with the package's own factorization/solve/schedule paths,
 except ``sptrsv_fe``/``sptrsv_bs``: they run the package's sequential
-reference solves, ``_kernels.solve_fe``/``solve_bs``, on a copy of b.
+reference solves, ``_kernels.solve_fe``/``solve_bs``, on a copy of b. The
+two loops that the package's fast paths must match bit for bit,
+``admm_solve_checking_both_residuals`` and ``plant_step_per_evaluation``,
+call the package's KKT factor and power model as their building blocks.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
 from etmpc import _kernels
 from etmpc.csc import DimensionError
+from etmpc.power import power_forward
+from etmpc.qp import DIVERGENCE_LIMIT
+from etmpc.simulate import PLANT_SUBSTEPS
 
 
 def dense_ldl(a):
@@ -218,6 +225,72 @@ def dense_admm_step(P, q, A, l, u, rho, sigma, alpha, x, z, y):
     z_relaxed = alpha * zt + (1.0 - alpha) * z
     z_new = np.clip(z_relaxed + y / rho, l, u)
     return (alpha * xt + (1.0 - alpha) * x, z_new, y + rho * (z_relaxed - z_new))
+
+
+def admm_solve_checking_both_residuals(problem, kkt, settings, start=None):
+    """The ADMM loop that computes r_prim and r_dual at every check, with
+    the iteration and the residual arithmetic written out in their own
+    operand order; it shares only the KKT factor and the frozen operators
+    of ``kkt`` with the package. ``start`` is an (x, z, y) to warm-start
+    from. Returns the final iterate, residuals, iteration count and status."""
+    dtype = settings.dtype
+    q, l, u = (vec.astype(dtype, copy=False) for vec in (problem.q, problem.l, problem.u))
+    n, m, alpha = problem.n, problem.m, settings.alpha
+    if start is None:
+        x, z, y = np.zeros(n, dtype), np.zeros(m, dtype), np.zeros(m, dtype)
+    else:
+        x, z, y = (vec.copy() for vec in start)
+    r_prim = r_dual = np.inf
+    status, it = None, 0
+    while it < settings.max_iter:
+        rhs = np.concatenate([settings.sigma * x - q, z - kkt.rho_inv * y])
+        sol = kkt.factor.solve(rhs)
+        xtilde, nu = sol[:n], sol[n:]
+        ztilde = z + kkt.rho_inv * (nu - y)
+        x = alpha * xtilde + (1.0 - alpha) * x
+        z_pre = alpha * ztilde + (1.0 - alpha) * z
+        z_new = np.clip(z_pre + kkt.rho_inv * y, l, u)
+        y = y + kkt.rho * (z_pre - z_new)
+        z = z_new
+        it += 1
+        if it % settings.check_interval == 0 or it == settings.max_iter:
+            r_prim = float(np.max(np.abs(kkt.A @ x - z), initial=0.0))
+            r_dual = float(np.max(np.abs(kkt.P @ x + q + kkt.At @ y), initial=0.0))
+            if not np.isfinite(r_prim) or \
+                    not np.all(np.abs(np.concatenate([x, z])) <= DIVERGENCE_LIMIT):
+                status = "diverged"
+                break
+            if settings.termination_mode == "residual" and \
+                    r_prim <= settings.eps_prim and r_dual <= settings.eps_dual:
+                status = "solved"
+                break
+    if status is None:
+        converged = r_prim <= settings.eps_prim and r_dual <= settings.eps_dual
+        status = "solved" if converged else "max_iter"
+    return SimpleNamespace(x=x, z=z, y=y, r_prim=r_prim, r_dual=r_dual, iterations=it,
+                           status=status)
+
+
+def plant_step_per_evaluation(model, params, state, v, f, ceff):
+    """The plant's RK4 step with the full power model, gain and all, at
+    every derivative evaluation."""
+    h = model.spec.ts / PLANT_SUBSTEPS
+    state = np.array(state, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+
+    def deriv(s):
+        gain = params.leakage_gain(model.silicon_c(s), v)
+        p = power_forward(params, v, f, ceff, gain)
+        return model.a_t @ s + model.b_t @ p
+
+    for _ in range(PLANT_SUBSTEPS):
+        k1 = deriv(state)
+        k2 = deriv(state + 0.5 * h * k1)
+        k3 = deriv(state + 0.5 * h * k2)
+        k4 = deriv(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return state
 
 
 def scalar_dispatch(params, u0, classes, gain, domains):

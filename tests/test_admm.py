@@ -17,7 +17,8 @@ from etmpc.qp import (
     residuals,
 )
 
-from oracles import dense_admm_step, random_qp, solve_qp_enumeration
+from oracles import (admm_solve_checking_both_residuals, dense_admm_step, random_qp,
+                     solve_qp_enumeration)
 
 
 def make_problem(P, q, A, l, u):
@@ -359,8 +360,90 @@ def test_divergence_guard():
                      [-1e30, -1e30], [1e30, 1e30])
     for prec in ("fp64", "fp32"):
         settings = AdmmSettings(max_iter=2000, sigma=1e-6, rho=1.0, alpha=1.9, precision=prec)
-        res = AdmmSolver(p, settings).solve()
+        solver = AdmmSolver(p, settings)
+        res = solver.solve()
         assert res.status == "diverged", prec
+        # both residuals of the diverged iterate are returned
+        want = admm_solve_checking_both_residuals(p, solver.kkt, settings)
+        assert (res.r_prim, res.r_dual, res.iterations, res.status) == \
+            (want.r_prim, want.r_dual, want.iterations, want.status)
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_a_nan_iterate_ends_the_solve_as_diverged(precision):
+    # x[1] has no entry in A, so r_prim stays finite while x[1] is NaN
+    solver = AdmmSolver(make_problem(np.eye(2), [0.0, 0.0], [[1.0, 0.0]], [-1.0], [1.0]),
+                        AdmmSettings(precision=precision))
+    factor = solver.kkt.factor
+
+    def nan_in_x1(b):
+        sol = LdlFactor.solve(factor, b)
+        sol[1] = np.nan
+        return sol
+
+    factor.solve = nan_in_x1   # shadows the method, for this factor alone
+    res = solver.solve()
+    assert res.status == "diverged" and res.iterations == 1
+    assert np.isnan(res.x[1]) and np.isfinite(res.r_prim) and np.isnan(res.r_dual)
+
+
+GATE_ITERS = 40
+GATE_MODES = {
+    "fixed-1": dict(check_interval=1),
+    "fixed-3": dict(check_interval=3),
+    "fixed-max_iter": dict(check_interval=GATE_ITERS),
+    "residual-1": dict(termination_mode="residual", eps_prim=1e-3, eps_dual=1e-3),
+    "residual-3": dict(termination_mode="residual", eps_prim=1e-3, eps_dual=1e-3,
+                       check_interval=3),
+    "residual-max_iter": dict(termination_mode="residual", eps_prim=1e-3, eps_dual=1e-3,
+                              check_interval=GATE_ITERS),
+    # r_prim reaches its tolerance and r_dual (eps_dual = 0) never does: a
+    # max_iter exit with r_prim <= eps_prim and r_dual above its tolerance
+    "residual-dual-short": dict(termination_mode="residual", eps_prim=1e-2, eps_dual=0.0),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GATE_MODES))
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_solve_matches_the_loop_that_computes_both_residuals_at_every_check(
+        monkeypatch, precision, mode):
+    checks = []
+    real = etmpc.qp.residuals
+
+    def counted(*args):
+        checks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(etmpc.qp, "residuals", counted)
+    settings = AdmmSettings(max_iter=GATE_ITERS, precision=precision, **GATE_MODES[mode])
+    ci = settings.check_interval
+    rng = np.random.default_rng(31)
+    exits = []
+    for _ in range(6):
+        n, m = (int(k) for k in rng.integers(3, 10, size=2))
+        problem = make_problem(*random_qp(rng, n, m))
+        solver = AdmmSolver(problem, settings)
+        start = None
+        for _ in range(3):   # warm-started repeats, each on a moved q
+            checks.clear()
+            got = solver.solve()
+            want = admm_solve_checking_both_residuals(problem, solver.kkt, settings, start)
+            for name in ("x", "z", "y"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert (got.r_prim, got.r_dual, got.iterations, got.status) == \
+                (want.r_prim, want.r_dual, want.iterations, want.status)
+            assert len(checks) == sum(1 for i in range(1, got.iterations + 1)
+                                      if i % ci == 0 or i == GATE_ITERS)
+            exits.append((got.status, got.r_prim <= settings.eps_prim and
+                          got.r_dual > settings.eps_dual))
+            if want.status != "diverged":
+                start = (want.x, want.z, want.y)
+            problem.q += 0.1 * rng.standard_normal(n)
+    if mode == "residual-dual-short":
+        assert ("max_iter", True) in exits
+    elif mode.startswith("residual"):
+        assert {status for status, _ in exits} == {"solved", "max_iter"}
 
 
 def test_solver_bring_up_validates_once(monkeypatch):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from etmpc.power import (PowerModelParams, power_forward, power_inverse, rail_for_frequency,
-                         smallest_feasible_voltage)
+from etmpc.power import (PowerModelParams, power_forward, power_inverse, power_over_temperature,
+                         rail_for_frequency, smallest_feasible_voltage)
 
 
 def flat_params(**kw):
@@ -147,6 +147,25 @@ def test_frozen_gain_bounds_the_plant_gain_at_or_below_the_cap():
     rails = np.array(params.vf_table)[:, 0]
     t = np.linspace(-20.0, 95.0, 116)[:, None]
     assert np.all(params.leakage_gain(t, rails) <= params.frozen_gain())
+
+
+@pytest.mark.parametrize("params", [
+    PowerModelParams(),
+    PowerModelParams(vf_table=[(0.7, 1.5e9), (0.9, 2.4e9), (1.1, 3.2e9)], t_limit=95.0),
+], ids=["default", "other-table"])
+def test_power_over_temperature_has_the_bits_of_power_forward_at_the_leakage_gain(params):
+    rng = np.random.default_rng(5)
+    # every rail at f = 0, at its fmax and at a random f between, for every class
+    rows = [(v, f, c) for v, fmax in params.vf_table
+            for f in (0.0, fmax, rng.uniform(0.0, fmax)) for c in params.ceff_by_class]
+    v, f, classes = (np.array(column) for column in zip(*rows))
+    ceff = params.ceff(classes)
+    p = power_over_temperature(params, v, f, ceff)
+    temps = [np.full(v.shape, t) for t in np.linspace(-40.0, 150.0, 96)]
+    temps += [rng.uniform(-40.0, 150.0, v.shape) for _ in range(20)]
+    for t in temps:
+        want = power_forward(params, v, f, ceff, params.leakage_gain(t, v))
+        assert p(t).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [dict(k_v=-1.2), dict(k_t=-0.02), dict(icc=-0.4)],

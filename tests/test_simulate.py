@@ -7,10 +7,10 @@ from etmpc.pruning import DEFAULT_CUTOFF, prune_model
 from etmpc.qp import AdmmSettings
 import etmpc.simulate
 from etmpc.simulate import (Scenario, default_scenario, dispatch, mpc_solver_settings,
-                            rmse_series, run_closed_loop, timeline_value)
+                            plant_step, rmse_series, run_closed_loop, timeline_value)
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
-from oracles import scalar_dispatch
+from oracles import plant_step_per_evaluation, scalar_dispatch
 
 STEPS = 30
 
@@ -101,6 +101,25 @@ def test_array_dispatch_matches_scalar_oracle():
             want = scalar_dispatch(params, u0, classes, gain, spec.domains)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("side", [2, 8])
+def test_plant_step_matches_the_rk4_that_evaluates_the_whole_power_model(side):
+    spec = GridSpec(side, side, hp=2, domains=default_domains(side, side))
+    model = build_thermal_model(spec)
+    params = PowerModelParams()
+    rails = np.array(params.vf_table)
+    rng = np.random.default_rng(side)
+    # from ambient the state's last bits still show a one-ulp change in power
+    for state in (np.zeros(model.n_x), rng.uniform(0.0, 60.0, model.n_x)):
+        for _ in range(5):
+            v, fmax = rails[rng.integers(len(rails), size=spec.n_pe)].T
+            f = np.where(rng.random(spec.n_pe) < 0.2, 0.0, rng.uniform(0.0, fmax))
+            ceff = params.ceff(rng.integers(0, 3, spec.n_pe))
+            got = plant_step(model, params, state, v, f, ceff)
+            want = plant_step_per_evaluation(model, params, state, v, f, ceff)
+            assert got.tobytes() == want.tobytes()
+            state = got
 
 
 def test_fixed_iteration_settings_compute_residuals_once():
