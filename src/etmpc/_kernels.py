@@ -25,7 +25,10 @@ indices, values), column by column.
   statement per entry, BS one chained statement per column, and x is
   returned in the original order, so the permutation costs nothing. Each
   statement subtracts the reference's products in the reference's order.
-  Its operands are L's values and dinv as lists.
+  Its operands are L's values and dinv as lists. The source has two
+  forms, which differ only in how a product reads L's value: the locals
+  form unpacks L's values into one local each (``l3*x1``), the index form
+  reads them from the list (``l[3]*x1``). See the frame rule below.
 - ``LevelPlan``, the level schedule. The FE level of a row is 1 + the
   largest level among the columns that update it, the BS level of a
   column 1 + the largest level among its rows. FE applies L's entries
@@ -41,6 +44,20 @@ group. ``solve_plan`` therefore schedules a pattern whose mean entries per
 group, nnz(L) / (levels - 1), reach ``SCHEDULE_MIN_WIDTH``, and generates
 the solve of the others. An L without entries has no group and is
 scheduled: its solve is the diagonal scale alone, and nothing is compiled.
+
+The frame rule. CPython 3.11-3.13 put each call's frame on a per-thread
+data stack made of 16 KiB chunks; a frame that does not fit in the rest
+of the current chunk gets a chunk of its own, allocated and freed on
+every call (3.10 puts every frame on the heap). The locals form's frame
+holds one local per entry of b, dinv and L, and a value stack as deep as
+its longest unpack: 2,889 slots, 22.6 KiB, at P4x4 (n = 234, nnz(L) =
+1,209), so every solve there paid for a fresh chunk. The index form's
+frame grows with n alone, 705 slots at P4x4, whose fp64 kernel went from
+61 to 55 us (Python 3.11.7, 2-vCPU x86 host). Reading a value by index
+costs a little more than reading a local, so ``ldl_source`` writes the
+locals form while its frame, ``locals_frame(n, nnz(L))``, fits in
+``FRAME_SLOTS``, as P2x2 (517 slots) and P3x3 (1,391) do, and the index
+form otherwise.
 
 The reference solves ``solve_fe`` and ``solve_bs`` run their loop bodies
 on Python lists, which the interpreter indexes several times faster than
@@ -149,18 +166,41 @@ STATEMENT_TERMS = 32
 PLAN_CACHE_SIZE = 8
 # Mean entries of L per schedule group, nnz(L) / (levels - 1), from which
 # a pattern runs on the level schedule instead of the solve generated for
-# it. Per KKT solve on a 2-vCPU x86 host (Python 3.11), the schedule took
-# 2.3-7x the generated solve's time in fp64 up to P6x6, and 1.5x at P8x8
-# (77.1), whose generated solve would cost an 80 ms compile and 1 MiB
-# (250 KiB of bytecode) per pattern. In fp32 it took 1.0x at P4x4 (36.6),
-# 0.8x at P5x5, 0.7x at P6x6 and 0.5x at P8x8.
+# it. Per KKT solve on a 2-vCPU x86 host (Python 3.11), against the
+# generated solve in the form ``ldl_source`` picks (the index form from
+# P4x4 on), the schedule took 2.6-2.7x its time in fp64 at P4x4 (36.6),
+# 2.2-2.3x at P5x5 (42.8), 1.8x at P6x6 (53.4) and 1.35x at P8x8 (77.1):
+# 459 against 339 us. In fp32 it took 1.0x at P4x4, 0.9x at P5x5, 0.7x at
+# P6x6 and 0.5x at P8x8. P8x8's generated solve would also cost a 70-90 ms
+# compile and 1 MiB (370 KiB of bytecode) per pattern. P8x8 stays on the
+# schedule while the benchmark keeps every round's solvers: a faster P8x8
+# solve completes more rounds, which lifts its peak RSS (ROADMAP item 1).
 SCHEDULE_MIN_WIDTH = 40
+# The most slots, locals and value stack, that the frame of a generated
+# solve's locals form may take (see the frame rule above). A data-stack
+# chunk holds 2,048 slots of 8 bytes. Called from a shallow stack, a
+# function that unpacks a list into its locals took 3.1 us with a frame of
+# 1,901 slots and 10.5 us with one of 2,001 (3.11.7; 3.12.1 and 3.13.0
+# alike); 3.10.13 took 5.6 and 6.0 us. The callers' frames hold the rest
+# of the chunk: at the kernel's call site in the benchmark's closed loop, a
+# frame of 1,561 slots still fit and one of 1,601 did not. 1,536 slots,
+# 12 KiB, keep P2x2 (517 slots) and P3x3 (1,391) in the locals form;
+# P4x4's would take 2,889, 22.6 KiB.
+FRAME_SLOTS = 1536
 
 
 def _chained(target, terms):
     """Statements that subtract ``terms`` from ``target``, in order."""
     return [f" {target} = {target} - {' - '.join(terms[a:a + STATEMENT_TERMS])}"
             for a in range(0, len(terms), STATEMENT_TERMS)]
+
+
+def locals_frame(n, nnz):
+    """``co_nlocals + co_stacksize`` of the locals form of the solve of an
+    n x n L with nnz entries: ``l``, ``d``, ``b`` and one local per entry
+    of b, dinv and L, and a value stack as deep as its longest unpack or
+    its returned list."""
+    return 2 * n + nnz + 3 + max(n, nnz, 3)
 
 
 def ldl_source(colptr, rowidx, inv_perm):
@@ -179,23 +219,32 @@ def ldl_source(colptr, rowidx, inv_perm):
     one chained statement per column from the last, its products in CSC
     order as in ``_backward``. Each product and difference has the
     operands of the reference's, in the same order, so it rounds the
-    same."""
+    same.
+
+    The source has one of two forms, chosen from n and nnz(L) alone. The
+    locals form unpacks ``l`` into one local per value, as above. Where
+    that frame, ``locals_frame``, would exceed ``FRAME_SLOTS``, the index
+    form reads each value from ``l`` where it is used,
+    ``x5 = x5 - l[0]*x0 - l[3]*x1``, and its frame grows with n alone."""
     n = len(colptr) - 1
     Lp, Li = colptr.tolist(), rowidx.tolist()
+    indexed = locals_frame(n, Lp[n]) > FRAME_SLOTS
+    value = "l[{}]" if indexed else "l{}"
     rows = [[] for _ in range(n)]
     for j in range(n):
         for p in range(Lp[j], Lp[j + 1]):
-            rows[Li[p]].append(f"l{p}*x{j}")
+            rows[Li[p]].append(f"{value.format(p)}*x{j}")
     x = ", ".join(f"x{k}" for k in inv_perm.tolist())
-    lines = ["def solve(l, d, b):",
-             f" [{x}] = b",
-             f" [{', '.join(f'l{p}' for p in range(Lp[n]))}] = l",
-             f" [{', '.join(f'd{k}' for k in range(n))}] = d"]
+    lines = ["def solve(l, d, b):", f" [{x}] = b"]
+    if not indexed:
+        lines.append(f" [{', '.join(f'l{p}' for p in range(Lp[n]))}] = l")
+    lines.append(f" [{', '.join(f'd{k}' for k in range(n))}] = d")
     for i in range(n):
         lines += _chained(f"x{i}", rows[i])
     lines += [f" x{k} = x{k} * d{k}" for k in range(n)]
     for j in range(n - 1, -1, -1):
-        lines += _chained(f"x{j}", [f"l{p}*x{Li[p]}" for p in range(Lp[j], Lp[j + 1])])
+        lines += _chained(f"x{j}", [f"{value.format(p)}*x{Li[p]}"
+                                    for p in range(Lp[j], Lp[j + 1])])
     lines.append(f" return [{x}]")
     return "\n".join(lines)
 
@@ -222,7 +271,9 @@ class _Plan:
 
 
 class SolvePlan(_Plan):
-    """The solve that ``ldl_source`` writes for the pattern, compiled."""
+    """The solve that ``ldl_source`` writes for the pattern, compiled: in
+    the locals form while its frame fits in ``FRAME_SLOTS``, else in the
+    index form, which reads L's values from ``Lx`` by index."""
 
     __slots__ = ("kernel",)
 

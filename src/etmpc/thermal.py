@@ -17,6 +17,11 @@ import numpy as np
 import scipy.linalg
 
 
+def _is_integer(value):
+    # bool is an Integral, but True is no grid size, horizon or element index
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     nw: int
@@ -27,7 +32,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("nw", "nh", "hp"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         if self.nw < 1 or self.nh < 1:
             raise ValueError("grid must be at least 1 x 1")
@@ -36,8 +41,10 @@ class GridSpec:
         if not 0 < self.ts < np.inf:
             raise ValueError("sample time must be positive and finite")
         if self.domains:
-            flat = sorted(i for d in self.domains for i in d)
-            if flat != list(range(self.n_pe)):
+            flat = [i for d in self.domains for i in d]
+            if not all(map(_is_integer, flat)):
+                raise ValueError("domain members must be element indices")
+            if sorted(flat) != list(range(self.n_pe)):
                 raise ValueError("domains must partition the element set")
 
     @property

@@ -1,9 +1,12 @@
+import math
+import unittest.mock
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 import etmpc._kernels
-from etmpc._kernels import LevelPlan, SolvePlan
+from etmpc._kernels import FRAME_SLOTS, LevelPlan, SolvePlan, locals_frame
 from etmpc.csc import DimensionError, SparseCSC, column_indices
 from etmpc.ldl import FactorizationError, LdlFactor, ldl_numeric
 from etmpc.mpc import build_mpc_qp, update_mpc_step
@@ -285,15 +288,30 @@ def ldl_reference(L, dinv, b):
     return x
 
 
+def frame(kernel):
+    """The slots of a generated solve's frame: its locals and value stack."""
+    return kernel.__code__.co_nlocals + kernel.__code__.co_stacksize
+
+
 def ldl_paths(L):
-    """Both plan classes built on L's pattern and a random permutation,
-    each as a function of (dinv, x) that solves in place in the permuted
-    order: it permutes x back into b's original order, solves through the
-    plan and permutes the result into x."""
+    """Both plan classes built on L's pattern and a random permutation, the
+    generated solve in its locals form and in its index form, each as a
+    function of (dinv, x) that solves in place in the permuted order: it
+    permutes x back into b's original order, solves through the plan and
+    permutes the result into x."""
     perm = np.random.default_rng(L.nnz).permutation(L.nrows).astype(L.colptr.dtype)
     pattern = (L.colptr, L.rowidx, perm, np.argsort(perm).astype(perm.dtype))
     level = etmpc._kernels.row_levels(L.rowidx.tolist(), column_indices(L.colptr).tolist(),
                                       L.nrows)
+    plans = []
+    for frame_slots in (math.inf, 0):   # every frame fits, then none does
+        with unittest.mock.patch.object(etmpc._kernels, "FRAME_SLOTS", frame_slots):
+            plans.append(SolvePlan(*pattern, level))
+    local, indexed = (plan.kernel for plan in plans)
+    assert ("l0" in local.__code__.co_varnames) == (L.nnz > 0)
+    assert "l0" not in indexed.__code__.co_varnames
+    assert frame(local) <= locals_frame(L.nrows, L.nnz)
+    plans.append(LevelPlan(*pattern, level))
 
     def path(plan):
         def solve(dinv, x):
@@ -303,7 +321,7 @@ def ldl_paths(L):
 
         return solve
 
-    return [path(plan(*pattern, level)) for plan in (SolvePlan, LevelPlan)]
+    return [path(plan) for plan in plans]
 
 
 def long_row_factor(dtype, n=2002):
@@ -335,10 +353,10 @@ def mpc_factor(grid, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_both_plans_are_byte_exact_with_the_array_reference(dtype):
-    """Both plans, on every pattern, a row of 2001 products included, must
-    give the bits of FE, ``*= dinv`` and BS on arrays, on the controller's
-    factors and on random ones, and write the result into x, a strided
-    view included."""
+    """Both plans, the generated solve in both its forms, on every pattern,
+    a row of 2001 products included, must give the bits of FE, ``*= dinv``
+    and BS on arrays, on the controller's factors and on random ones, and
+    write the result into x, a strided view included."""
     rng = np.random.default_rng(23)
     factors = [mpc_factor(grid, dtype) for grid in (2, 3, 4, 8)]
     factors += [ldl_numeric(scipy.sparse.csc_array(
@@ -514,6 +532,20 @@ def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_generated_solv
             else:
                 assert operands == (f.L.values.tolist(), f.dinv.tolist())
         assert f._operands is None
+
+
+def test_a_generated_solve_reads_L_by_index_once_its_locals_would_overflow_the_frame():
+    """The locals form's frame stays within ``FRAME_SLOTS`` at P2x2 (517
+    slots) and P3x3 (1,391); at P4x4 it would take 2,889, more than a 16
+    KiB data-stack chunk holds, so P4x4 reads L's values by index. Every
+    generated kernel's frame stays within the bound the choice uses;
+    ``ldl_paths`` checks ``locals_frame`` against the compiled frame."""
+    for grid, local in ((2, True), (3, True), (4, False)):
+        f = mpc_factor(grid, np.float64)
+        kernel = f.plan.kernel
+        assert (locals_frame(f.n, f.L.nnz) <= FRAME_SLOTS) == local
+        assert ("l0" in kernel.__code__.co_varnames) == local
+        assert frame(kernel) <= FRAME_SLOTS
 
 
 @pytest.fixture

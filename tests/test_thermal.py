@@ -114,6 +114,24 @@ def test_grid_spec_validation():
         GridSpec(2, 2, domains=[[0, 1]])  # does not cover all four elements
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    ((True, 2), {}),                          # would build a 1 x 2 grid
+    ((2, True), {}),
+    ((2, 2), {"hp": True}),                   # would plan over a horizon of 1
+    ((2, 1), {"domains": [[0.0], [1.0]]}),    # partitions by value, then fails to index
+    ((2, 1), {"domains": [[False], [True]]}),
+    ((2, 1), {"domains": [["0"], [1]]}),
+], ids=["bool-nw", "bool-nh", "bool-hp", "float-members", "bool-members", "str-members"])
+def test_grid_spec_rejects_bools_and_non_integer_members(args, kwargs):
+    with pytest.raises(ValueError, match="integer|element indices"):
+        GridSpec(*args, **kwargs)
+
+
+def test_grid_spec_accepts_numpy_integer_members():
+    spec = GridSpec(2, 1, domains=[[np.int64(0)], [np.int16(1)]])
+    assert spec.n_pe == 2
+
+
 def test_grid_spec_is_frozen():
     # a model discretized at one sample time cannot be relabelled with another
     spec = GridSpec(2, 2)
