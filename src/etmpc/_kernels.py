@@ -54,10 +54,16 @@ its longest unpack: 2,889 slots, 22.6 KiB, at P4x4 (n = 234, nnz(L) =
 1,209), so every solve there paid for a fresh chunk. The index form's
 frame grows with n alone, 705 slots at P4x4, whose fp64 kernel went from
 61 to 55 us (Python 3.11.7, 2-vCPU x86 host). Reading a value by index
-costs a little more than reading a local, so ``ldl_source`` writes the
-locals form while its frame, ``locals_frame(n, nnz(L))``, fits in
-``FRAME_SLOTS``, as P2x2 (517 slots) and P3x3 (1,391) do, and the index
-form otherwise.
+costs more than reading a local: with the index form at P2x2 too, the
+benchmark's p2x2_loop ``solve_ms_p50`` was 1.8 % higher in 10 of 10
+pairs. So ``ldl_source`` writes the locals form while its frame,
+``locals_frame(n, nnz(L))``, fits in ``FRAME_SLOTS``, as P2x2 (517 slots)
+and P3x3 (1,391) do, and the index form otherwise. The index form's
+frame, 3n + 3 slots, passes ``FRAME_SLOTS`` itself from n = 512 on, and
+nothing bounds it there: no generated pattern of the controller comes
+near (P4x4, n = 234, is the largest; P5x5 and up are scheduled). On 3.10,
+which has no chunks, the index form is slower at every size (P4x4 kernel
+83-86 against 105-110 us); 3.10 is not a performance target.
 
 The reference solves ``solve_fe`` and ``solve_bs`` run their loop bodies
 on Python lists, which the interpreter indexes several times faster than
@@ -199,7 +205,8 @@ def locals_frame(n, nnz):
     """``co_nlocals + co_stacksize`` of the locals form of the solve of an
     n x n L with nnz entries: ``l``, ``d``, ``b`` and one local per entry
     of b, dinv and L, and a value stack as deep as its longest unpack or
-    its returned list."""
+    its returned list. ``locals_frame(n, 0)`` is the index form's frame,
+    which holds no local of L."""
     return 2 * n + nnz + 3 + max(n, nnz, 3)
 
 

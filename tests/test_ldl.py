@@ -311,6 +311,7 @@ def ldl_paths(L):
     assert ("l0" in local.__code__.co_varnames) == (L.nnz > 0)
     assert "l0" not in indexed.__code__.co_varnames
     assert frame(local) <= locals_frame(L.nrows, L.nnz)
+    assert frame(indexed) <= locals_frame(L.nrows, 0)
     plans.append(LevelPlan(*pattern, level))
 
     def path(plan):
@@ -537,9 +538,10 @@ def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_generated_solv
 def test_a_generated_solve_reads_L_by_index_once_its_locals_would_overflow_the_frame():
     """The locals form's frame stays within ``FRAME_SLOTS`` at P2x2 (517
     slots) and P3x3 (1,391); at P4x4 it would take 2,889, more than a 16
-    KiB data-stack chunk holds, so P4x4 reads L's values by index. Every
-    generated kernel's frame stays within the bound the choice uses;
-    ``ldl_paths`` checks ``locals_frame`` against the compiled frame."""
+    KiB data-stack chunk holds, so P4x4 reads L's values by index, in 705.
+    The kernels of these three grids, the ones whose solve is generated,
+    stay within ``FRAME_SLOTS``; ``ldl_paths`` checks both
+    forms' frames against ``locals_frame`` on every pattern it builds."""
     for grid, local in ((2, True), (3, True), (4, False)):
         f = mpc_factor(grid, np.float64)
         kernel = f.plan.kernel
