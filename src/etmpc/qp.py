@@ -25,6 +25,7 @@ iterates and the q, l, u they read are all in that dtype.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -89,8 +90,11 @@ class QpProblem:
             raise ValueError("P must be stored as its upper triangle")
         if not (np.isfinite(self.P.data).all() and np.isfinite(self.A.data).all()):
             raise ValueError("non-finite entry in P or A")
-        if np.isnan(self.q).any() or np.isnan(self.l).any() or np.isnan(self.u).any():
-            raise ValueError("NaN in q, l or u")
+        if not np.isfinite(self.q).all():
+            raise ValueError("non-finite entry in q")
+        for name, vec, unmeetable in (("l", self.l, INF), ("u", self.u, -INF)):
+            if np.isnan(vec).any() or (vec == unmeetable).any():
+                raise ValueError(f"NaN or {unmeetable} in {name}")
         if np.any(self.l > self.u):
             raise ValueError("l > u in some row")
         return self
@@ -160,7 +164,7 @@ class KktSystem:
     ``A`` and ``At`` are the ``scipy.sparse`` operators of the residual
     products, and ``rho``/``rho_inv`` the per-row step sizes and their
     reciprocals, all in the storage ``dtype``. q, l and u are not held
-    here: they are read from the problem at every use, through ``stored``.
+    here: they are read from the problem through ``stored``.
     The solves need only the factor, so K itself is not kept: ``K``
     assembles it again from the frozen parts, with the bits it was
     factored from.
@@ -238,22 +242,23 @@ def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem, prim_bound=I
     return r_prim, float(np.abs(rd).max(initial=0.0))
 
 
-def admm_step(state: AdmmState, problem: QpProblem, kkt: KktSystem, settings: AdmmSettings):
+def admm_step(state: AdmmState, kkt: KktSystem, q, l, u, alpha):
     """One relaxed splitting iteration, in place, with the per-row step
-    sizes of ``kkt``."""
-    rho, rho_inv, alpha = kkt.rho, kkt.rho_inv, settings.alpha
-    n = problem.n
+    sizes of ``kkt``, on q, l and u in its storage precision."""
+    rho, rho_inv = kkt.rho, kkt.rho_inv
+    n = q.shape[0]
     rho_inv_y = rho_inv * state.y
-    rhs = np.concatenate([
-        settings.sigma * state.x - kkt.stored(problem.q),
-        state.z - rho_inv_y,
-    ])
+    rhs = np.empty(n + l.shape[0], kkt.dtype)
+    head = np.multiply(kkt.sigma, state.x, out=rhs[:n])
+    head -= q
+    np.subtract(state.z, rho_inv_y, out=rhs[n:])
     sol = kkt.factor.solve(rhs)
     xtilde, nu = sol[:n], sol[n:]
     ztilde = state.z + rho_inv * (nu - state.y)
-    state.x = alpha * xtilde + (1.0 - alpha) * state.x
-    z_pre = alpha * ztilde + (1.0 - alpha) * state.z
-    z_new = np.clip(z_pre + rho_inv_y, kkt.stored(problem.l), kkt.stored(problem.u))
+    beta = 1.0 - alpha
+    state.x = alpha * xtilde + beta * state.x
+    z_pre = alpha * ztilde + beta * state.z
+    z_new = (z_pre + rho_inv_y).clip(l, u)
     state.y = state.y + rho * (z_pre - z_new)
     state.z = z_new
     state.iterations += 1
@@ -290,15 +295,17 @@ class AdmmSolver:
         divergence (an |x| or |z| entry above ``DIVERGENCE_LIMIT`` or NaN,
         or a non-finite r_prim). The returned state therefore carries both
         residuals of its final iterate."""
-        settings = self.settings
-        state = AdmmState.zeros(self.problem.n, self.problem.m, settings.dtype)
+        settings, problem, kkt = self.settings, self.problem, self.kkt
         if settings.warm_start and self._last is not None:
-            state.x, state.z, state.y = (v.copy() for v in self._last)
+            state = AdmmState(*(v.copy() for v in self._last))
+        else:
+            state = AdmmState.zeros(problem.n, problem.m, settings.dtype)
+        q, l, u = (kkt.stored(vec) for vec in (problem.q, problem.l, problem.u))
 
         residual_mode = settings.termination_mode == "residual"
-        with self.kkt.factor.converted():
+        with kkt.factor.converted():
             while state.iterations < settings.max_iter:
-                admm_step(state, self.problem, self.kkt, settings)
+                admm_step(state, kkt, q, l, u, settings.alpha)
                 it = state.iterations
                 last = it == settings.max_iter
                 if it % settings.check_interval == 0 or last:
@@ -307,9 +314,8 @@ class AdmmSolver:
                                np.abs(state.z).max(initial=0.0) <= DIVERGENCE_LIMIT)
                     prim_bound = (INF if last or not bounded else
                                   settings.eps_prim if residual_mode else -INF)
-                    state.r_prim, state.r_dual = residuals(state, self.problem, self.kkt,
-                                                           prim_bound)
-                    if not (bounded and np.isfinite(state.r_prim)):
+                    state.r_prim, state.r_dual = residuals(state, problem, kkt, prim_bound)
+                    if not (bounded and math.isfinite(state.r_prim)):
                         state.status = "diverged"
                         break
                     if residual_mode and state.r_prim <= settings.eps_prim and \

@@ -116,17 +116,18 @@ def plant_step(model: ThermalPlantModel, params: PowerModelParams, state, v, f, 
     """Fixed-step 4th-order integration of the nonlinear plant over one
     sample time; its leakage gain tracks each element's instantaneous
     temperature. The operating point (v, f, ceff) is held over the step,
-    so its temperature-independent power terms are computed once per call
-    (``power.power_over_temperature``), not in each of the
-    4 * ``PLANT_SUBSTEPS`` derivative evaluations."""
+    so its temperature-independent power terms (``power.power_over_temperature``)
+    and ``model.silicon_c``'s slice and offset are made once per call, not
+    in each of the 4 * ``PLANT_SUBSTEPS`` derivative evaluations."""
     h = model.spec.ts / PLANT_SUBSTEPS
     state = np.array(state, dtype=np.float64)
     p = power.power_over_temperature(params, np.asarray(v, dtype=np.float64),
                                      np.asarray(f, dtype=np.float64), ceff)
     a_t, b_t = model.a_t, model.b_t
+    si, t_amb = slice(0, 2 * model.spec.n_pe, 2), np.float64(model.constants.t_amb)
 
     def deriv(s):
-        return a_t @ s + b_t @ p(model.silicon_c(s))
+        return a_t @ s + b_t @ p(s[si] + t_amb)
 
     for _ in range(PLANT_SUBSTEPS):
         k1 = deriv(state)

@@ -4,9 +4,10 @@ Everything here is deliberately naive (dense algebra, enumeration) and
 shares no code with the package's own factorization/solve/schedule paths,
 except ``sptrsv_fe``/``sptrsv_bs``: they run the package's sequential
 reference solves, ``_kernels.solve_fe``/``solve_bs``, on a copy of b. The
-two loops that the package's fast paths must match bit for bit,
-``admm_solve_checking_both_residuals`` and ``plant_step_per_evaluation``,
-call the package's KKT factor and power model as their building blocks.
+loops that the package's fast paths must match bit for bit,
+``admm_solve_checking_both_residuals``, ``frozen_admm_solve`` and
+``plant_step_per_evaluation``, call the package's KKT factor and power
+model as their building blocks.
 """
 
 import itertools
@@ -269,6 +270,76 @@ def admm_solve_checking_both_residuals(problem, kkt, settings, start=None):
         status = "solved" if converged else "max_iter"
     return SimpleNamespace(x=x, z=z, y=y, r_prim=r_prim, r_dual=r_dual, iterations=it,
                            status=status)
+
+
+def frozen_admm_step(state, problem, kkt, settings):
+    """The package's relaxed splitting iteration in the form that recorded
+    the closed-loop pins: q, l and u converted at every use, the KKT
+    right-hand side joined by ``np.concatenate`` and the projection by
+    ``np.clip``. ``qp.admm_step`` must give the same bits."""
+    rho, rho_inv, alpha = kkt.rho, kkt.rho_inv, settings.alpha
+    n = problem.n
+    rho_inv_y = rho_inv * state.y
+    rhs = np.concatenate([
+        settings.sigma * state.x - kkt.stored(problem.q),
+        state.z - rho_inv_y,
+    ])
+    sol = kkt.factor.solve(rhs)
+    xtilde, nu = sol[:n], sol[n:]
+    ztilde = state.z + rho_inv * (nu - state.y)
+    state.x = alpha * xtilde + (1.0 - alpha) * state.x
+    z_pre = alpha * ztilde + (1.0 - alpha) * state.z
+    z_new = np.clip(z_pre + rho_inv_y, kkt.stored(problem.l), kkt.stored(problem.u))
+    state.y = state.y + rho * (z_pre - z_new)
+    state.z = z_new
+    state.iterations += 1
+
+
+def frozen_residuals(state, problem, kkt, prim_bound):
+    """``qp.residuals`` in the same frozen form."""
+    rp = kkt.A @ state.x - state.z
+    r_prim = float(np.abs(rp).max(initial=0.0))
+    if prim_bound < r_prim < np.inf:
+        return r_prim, np.inf
+    rd = kkt.P @ state.x + kkt.stored(problem.q) + kkt.At @ state.y
+    return r_prim, float(np.abs(rd).max(initial=0.0))
+
+
+def frozen_admm_solve(problem, kkt, settings, start=None):
+    """``AdmmSolver.solve``'s loop in the same frozen form, over
+    ``frozen_admm_step`` and ``frozen_residuals``, from zero or from the
+    (x, z, y) ``start``. It shares the KKT factor and the frozen operators
+    of ``kkt`` with the package. Returns the final iterate, residuals,
+    iteration count and status."""
+    dtype = settings.dtype
+    state = SimpleNamespace(x=np.zeros(problem.n, dtype), z=np.zeros(problem.m, dtype),
+                            y=np.zeros(problem.m, dtype), r_prim=np.inf, r_dual=np.inf,
+                            iterations=0, status=None)
+    if start is not None:
+        state.x, state.z, state.y = (v.copy() for v in start)
+    residual_mode = settings.termination_mode == "residual"
+    with kkt.factor.converted():
+        while state.iterations < settings.max_iter:
+            frozen_admm_step(state, problem, kkt, settings)
+            it = state.iterations
+            last = it == settings.max_iter
+            if it % settings.check_interval == 0 or last:
+                bounded = (np.abs(state.x).max(initial=0.0) <= DIVERGENCE_LIMIT and
+                           np.abs(state.z).max(initial=0.0) <= DIVERGENCE_LIMIT)
+                prim_bound = (np.inf if last or not bounded else
+                              settings.eps_prim if residual_mode else -np.inf)
+                state.r_prim, state.r_dual = frozen_residuals(state, problem, kkt, prim_bound)
+                if not (bounded and np.isfinite(state.r_prim)):
+                    state.status = "diverged"
+                    break
+                if residual_mode and state.r_prim <= settings.eps_prim and \
+                        state.r_dual <= settings.eps_dual:
+                    state.status = "solved"
+                    break
+    if state.status is None:
+        converged = state.r_prim <= settings.eps_prim and state.r_dual <= settings.eps_dual
+        state.status = "solved" if converged else "max_iter"
+    return state
 
 
 def plant_step_per_evaluation(model, params, state, v, f, ceff):

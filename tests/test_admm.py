@@ -17,8 +17,8 @@ from etmpc.qp import (
     residuals,
 )
 
-from oracles import (admm_solve_checking_both_residuals, dense_admm_step, random_qp,
-                     solve_qp_enumeration)
+from oracles import (admm_solve_checking_both_residuals, dense_admm_step, frozen_admm_solve,
+                     random_qp, solve_qp_enumeration)
 
 
 def make_problem(P, q, A, l, u):
@@ -29,6 +29,22 @@ def make_problem(P, q, A, l, u):
 
 def box_problem():
     return make_problem(np.eye(2), [-1.0, -1.0], np.eye(2), [0.0, 0.0], [0.5, 1.0])
+
+
+def one_step(state, problem, kkt, settings):
+    """``admm_step`` on its own, with q, l and u converted as the solve converts them."""
+    admm_step(state, kkt, *(kkt.stored(vec) for vec in (problem.q, problem.l, problem.u)),
+              settings.alpha)
+
+
+def assert_same_bytes(got, want):
+    for name in ("x", "z", "y"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("r_prim", "r_dual"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), name
+    assert (got.iterations, got.status) == (want.iterations, want.status)
 
 
 def residual_settings(**kw):
@@ -198,7 +214,7 @@ def test_admm_step_fixed_point():
     state.x = np.array([1.0])
     state.z = np.array([1.0])
     state.y = np.array([0.0])
-    admm_step(state, solver.problem, solver.kkt, settings)
+    one_step(state, solver.problem, solver.kkt, settings)
     np.testing.assert_allclose(state.x, [1.0], atol=1e-9)
     np.testing.assert_allclose(state.z, [1.0], atol=1e-9)
     np.testing.assert_allclose(state.y, [0.0], atol=1e-9)
@@ -293,7 +309,7 @@ def test_per_row_rho_matches_dense_oracle(precision):
     state = AdmmState.zeros(p.n, p.m, dtype)
     x, z, y = np.zeros(p.n), np.zeros(p.m), np.zeros(p.m)
     for _ in range(10):
-        admm_step(state, p, kkt, settings)
+        one_step(state, p, kkt, settings)
         x, z, y = dense_admm_step(P, q, A, l, u, rho, settings.sigma, settings.alpha, x, z, y)
         assert state.x.dtype == state.z.dtype == state.y.dtype == dtype
         for got, ref in ((state.x, x), (state.z, z), (state.y, y)):
@@ -317,7 +333,7 @@ def test_projection_invariant_every_iteration():
     solver = AdmmSolver(p, settings)
     state = AdmmState.zeros(p.n, p.m)
     for _ in range(40):
-        admm_step(state, solver.problem, solver.kkt, settings)
+        one_step(state, solver.problem, solver.kkt, settings)
         assert np.all(state.z >= p.l - 1e-12) and np.all(state.z <= p.u + 1e-12)
 
 
@@ -428,11 +444,7 @@ def test_solve_matches_the_loop_that_computes_both_residuals_at_every_check(
             checks.clear()
             got = solver.solve()
             want = admm_solve_checking_both_residuals(problem, solver.kkt, settings, start)
-            for name in ("x", "z", "y"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-            assert (got.r_prim, got.r_dual, got.iterations, got.status) == \
-                (want.r_prim, want.r_dual, want.iterations, want.status)
+            assert_same_bytes(got, want)
             assert len(checks) == sum(1 for i in range(1, got.iterations + 1)
                                       if i % ci == 0 or i == GATE_ITERS)
             exits.append((got.status, got.r_prim <= settings.eps_prim and
@@ -489,6 +501,21 @@ def test_validate_rejects_nan(vector):
         AdmmSolver(p)
 
 
+@pytest.mark.parametrize("vector, value", [("q", np.inf), ("q", -np.inf), ("l", np.inf),
+                                           ("u", -np.inf)])
+def test_validate_rejects_non_finite_q_and_bounds_no_point_meets(vector, value):
+    p = box_problem()
+    getattr(p, vector)[0] = value
+    with pytest.raises(ValueError, match=f" in {vector}$"):
+        AdmmSolver(p)
+
+
+def test_validate_accepts_infinite_bounds_on_the_open_side():
+    p = box_problem()
+    p.l[0], p.u[1] = -np.inf, np.inf
+    assert p.validate() is p
+
+
 def test_validate_rejects_p_stored_below_the_diagonal():
     p = box_problem()
     p.P = scipy.sparse.csc_array(np.array([[1.0, 0.0], [0.5, 1.0]]))
@@ -503,3 +530,53 @@ def test_validate_rejects_non_finite_matrix_entry(matrix, value):
     getattr(p, matrix).data[0] = value
     with pytest.raises(ValueError, match="non-finite"):
         AdmmSolver(p)
+
+
+FROZEN_MODES = {
+    "fixed": dict(max_iter=15, check_interval=15, eps_prim=0.1, eps_dual=0.1),
+    "residual": dict(termination_mode="residual", max_iter=200, eps_prim=1e-4, eps_dual=1e-4),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FROZEN_MODES))
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_solve_is_byte_identical_to_the_frozen_loop(precision, mode):
+    """24 warm-started solves with q, l and u moved in place between them,
+    as ``update_mpc_step`` moves them; one of them diverges, and the solve
+    after it warm-starts from the solve before it."""
+    rng = np.random.default_rng(41)
+    P, q, A, l, u = random_qp(rng, 9, 12)
+    problem = make_problem(P, q.copy(), A, l.copy(), u.copy())
+    settings = AdmmSettings(precision=precision, **FROZEN_MODES[mode])
+    solver = AdmmSolver(problem, settings)
+    start, statuses = None, []
+    for k in range(24):
+        got = solver.solve()
+        want = frozen_admm_solve(problem, solver.kkt, settings, start)
+        assert_same_bytes(got, want)
+        statuses.append(got.status)
+        if want.status != "diverged":
+            start = (want.x, want.z, want.y)
+        shift = 0.2 * rng.standard_normal(l.shape)
+        problem.q[:] = q + 0.3 * rng.standard_normal(q.shape)
+        problem.l[:] = l + shift
+        problem.u[:] = u + shift
+        if k == 11:
+            problem.q[0] = 1e15   # finite, so validate would pass it: the next solve diverges
+    assert statuses[12] == "diverged" and statuses.count("diverged") == 1
+    assert {"solved", "max_iter"} <= set(statuses)
+
+
+@pytest.mark.parametrize("mode", sorted(FROZEN_MODES))
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_a_returned_state_does_not_alias_the_solver(precision, mode):
+    rng = np.random.default_rng(43)
+    P, q, A, l, u = random_qp(rng, 7, 9)
+    settings = AdmmSettings(precision=precision, **FROZEN_MODES[mode])
+    edited, twin = (AdmmSolver(make_problem(P, q.copy(), A, l.copy(), u.copy()), settings)
+                    for _ in range(2))
+    for _ in range(4):
+        res, want = edited.solve(), twin.solve()
+        assert_same_bytes(res, want)
+        for name in ("x", "z", "y"):
+            getattr(res, name)[:] = 1e3
