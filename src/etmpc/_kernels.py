@@ -14,10 +14,13 @@ The two plan classes share one interface: the pattern's read-only arrays
 ``colptr``, ``rowidx``, ``perm`` and ``inv_perm``, its number of
 ``levels``, ``operands(Lx, dinv)``, called once per conversion of L's
 values, and ``solve(*operands, b)``, which takes b and returns x in the
-original order. Both are byte-identical to the sequential reference
-``solve_fe``, ``x *= dinv``, ``solve_bs`` on the permuted right-hand
-side: FE and BS alone, on L's three CSC arrays (column pointers, row
-indices, values), column by column.
+original order. Both are byte-identical to the sequential reference,
+``ldl_reference`` in ``tests/oracles.py``: FE, ``x *= dinv`` and BS on
+the permuted right-hand side, on L's three CSC arrays (column pointers,
+row indices, values), column by column. FE takes the columns in order
+and subtracts L[i, j] x[j] from x[i] down each column; BS takes them from
+the last and subtracts the column's products L[i, j] x[i] from x[j] in
+CSC order.
 
 - ``SolvePlan``, the generated solve. ``ldl_source`` writes the solve of
   the pattern as straight-line Python: b is unpacked into one local per
@@ -65,19 +68,6 @@ near (P4x4, n = 234, is the largest; P5x5 and up are scheduled). On 3.10,
 which has no chunks, the index form is slower at every size (P4x4 kernel
 83-86 against 105-110 us); 3.10 is not a performance target.
 
-The reference solves ``solve_fe`` and ``solve_bs`` run their loop bodies
-on Python lists, which the interpreter indexes several times faster than
-numpy arrays: L's arrays through ``tolist``, converted inside each call,
-and x through ``as_list``, written back into x once when the body
-returns. The generated solve computes on the same scalars. Every update
-still rounds in x's dtype, and the conversions are exact for fp32 and
-fp64. An fp64 x becomes Python floats, whose arithmetic is the same IEEE
-double arithmetic and costs less per operation than numpy scalars'. An
-fp32 x becomes ``np.float32`` scalars: Python floats would compute in
-double and round twice. L's values and dinv, which meet x in products,
-take the same form; under NumPy >= 2 (NEP 50) a Python float from
-``tolist`` would also round in float32, but costs more per product.
-
 What this module keeps is the cached plans: their compiled code or
 groups, and the read-only pattern arrays, which factors of the pattern
 share as their own index arrays. Values are never kept: the operands live
@@ -94,25 +84,6 @@ import functools
 import numpy as np
 
 from .csc import column_indices
-
-
-def _forward(Lp, Li, Lx, x):
-    """In-place forward elimination: solve (I+L) x = b for b given in x."""
-    n = len(Lp) - 1
-    for j in range(n):
-        xj = x[j]
-        for p in range(Lp[j], Lp[j + 1]):
-            x[Li[p]] -= Lx[p] * xj
-
-
-def _backward(Lp, Li, Lx, x):
-    """In-place backward substitution: solve (I+L)^T x = b."""
-    n = len(Lp) - 1
-    for j in range(n - 1, -1, -1):
-        s = x[j]
-        for p in range(Lp[j], Lp[j + 1]):
-            s -= Lx[p] * x[Li[p]]
-        x[j] = s
 
 
 def row_levels(Li, Lj, n):
@@ -140,29 +111,15 @@ def column_levels(Li, Lj, n):
 
 
 def as_list(x):
-    """The entries of the fp32 or fp64 vector ``x`` as the interpreted
-    solves compute on them: Python floats if it is fp64, its own scalars
-    otherwise."""
+    """The entries of the fp32 or fp64 vector ``x`` as a list, which the
+    interpreter indexes several times faster than an array, exactly:
+    Python floats, whose IEEE double arithmetic costs less than numpy
+    scalars', if x is fp64, and its ``np.float32`` scalars otherwise, since
+    Python floats would compute in double and round twice (and, meeting an
+    ``np.float32`` under NEP 50, cost more per product). L's values and
+    dinv take x's form, so every update of a solve rounds in x's dtype."""
     return x.tolist() if x.dtype == np.float64 else list(x)
 
-
-def _on_lists(body):
-    """``body`` run on Python lists: the operand arrays as ``tolist`` gives
-    them, ``x`` as ``as_list`` gives it, written back into ``x`` once at
-    the end."""
-
-    @functools.wraps(body)
-    def solve(*args):
-        x = args[-1]
-        xs = as_list(x)
-        body(*(a.tolist() for a in args[:-1]), xs)
-        x[:] = xs
-
-    return solve
-
-
-solve_fe = _on_lists(_forward)
-solve_bs = _on_lists(_backward)
 
 # The most products one generated statement subtracts. Python's compiler
 # recurses once per operator of an expression, and a longer row continues
@@ -222,11 +179,11 @@ def ldl_source(colptr, rowidx, inv_perm):
     into ``x{inv_perm[i]}`` and returning them in that order applies the
     permutation and its inverse. FE is one chained statement per row of L,
     ``x5 = x5 - l0*x0 - l3*x1``: its products in column order, the order in
-    which ``_forward`` subtracts them. The diagonal scale follows, then BS,
-    one chained statement per column from the last, its products in CSC
-    order as in ``_backward``. Each product and difference has the
-    operands of the reference's, in the same order, so it rounds the
-    same.
+    which the reference's FE subtracts them. The diagonal scale follows,
+    then BS, one chained statement per column from the last, its products
+    in CSC order as in the reference's BS. Each product and difference
+    has the operands of the reference's, in the same order, so it rounds
+    the same.
 
     The source has one of two forms, chosen from n and nnz(L) alone. The
     locals form unpacks ``l`` into one local per value, as above. Where
@@ -341,7 +298,7 @@ class LevelPlan(_Plan):
         dtype of the operands: one ``np.subtract.at`` per group and
         direction on the permuted x. ``ufunc.at`` applies a repeated
         target in order, so each entry of x sees the subtractions of
-        ``_forward`` and ``_backward``, in their order; every source it
+        the reference's FE and BS, in their order; every source it
         reads is final, since it lies on a lower level."""
         x = b[self.perm]
         _apply(self.fe, fe, x)

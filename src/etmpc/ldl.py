@@ -26,7 +26,8 @@ how the pattern is solved: the straight-line solve generated for it
 The plan is built once per pattern in a process, and the factor's index
 arrays, ``perm`` and ``inv_perm`` are the plan's read-only arrays, one
 copy per pattern. ``LdlFactor.solve`` runs FE, the diagonal scale and BS
-through the plan, byte-identical to the sequential reference.
+through the plan, byte-identical to the sequential reference that the
+tests keep, ``ldl_reference`` in ``tests/oracles.py``.
 
 The plan's operands, L's values and dinv in the form the plan reads,
 are made once per ``LdlFactor.converted`` block, which ``AdmmSolver.solve`` opens around its

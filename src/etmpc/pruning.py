@@ -10,7 +10,7 @@ topology survives any cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def prune_model(model: ThermalPlantModel, cutoff) -> ThermalPlantModel:
         raise ValueError("model must be discretized before pruning")
     d_pruned = prune_matrix(model.d, cutoff, keep_mask=model.a_t != 0)
     e_pruned = prune_matrix(model.e, cutoff, keep_mask=model.b_t != 0)
-    return model.copy_with(d=d_pruned, e=e_pruned)
+    return replace(model, d=d_pruned, e=e_pruned)
 
 
 @dataclass

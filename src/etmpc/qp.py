@@ -114,6 +114,12 @@ class AdmmSettings:
     precision: str = "fp64"   # or "fp32"
 
     def __post_init__(self):
+        for name in ("rho", "sigma", "alpha", "eps_prim", "eps_dual"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number")
+            # a NumPy float64 is a strong type (NEP 50): it would lift fp32 iterates
+            setattr(self, name, float(value))
         if not (0 < self.rho < np.inf and 0 < self.sigma < np.inf):
             raise ValueError("rho and sigma must be positive and finite")
         if not (0.0 < self.alpha < 2.0):

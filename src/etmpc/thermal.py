@@ -11,7 +11,7 @@ State ordering: (si_0, cu_0, si_1, cu_1, ..., si_{Nc-1}, cu_{Nc-1}, sink).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +38,8 @@ class GridSpec:
             raise ValueError("grid must be at least 1 x 1")
         if self.hp < 1:
             raise ValueError("horizon must be at least 1")
+        if not isinstance(self.ts, numbers.Real) or isinstance(self.ts, bool):
+            raise ValueError("sample time must be a real number")
         if not 0 < self.ts < np.inf:
             raise ValueError("sample time must be positive and finite")
         if self.domains:
@@ -122,9 +124,6 @@ class ThermalPlantModel:
         """Silicon temperatures [degC] of an ambient-relative state vector,
         in the state's dtype (an fp32 prediction stays fp32)."""
         return state[0:2 * self.spec.n_pe:2] + state.dtype.type(self.constants.t_amb)
-
-    def copy_with(self, **kw):
-        return replace(self, **kw)
 
 
 def build_thermal_model(spec: GridSpec, constants: ThermalConstants | None = None) -> ThermalPlantModel:

@@ -17,8 +17,8 @@ from etmpc.qp import (
     residuals,
 )
 
-from oracles import (admm_solve_checking_both_residuals, dense_admm_step, frozen_admm_solve,
-                     random_qp, solve_qp_enumeration)
+from oracles import (admm_solve_checking_both_residuals, dense_admm_step, random_qp,
+                     solve_qp_enumeration)
 
 
 def make_problem(P, q, A, l, u):
@@ -482,6 +482,7 @@ def test_solver_bring_up_validates_once(monkeypatch):
     ("eps_prim", np.nan), ("eps_dual", -1.0), ("eps_prim", -1e-3),
     ("max_iter", 2.5), ("max_iter", True), ("max_iter", np.float64(15.0)),
     ("check_interval", 1.5), ("check_interval", False),
+    ("rho", "0.1"), ("alpha", True), ("eps_dual", None),
 ])
 def test_settings_reject_bad_values(field, value):
     with pytest.raises(ValueError):
@@ -542,8 +543,9 @@ FROZEN_MODES = {
 @pytest.mark.parametrize("precision", ["fp64", "fp32"])
 def test_solve_is_byte_identical_to_the_frozen_loop(precision, mode):
     """24 warm-started solves with q, l and u moved in place between them,
-    as ``update_mpc_step`` moves them; one of them diverges, and the solve
-    after it warm-starts from the solve before it."""
+    as ``update_mpc_step`` moves them, against the loop written out in its
+    own operand order; one of them diverges, and the solve after it
+    warm-starts from the solve before it."""
     rng = np.random.default_rng(41)
     P, q, A, l, u = random_qp(rng, 9, 12)
     problem = make_problem(P, q.copy(), A, l.copy(), u.copy())
@@ -552,7 +554,7 @@ def test_solve_is_byte_identical_to_the_frozen_loop(precision, mode):
     start, statuses = None, []
     for k in range(24):
         got = solver.solve()
-        want = frozen_admm_solve(problem, solver.kkt, settings, start)
+        want = admm_solve_checking_both_residuals(problem, solver.kkt, settings, start)
         assert_same_bytes(got, want)
         statuses.append(got.status)
         if want.status != "diverged":
@@ -580,3 +582,16 @@ def test_a_returned_state_does_not_alias_the_solver(precision, mode):
         assert_same_bytes(res, want)
         for name in ("x", "z", "y"):
             getattr(res, name)[:] = 1e3
+
+
+@pytest.mark.parametrize("mode", sorted(FROZEN_MODES))
+def test_numpy_float_settings_keep_fp32_iterates_and_their_bits(mode):
+    # under NEP 50 a NumPy float64 is a strong type: kept as given, alpha
+    # would lift the iterates to float64 and sigma would move x's bits
+    values = dict(FROZEN_MODES[mode], rho=0.2, sigma=0.3, alpha=1.6)
+    numpy_values = {k: np.float64(v) if isinstance(v, float) else v for k, v in values.items()}
+    problem = make_problem(*random_qp(np.random.default_rng(47), 6, 8))
+    want, got = (AdmmSolver(problem, AdmmSettings(precision="fp32", **kw)).solve()
+                 for kw in (values, numpy_values))
+    assert got.x.dtype == got.z.dtype == got.y.dtype == np.float32
+    assert_same_bytes(got, want)

@@ -16,8 +16,8 @@ from etmpc.qp import AdmmSettings, AdmmSolver, assemble_kkt
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
 from oracles import (assert_permutation_pair, dense_ldl, dense_lower_pattern_after_elimination,
-                     longest_path_levels, random_kkt_upper, reconstruct_permuted, sptrsv_bs,
-                     sptrsv_fe)
+                     factor_reference, ldl_reference, longest_path_levels, random_kkt_upper,
+                     reconstruct_permuted, sptrsv_bs, sptrsv_fe)
 
 
 def upper_csc(dense):
@@ -194,36 +194,6 @@ def test_fe_bs_reject_matrix_rhs(solve):
         solve(L, np.ones(3))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("body, public", [
-    (etmpc._kernels._forward, etmpc._kernels.solve_fe),
-    (etmpc._kernels._backward, etmpc._kernels.solve_bs),
-])
-def test_list_path_is_byte_exact_with_the_loop_body_on_arrays(body, public, dtype):
-    """Solving on Python lists must not change one bit of x, the sign of a
-    zero included: every update still rounds in x's dtype, and the result
-    lands in x, a strided view included, leaving what lies between alone."""
-    rng = np.random.default_rng(13)
-    ldense = np.tril(rng.standard_normal((40, 40)), -1)
-    ldense[rng.random((40, 40)) < 0.7] = 0.0
-    for L in (unit_lower(ldense.astype(dtype)), unit_lower(np.zeros((3, 3), dtype=dtype))):
-        assert L.dtype == dtype
-        for zero_share in (0.0, 0.5, 0.9):
-            b = rng.standard_normal(L.nrows).astype(dtype)
-            zeros = rng.random(L.nrows) < zero_share
-            b[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
-            ref = b.copy()
-            body(L.colptr, L.rowidx, L.values, ref)
-            for solve in (etmpc._kernels._on_lists(body), public):
-                x = b.copy()
-                solve(L.colptr, L.rowidx, L.values, x)
-                assert x.dtype == dtype and x.tobytes() == ref.tobytes()
-                buf = np.full(2 * L.nrows, 7.0, dtype=dtype)
-                buf[::2] = b
-                solve(L.colptr, L.rowidx, L.values, buf[::2])
-                assert buf[::2].tobytes() == ref.tobytes() and np.all(buf[1::2] == 7.0)
-
-
 def extreme_inputs(dtype, rng, n=40):
     """An L whose values, and right-hand sides whose entries, hold the IEEE
     special cases: inf and NaN in b (a NaN payload and inf - inf
@@ -254,38 +224,6 @@ def assert_extremes_reach(results, dtype):
     finite = np.abs(seen[np.isfinite(seen)])
     assert np.isnan(seen).any() and np.isinf(seen).any()
     assert ((finite > 0) & (finite < info.tiny)).any() and (finite >= info.tiny).any()
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("body, public", [
-    (etmpc._kernels._forward, etmpc._kernels.solve_fe),
-    (etmpc._kernels._backward, etmpc._kernels.solve_bs),
-])
-def test_list_path_is_byte_exact_on_extreme_inputs(body, public, dtype):
-    """An fp64 x is solved on Python floats, not numpy scalars, so the IEEE
-    special cases of ``extreme_inputs`` must keep their bits too."""
-    L, bs, _ = extreme_inputs(dtype, np.random.default_rng(17))
-    refs = []
-    for b in bs:
-        with np.errstate(all="ignore"):
-            ref = b.copy()
-            body(L.colptr, L.rowidx, L.values, ref)
-            for solve in (etmpc._kernels._on_lists(body), public):
-                x = b.copy()
-                solve(L.colptr, L.rowidx, L.values, x)
-                assert x.tobytes() == ref.tobytes()
-        refs.append(ref)
-    assert_extremes_reach(refs, dtype)
-
-
-def ldl_reference(L, dinv, b):
-    """FE, the diagonal scale and BS on arrays, one after the other: the
-    sequential reference of every pass of ``LdlFactor.solve``."""
-    x = b.copy()
-    etmpc._kernels._forward(L.colptr, L.rowidx, L.values, x)
-    x *= dinv
-    etmpc._kernels._backward(L.colptr, L.rowidx, L.values, x)
-    return x
 
 
 def frame(kernel):
@@ -399,12 +337,6 @@ def test_both_plans_are_byte_exact_on_extreme_inputs(dtype):
                 assert x.tobytes() == ref.tobytes()
         refs.append(ref)
     assert_extremes_reach(refs, dtype)
-
-
-def factor_reference(f, b):
-    """``LdlFactor.solve`` on the sequential reference."""
-    xp = np.ascontiguousarray(np.asarray(b)[f.perm], dtype=f.L.dtype)
-    return ldl_reference(f.L, f.dinv, xp)[f.inv_perm]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -121,9 +121,12 @@ def test_grid_spec_validation():
     ((2, 1), {"domains": [[0.0], [1.0]]}),    # partitions by value, then fails to index
     ((2, 1), {"domains": [[False], [True]]}),
     ((2, 1), {"domains": [["0"], [1]]}),
-], ids=["bool-nw", "bool-nh", "bool-hp", "float-members", "bool-members", "str-members"])
+    ((2, 2), {"ts": True}),                   # would build a 1 s sample time
+    ((2, 2), {"ts": "0.001"}),
+], ids=["bool-nw", "bool-nh", "bool-hp", "float-members", "bool-members", "str-members",
+        "bool-ts", "str-ts"])
 def test_grid_spec_rejects_bools_and_non_integer_members(args, kwargs):
-    with pytest.raises(ValueError, match="integer|element indices"):
+    with pytest.raises(ValueError, match="integer|element indices|real number"):
         GridSpec(*args, **kwargs)
 
 
