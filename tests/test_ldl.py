@@ -226,6 +226,23 @@ def assert_extremes_reach(results, dtype):
     assert ((finite > 0) & (finite < info.tiny)).any() and (finite >= info.tiny).any()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_as_list_keeps_every_bit_and_rounds_in_the_vector_dtype(dtype):
+    """The plans' operands: an fp64 vector becomes Python floats, an fp32
+    one its ``np.float32`` scalars, and the IEEE special cases of
+    ``extreme_inputs`` keep their bits, in the list and in its products."""
+    L, bs, dvals = extreme_inputs(dtype, np.random.default_rng(19))
+    scalar = float if dtype == np.float64 else np.float32
+    for x in (L.values, dvals, *bs):
+        xs = etmpc._kernels.as_list(x)
+        assert all(type(v) is scalar for v in xs)
+        assert np.array(xs, dtype=dtype).tobytes() == x.tobytes()
+        with np.errstate(all="ignore"):
+            products = [a * b for a, b in zip(xs, xs[1:])]
+            want = x[:-1] * x[1:]
+        assert np.array(products, dtype=dtype).tobytes() == want.tobytes()
+
+
 def frame(kernel):
     """The slots of a generated solve's frame: its locals and value stack."""
     return kernel.__code__.co_nlocals + kernel.__code__.co_stacksize
