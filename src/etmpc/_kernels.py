@@ -71,10 +71,10 @@ which has no chunks, the index form is slower at every size (P4x4 kernel
 What this module keeps is the cached plans: their compiled code or
 groups, and the read-only pattern arrays, which factors of the pattern
 share as their own index arrays. Values are never kept: the operands live
-as long as their caller holds them (``LdlFactor.solve`` for one call,
-``LdlFactor.converted`` for one ADMM solve), so a change to ``L.values``
-shows in the next conversion. The factorization itself is SuperLU's,
-called from ``ldl``.
+as long as their caller holds them (``AdmmSolver.solve`` for one ADMM
+solve, ``LdlFactor.solve`` for one call given none), so a change to
+``L.values`` shows in the next conversion. The factorization itself is
+SuperLU's, called from ``ldl``.
 """
 
 from __future__ import annotations

@@ -30,14 +30,14 @@ through the plan, byte-identical to the sequential reference that the
 tests keep, ``ldl_reference`` in ``tests/oracles.py``.
 
 The plan's operands, L's values and dinv in the form the plan reads,
-are made once per ``LdlFactor.converted`` block, which ``AdmmSolver.solve`` opens around its
-iterations, and once per call outside such a block. No conversion
-outlives its block or call, so each reads ``L.values`` as it is then.
+are made by ``LdlFactor.operands``: ``AdmmSolver.solve`` makes them once
+and passes them to each of its KKT solves, and a ``solve`` given none
+makes them for that call alone. The factor keeps no conversion, so each
+reads ``L.values`` as it is then.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,18 +70,20 @@ class LdlFactor:
     # how L's pattern is solved, shared by every factor of the pattern
     plan: K.SolvePlan | K.LevelPlan = field(repr=False, compare=False)
 
-    # the plan's operands in the open ``converted`` block, None outside one
-    _operands: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
     @property
     def n(self) -> int:
         return self.L.nrows
 
-    def solve(self, b):
+    def operands(self):
+        """L's values and dinv converted into the operands of the plan,
+        which ``solve`` reads; they hold ``L.values`` as it is now."""
+        return self.plan.operands(self.L.values, self.dinv)
+
+    def solve(self, b, operands=None):
         """Solve K x = b through the plan, which takes b and returns x in
-        the original order. Inside a ``converted`` block the plan reuses
-        the block's operands; outside one it gets them for this call
-        alone. A right-hand side that is not a vector of length n raises
+        the original order, reading ``operands`` as ``operands()`` made
+        them, or a conversion made for this call alone when None. A
+        right-hand side that is not a vector of length n raises
         ``DimensionError``, one that is not real numbers (complex, bool,
         object) ``TypeError``."""
         b = np.asarray(b)
@@ -89,27 +91,9 @@ class LdlFactor:
             raise DimensionError(f"rhs must be a vector of length {self.n}, got shape {b.shape}")
         if b.dtype.kind not in "iuf":
             raise TypeError(f"rhs must hold real numbers, not {b.dtype}")
-        operands = self._operands if self._operands is not None else self._convert()
+        if operands is None:
+            operands = self.operands()
         return self.plan.solve(*operands, b.astype(self.L.dtype, copy=False))
-
-    @contextlib.contextmanager
-    def converted(self):
-        """A block in which every ``solve`` reuses one conversion of L's
-        values and dinv into the plan's operands, made on entry and
-        dropped on exit, by return or raise. A nested block keeps the
-        outer conversion. A change to ``L.values`` inside the block shows
-        only in the next one."""
-        if self._operands is not None:
-            yield self
-            return
-        self._operands = self._convert()
-        try:
-            yield self
-        finally:
-            self._operands = None
-
-    def _convert(self):
-        return self.plan.operands(self.L.values, self.dinv)
 
 
 def ldl_numeric(upper) -> LdlFactor:

@@ -88,8 +88,8 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     if weights is None:
         weights = np.ones(n_u)
     weights = np.asarray(weights, dtype=np.float64)
-    if not (np.isfinite(weights).all() and (weights >= 0).all()):
-        raise ValueError("weights must be finite and non-negative")
+    if weights.shape != (n_u,) or not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ValueError(f"weights must be finite, non-negative and of shape ({n_u},)")
 
     layout = [("dynamics", n_x * hp), ("caps", nc * hp),
               ("boxes", n_u * hp), ("budget", hp), ("domains", n_domains * hp)]

@@ -100,7 +100,7 @@ class QpProblem:
         return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmmSettings:
     rho: float = 0.1
     sigma: float = 1e-6
@@ -119,7 +119,7 @@ class AdmmSettings:
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number")
             # a NumPy float64 is a strong type (NEP 50): it would lift fp32 iterates
-            setattr(self, name, float(value))
+            object.__setattr__(self, name, float(value))
         if not (0 < self.rho < np.inf and 0 < self.sigma < np.inf):
             raise ValueError("rho and sigma must be positive and finite")
         if not (0.0 < self.alpha < 2.0):
@@ -248,9 +248,10 @@ def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem, prim_bound=I
     return r_prim, float(np.abs(rd).max(initial=0.0))
 
 
-def admm_step(state: AdmmState, kkt: KktSystem, q, l, u, alpha):
+def admm_step(state: AdmmState, kkt: KktSystem, operands, q, l, u, alpha):
     """One relaxed splitting iteration, in place, with the per-row step
-    sizes of ``kkt``, on q, l and u in its storage precision."""
+    sizes of ``kkt`` and its factor's ``operands``, on q, l and u in its
+    storage precision."""
     rho, rho_inv = kkt.rho, kkt.rho_inv
     n = q.shape[0]
     rho_inv_y = rho_inv * state.y
@@ -258,7 +259,7 @@ def admm_step(state: AdmmState, kkt: KktSystem, q, l, u, alpha):
     head = np.multiply(kkt.sigma, state.x, out=rhs[:n])
     head -= q
     np.subtract(state.z, rho_inv_y, out=rhs[n:])
-    sol = kkt.factor.solve(rhs)
+    sol = kkt.factor.solve(rhs, operands)
     xtilde, nu = sol[:n], sol[n:]
     ztilde = state.z + rho_inv * (nu - state.y)
     beta = 1.0 - alpha
@@ -287,11 +288,10 @@ class AdmmSolver:
         """Iterate from zero, or from the previous solve's iterate when
         ``settings.warm_start`` is set.
 
-        The iterations run inside one ``LdlFactor.converted`` block, so
-        their KKT solves share one conversion of L's values and dinv into
-        the operands of the factor's plan. It is dropped when the solve
-        returns or raises: between solves the factor holds its arrays
-        alone, and a change to ``L.values`` shows in the next solve.
+        L's values and dinv are converted into the operands of the
+        factor's plan once per solve, by ``LdlFactor.operands``, and every
+        KKT solve of its iterations reads that one conversion. Nothing
+        outlives the solve: a change to ``L.values`` shows in the next one.
 
         Every ``check_interval`` iterations, and after the last, one call
         of ``residuals`` checks the iterate. r_prim is computed at every
@@ -309,25 +309,25 @@ class AdmmSolver:
         q, l, u = (kkt.stored(vec) for vec in (problem.q, problem.l, problem.u))
 
         residual_mode = settings.termination_mode == "residual"
-        with kkt.factor.converted():
-            while state.iterations < settings.max_iter:
-                admm_step(state, kkt, q, l, u, settings.alpha)
-                it = state.iterations
-                last = it == settings.max_iter
-                if it % settings.check_interval == 0 or last:
-                    # written as <= so that a NaN entry counts as divergence
-                    bounded = (np.abs(state.x).max(initial=0.0) <= DIVERGENCE_LIMIT and
-                               np.abs(state.z).max(initial=0.0) <= DIVERGENCE_LIMIT)
-                    prim_bound = (INF if last or not bounded else
-                                  settings.eps_prim if residual_mode else -INF)
-                    state.r_prim, state.r_dual = residuals(state, problem, kkt, prim_bound)
-                    if not (bounded and math.isfinite(state.r_prim)):
-                        state.status = "diverged"
-                        break
-                    if residual_mode and state.r_prim <= settings.eps_prim and \
-                            state.r_dual <= settings.eps_dual:
-                        state.status = "solved"
-                        break
+        operands = kkt.factor.operands()
+        while state.iterations < settings.max_iter:
+            admm_step(state, kkt, operands, q, l, u, settings.alpha)
+            it = state.iterations
+            last = it == settings.max_iter
+            if it % settings.check_interval == 0 or last:
+                # written as <= so that a NaN entry counts as divergence
+                bounded = (np.abs(state.x).max(initial=0.0) <= DIVERGENCE_LIMIT and
+                           np.abs(state.z).max(initial=0.0) <= DIVERGENCE_LIMIT)
+                prim_bound = (INF if last or not bounded else
+                              settings.eps_prim if residual_mode else -INF)
+                state.r_prim, state.r_dual = residuals(state, problem, kkt, prim_bound)
+                if not (bounded and math.isfinite(state.r_prim)):
+                    state.status = "diverged"
+                    break
+                if residual_mode and state.r_prim <= settings.eps_prim and \
+                        state.r_dual <= settings.eps_dual:
+                    state.status = "solved"
+                    break
         if state.status is None:
             converged = state.r_prim <= settings.eps_prim and state.r_dual <= settings.eps_dual
             state.status = "solved" if converged else "max_iter"

@@ -46,8 +46,8 @@ class GridSpec:
             flat = [i for d in self.domains for i in d]
             if not all(map(_is_integer, flat)):
                 raise ValueError("domain members must be element indices")
-            if sorted(flat) != list(range(self.n_pe)):
-                raise ValueError("domains must partition the element set")
+            if sorted(flat) != list(range(self.n_pe)) or not all(map(len, self.domains)):
+                raise ValueError("domains must partition the element set into non-empty sets")
 
     @property
     def n_pe(self):

@@ -20,14 +20,14 @@ def ldl_numeric_calls(monkeypatch):
 
 @pytest.fixture
 def factor_conversions(monkeypatch):
-    """List that grows by one per conversion of a factor's operands, in a
-    ``converted`` block or for one solve outside one."""
+    """List that grows by one per conversion of a factor's operands, once
+    per ADMM solve or for one factor solve given none."""
     calls = []
-    real = etmpc.ldl.LdlFactor._convert
+    real = etmpc.ldl.LdlFactor.operands
 
     def counted(factor):
         calls.append(1)
         return real(factor)
 
-    monkeypatch.setattr(etmpc.ldl.LdlFactor, "_convert", counted)
+    monkeypatch.setattr(etmpc.ldl.LdlFactor, "operands", counted)
     return calls

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -32,9 +34,10 @@ def box_problem():
 
 
 def one_step(state, problem, kkt, settings):
-    """``admm_step`` on its own, with q, l and u converted as the solve converts them."""
-    admm_step(state, kkt, *(kkt.stored(vec) for vec in (problem.q, problem.l, problem.u)),
-              settings.alpha)
+    """``admm_step`` on its own, with the operands, q, l and u converted as
+    the solve converts them."""
+    admm_step(state, kkt, kkt.factor.operands(),
+              *(kkt.stored(vec) for vec in (problem.q, problem.l, problem.u)), settings.alpha)
 
 
 def assert_same_bytes(got, want):
@@ -141,9 +144,8 @@ def narrow_and_wide_solvers():
 
 
 def holds_no_conversion(factor):
-    """The factor holds its arrays alone: no list, no open conversion."""
-    return factor._operands is None and not any(
-        isinstance(v, (list, tuple)) for v in vars(factor).values())
+    """The factor holds its arrays alone: no list or tuple of operands."""
+    return not any(isinstance(v, (list, tuple)) for v in vars(factor).values())
 
 
 def test_kkt_solves_of_one_admm_solve_share_one_conversion(factor_conversions):
@@ -175,7 +177,6 @@ def test_factor_holds_no_conversion_after_a_solve_returns_or_raises(monkeypatch)
 
         def failing(state, *args):
             if state.iterations == 3:
-                assert factor._operands is not None
                 raise FloatingPointError("injected")
             real(state, *args)
 
@@ -184,25 +185,6 @@ def test_factor_holds_no_conversion_after_a_solve_returns_or_raises(monkeypatch)
             solver.solve()
         assert holds_no_conversion(factor)
         monkeypatch.setattr(etmpc.qp, "admm_step", real)
-
-
-def test_a_nested_block_keeps_the_outer_conversion():
-    solver = fixed_solver()
-    factor = solver.kkt.factor
-    seen = []
-
-    def spy(b):
-        seen.append(factor._operands)
-        return LdlFactor.solve(factor, b)
-
-    factor.solve = spy   # shadows the method, for this factor alone
-    with factor.converted():
-        outer = factor._operands
-        assert outer is not None
-        solver.solve()
-        assert factor._operands is outer
-    assert len(seen) == 15 and all(ops is outer for ops in seen)
-    assert factor._operands is None
 
 
 def test_admm_step_fixed_point():
@@ -392,8 +374,8 @@ def test_a_nan_iterate_ends_the_solve_as_diverged(precision):
                         AdmmSettings(precision=precision))
     factor = solver.kkt.factor
 
-    def nan_in_x1(b):
-        sol = LdlFactor.solve(factor, b)
+    def nan_in_x1(b, operands=None):
+        sol = LdlFactor.solve(factor, b, operands)
         sol[1] = np.nan
         return sol
 
@@ -487,6 +469,17 @@ def test_solver_bring_up_validates_once(monkeypatch):
 def test_settings_reject_bad_values(field, value):
     with pytest.raises(ValueError):
         AdmmSettings(**{field: value})
+
+
+def test_settings_are_frozen_and_replace_checks_again():
+    """A field assigned after construction would skip the checks: a NumPy
+    alpha would lift fp32 iterates to float64, alpha = 5.0 would solve."""
+    s = AdmmSettings(precision="fp32")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.alpha = np.float64(1.6)
+    with pytest.raises(ValueError):
+        dataclasses.replace(s, alpha=5.0)
+    assert type(dataclasses.replace(s, alpha=np.float64(1.6)).alpha) is float
 
 
 @pytest.mark.parametrize("field", ["max_iter", "check_interval"])

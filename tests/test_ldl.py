@@ -358,15 +358,13 @@ def test_both_plans_are_byte_exact_on_extreme_inputs(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_factor_solve_is_byte_exact_with_the_reference(dtype):
-    """Outside an ADMM solve, each call converts L for itself and keeps
-    nothing."""
+    """Given no operands, each call converts L for itself."""
     rng = np.random.default_rng(31)
     for f in [mpc_factor(grid, dtype) for grid in (2, 4, 8)] + [
             ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 12, 8).astype(dtype)))]:
         for _ in range(3):
             b = rng.standard_normal(f.n)
             assert f.solve(b).tobytes() == factor_reference(f, b).tobytes()
-            assert f._operands is None
 
 
 def test_factor_solve_reads_L_values_on_every_call():
@@ -439,7 +437,8 @@ def test_factor_solve_rejects_a_complex_or_non_numeric_rhs(factor_conversions, d
 @pytest.mark.parametrize("precision", ["fp64", "fp32"])
 def test_kkt_solves_inside_an_admm_solve_are_byte_exact(precision):
     """Inside ``AdmmSolver.solve`` every KKT solve runs on the solve's one
-    conversion of L and must still give the reference's bits."""
+    conversion of L, the same object for all of them, and must still give
+    the reference's bits."""
     rng = np.random.default_rng(37)
     for grid, solves in ((2, 2), (4, 2), (8, 1)):
         mpcqp, model = mpc_qp(grid)
@@ -447,18 +446,21 @@ def test_kkt_solves_inside_an_admm_solve_are_byte_exact(precision):
                         rng.uniform(0.5, 4.0, model.n_u))
         solver = AdmmSolver(mpcqp.qp, AdmmSettings(precision=precision))
         f = solver.kkt.factor
-        exact = []
+        exact, seen = [], []
 
-        def spy(b):
-            x = LdlFactor.solve(f, b)
-            exact.append(f._operands is not None
-                         and x.tobytes() == factor_reference(f, b).tobytes())
+        def spy(b, operands=None):
+            x = LdlFactor.solve(f, b, operands)
+            exact.append(x.tobytes() == factor_reference(f, b).tobytes())
+            seen.append(operands)
             return x
 
         f.solve = spy   # shadows the method, for this factor alone
-        for _ in range(solves):
+        iters = solver.settings.max_iter
+        for k in range(solves):
             solver.solve()
-        assert exact == [True] * (solves * solver.settings.max_iter)
+            one = seen[k * iters:(k + 1) * iters]
+            assert one[0] is not None and all(ops is one[0] for ops in one)
+        assert exact == [True] * (solves * iters)
 
 
 def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_generated_solve():
@@ -471,17 +473,15 @@ def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_generated_solv
         f = mpc_factor(grid, np.float64)
         assert type(f.plan) is plan
         assert (f.L.nnz >= 40 * (f.plan.levels - 1)) == (plan is LevelPlan)
-        with f.converted():
-            operands = f._operands
-            if plan is LevelPlan:
-                fe, dinv, bs = operands
-                # one group per level above 0, in each direction
-                assert len(fe) == len(bs) == f.plan.levels - 1
-                assert dinv is f.dinv
-                assert sum(len(values) for values in fe + bs) == 2 * f.L.nnz
-            else:
-                assert operands == (f.L.values.tolist(), f.dinv.tolist())
-        assert f._operands is None
+        operands = f.operands()
+        if plan is LevelPlan:
+            fe, dinv, bs = operands
+            # one group per level above 0, in each direction
+            assert len(fe) == len(bs) == f.plan.levels - 1
+            assert dinv is f.dinv
+            assert sum(len(values) for values in fe + bs) == 2 * f.L.nnz
+        else:
+            assert operands == (f.L.values.tolist(), f.dinv.tolist())
 
 
 def test_a_generated_solve_reads_L_by_index_once_its_locals_would_overflow_the_frame():
@@ -554,11 +554,9 @@ def test_shared_pattern_arrays_are_read_only_and_values_stay_live():
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = shared[0]
         b = np.random.default_rng(59).standard_normal(f.n)
-        with f.converted():
-            before = f.solve(b)
+        before = f.solve(b, f.operands())
         f.L.values[np.argmax(np.abs(f.L.values))] *= 1 + 1e-6
-        with f.converted():
-            after = f.solve(b)
+        after = f.solve(b, f.operands())
         assert not np.array_equal(after, before)
         assert after.tobytes() == factor_reference(f, b).tobytes()
 

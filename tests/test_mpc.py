@@ -189,11 +189,16 @@ def test_all_zero_weights_yields_feasible_point():
     assert res.status == "solved"
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-def test_build_rejects_non_finite_or_negative_weights(bad):
-    # a NaN weight ends in a zero pivot, a negative one makes P indefinite
+@pytest.mark.parametrize("weights", [
+    [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0],
+    1.0, [1.0] * 3, [1.0] * 8,
+], ids=["nan", "inf", "-1.0", "scalar", "short", "long"])
+def test_build_rejects_non_finite_or_negative_weights(weights):
+    # a NaN weight ends in a zero pivot, a negative one makes P indefinite;
+    # P2x2 has n_u = 4, and a weight vector of another shape would index
+    # past its end or build P from the wrong entries
     with pytest.raises(ValueError, match="weights"):
-        make_mpcqp(2, 2, hp=2, weights=[bad, 1.0, 1.0, 1.0])
+        make_mpcqp(2, 2, hp=2, weights=weights)
 
 
 def test_build_rejects_a_spec_with_another_sample_time():

@@ -112,6 +112,8 @@ def test_grid_spec_validation():
         GridSpec(2, 2, ts=np.inf)   # discretize would return non-finite matrices
     with pytest.raises(ValueError):
         GridSpec(2, 2, domains=[[0, 1]])  # does not cover all four elements
+    with pytest.raises(ValueError, match="partition"):
+        GridSpec(2, 2, domains=[[0, 1, 2, 3], []])  # dispatch would index with no element
 
 
 @pytest.mark.parametrize("args, kwargs", [
