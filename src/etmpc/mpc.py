@@ -143,7 +143,8 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
 def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
                     budget_domains=None):
     """Write the time-varying data for one controller step. A non-finite
-    state or target and a NaN budget raise ``ValueError``; +inf is no budget.
+    state or target and a NaN or -inf budget raise ``ValueError``; +inf is
+    no budget.
 
     Touches only q, l, u; P and A stay frozen so the cached KKT
     factorization remains valid.
@@ -163,6 +164,8 @@ def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
         budgets.extend(budget_domains)
     if any(map(math.isnan, budgets)):
         raise ValueError("NaN budget")
+    if -INF in budgets:   # an upper bound of -inf: the solve would diverge
+        raise ValueError("-inf budget")
 
     stage0 = slice(idx.rows_dynamics.start, idx.rows_dynamics.start + idx.n_x)
     qp.l[stage0] = qp.u[stage0] = mpcqp.d @ x_init

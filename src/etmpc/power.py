@@ -80,9 +80,15 @@ def power_over_temperature(params: PowerModelParams, v, f, ceff):
     temperature: ``p(t)`` gives the bits of ``power_forward(params, v, f,
     ceff, params.leakage_gain(t, v))``, in their operand order, with the
     temperature-independent terms k_v*v, icc*v and ceff*f*v*v computed
-    once, here, rather than at each ``p(t)``."""
+    once, here, rather than at each ``p(t)``.
+
+    ``p`` takes float64 temperatures of v's shape. Its constants k_s0, k_t
+    and k_t0 are float64 arrays of that shape, made here too: the plant
+    calls ``p`` 40 times per step on vectors of a few dozen entries, where
+    converting a Python-float operand is much of each ufunc call."""
     kv_v, icc_v, dynamic = params.k_v * v, params.icc * v, ceff * f * v * v
-    k_s0, k_t, k_t0 = params.k_s0, params.k_t, params.k_t0
+    k_s0, k_t, k_t0 = (np.full(np.shape(dynamic), c, np.float64)
+                       for c in (params.k_s0, params.k_t, params.k_t0))
 
     def p(t_si):
         return k_s0 + icc_v * np.exp(kv_v + k_t * t_si + k_t0) + dynamic

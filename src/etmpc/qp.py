@@ -248,23 +248,40 @@ def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem, prim_bound=I
     return r_prim, float(np.abs(rd).max(initial=0.0))
 
 
-def admm_step(state: AdmmState, kkt: KktSystem, operands, q, l, u, alpha):
+def relaxation(settings: AdmmSettings, n, m):
+    """The step's scalar coefficients as arrays in the storage dtype:
+    sigma, alpha and 1 - alpha of length n for x, then alpha and 1 - alpha
+    of length m for z. Each entry has the bits its Python float rounds to
+    in that dtype, as it does as a scalar operand. Made once per solve and
+    kept on neither the solver nor its ``KktSystem``."""
+    alpha, beta, dtype = settings.alpha, 1.0 - settings.alpha, settings.dtype
+    return tuple(np.full(k, c, dtype) for k, c in
+                 ((n, settings.sigma), (n, alpha), (n, beta), (m, alpha), (m, beta)))
+
+
+def admm_step(state: AdmmState, kkt: KktSystem, operands, q, l, u, coefficients):
     """One relaxed splitting iteration, in place, with the per-row step
     sizes of ``kkt`` and its factor's ``operands``, on q, l and u in its
-    storage precision."""
+    storage precision.
+
+    ``coefficients`` is ``relaxation(settings, n, m)``. They are arrays,
+    not the settings' Python floats, because on the solver's vectors of a
+    few dozen entries converting a scalar operand is much of a ufunc
+    call's cost; the arrays hold the bits the floats round to, so the
+    iterates are the same."""
+    sigma, alpha_x, beta_x, alpha_z, beta_z = coefficients
     rho, rho_inv = kkt.rho, kkt.rho_inv
     n = q.shape[0]
     rho_inv_y = rho_inv * state.y
     rhs = np.empty(n + l.shape[0], kkt.dtype)
-    head = np.multiply(kkt.sigma, state.x, out=rhs[:n])
+    head = np.multiply(sigma, state.x, out=rhs[:n])
     head -= q
     np.subtract(state.z, rho_inv_y, out=rhs[n:])
     sol = kkt.factor.solve(rhs, operands)
     xtilde, nu = sol[:n], sol[n:]
     ztilde = state.z + rho_inv * (nu - state.y)
-    beta = 1.0 - alpha
-    state.x = alpha * xtilde + beta * state.x
-    z_pre = alpha * ztilde + beta * state.z
+    state.x = alpha_x * xtilde + beta_x * state.x
+    z_pre = alpha_z * ztilde + beta_z * state.z
     z_new = (z_pre + rho_inv_y).clip(l, u)
     state.y = state.y + rho * (z_pre - z_new)
     state.z = z_new
@@ -290,7 +307,8 @@ class AdmmSolver:
 
         L's values and dinv are converted into the operands of the
         factor's plan once per solve, by ``LdlFactor.operands``, and every
-        KKT solve of its iterations reads that one conversion. Nothing
+        KKT solve of its iterations reads that one conversion; the
+        relaxation coefficients are made once per solve too. Nothing
         outlives the solve: a change to ``L.values`` shows in the next one.
 
         Every ``check_interval`` iterations, and after the last, one call
@@ -310,8 +328,9 @@ class AdmmSolver:
 
         residual_mode = settings.termination_mode == "residual"
         operands = kkt.factor.operands()
+        coefficients = relaxation(settings, problem.n, problem.m)
         while state.iterations < settings.max_iter:
-            admm_step(state, kkt, operands, q, l, u, settings.alpha)
+            admm_step(state, kkt, operands, q, l, u, coefficients)
             it = state.iterations
             last = it == settings.max_iter
             if it % settings.check_interval == 0 or last:

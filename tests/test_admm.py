@@ -16,6 +16,7 @@ from etmpc.qp import (
     QpProblem,
     admm_step,
     assemble_kkt,
+    relaxation,
     residuals,
 )
 
@@ -34,10 +35,11 @@ def box_problem():
 
 
 def one_step(state, problem, kkt, settings):
-    """``admm_step`` on its own, with the operands, q, l and u converted as
-    the solve converts them."""
+    """``admm_step`` on its own, with the operands, q, l, u and the
+    relaxation coefficients made as the solve makes them."""
     admm_step(state, kkt, kkt.factor.operands(),
-              *(kkt.stored(vec) for vec in (problem.q, problem.l, problem.u)), settings.alpha)
+              *(kkt.stored(vec) for vec in (problem.q, problem.l, problem.u)),
+              relaxation(settings, problem.n, problem.m))
 
 
 def assert_same_bytes(got, want):
@@ -533,22 +535,26 @@ FROZEN_MODES = {
 
 
 @pytest.mark.parametrize("mode", sorted(FROZEN_MODES))
-@pytest.mark.parametrize("precision", ["fp64", "fp32"])
-def test_solve_is_byte_identical_to_the_frozen_loop(precision, mode):
+@pytest.mark.parametrize("precision, alpha", [("fp64", 1.5), ("fp32", 1.5), ("fp32", 1.6)],
+                         ids=["fp64", "fp32", "fp32-alpha1.6"])
+def test_solve_is_byte_identical_to_the_frozen_loop(precision, alpha, mode):
     """24 warm-started solves with q, l and u moved in place between them,
     as ``update_mpc_step`` moves them, against the loop written out in its
     own operand order; one of them diverges, and the solve after it
-    warm-starts from the solve before it."""
+    warm-starts from the solve before it. fp32 cannot hold 1.6 exactly, so
+    that alpha shows whether the relaxation rounds it as the loop's
+    Python float does, and in which dtype."""
     rng = np.random.default_rng(41)
     P, q, A, l, u = random_qp(rng, 9, 12)
     problem = make_problem(P, q.copy(), A, l.copy(), u.copy())
-    settings = AdmmSettings(precision=precision, **FROZEN_MODES[mode])
+    settings = AdmmSettings(precision=precision, alpha=alpha, **FROZEN_MODES[mode])
     solver = AdmmSolver(problem, settings)
     start, statuses = None, []
     for k in range(24):
         got = solver.solve()
         want = admm_solve_checking_both_residuals(problem, solver.kkt, settings, start)
         assert_same_bytes(got, want)
+        assert all(getattr(got, name).dtype == settings.dtype for name in ("x", "z", "y"))
         statuses.append(got.status)
         if want.status != "diverged":
             start = (want.x, want.z, want.y)

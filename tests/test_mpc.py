@@ -264,6 +264,7 @@ def test_stage_slices_tile_the_solution_and_reject_other_stages():
 @pytest.mark.parametrize("name, bad", [
     ("x_init", np.nan), ("x_init", np.inf), ("p_star", np.nan), ("p_star", -np.inf),
     ("budget_total", np.nan), ("budget_domains", np.nan),
+    ("budget_total", -np.inf), ("budget_domains", -np.inf),
 ])
 def test_update_rejects_non_finite_step_data_and_writes_nothing(name, bad):
     mpcqp, model = make_mpcqp(2, 2, hp=2, domains=default_domains(2, 2))

@@ -103,7 +103,7 @@ def test_array_dispatch_matches_scalar_oracle():
                 assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("side", [2, 8])
+@pytest.mark.parametrize("side", [2, 4, 8])
 def test_plant_step_matches_the_rk4_that_evaluates_the_whole_power_model(side):
     spec = GridSpec(side, side, hp=2, domains=default_domains(side, side))
     model = build_thermal_model(spec)
