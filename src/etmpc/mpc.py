@@ -168,10 +168,11 @@ def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
         raise ValueError("-inf budget")
 
     stage0 = slice(idx.rows_dynamics.start, idx.rows_dynamics.start + idx.n_x)
-    qp.l[stage0] = qp.u[stage0] = mpcqp.d @ x_init
+    qp.l[stage0] = qp.u[stage0] = mpcqp.d.dot(x_init)
+    stage_cost = -2.0 * mpcqp.weights * p_star   # the same at every stage
     for h in range(idx.hp):
         uh = idx.input_offset(h)
-        qp.q[uh:uh + idx.n_u] = -2.0 * mpcqp.weights * p_star
+        qp.q[uh:uh + idx.n_u] = stage_cost
     if budget_total is not None:
         if budget_total < mpcqp.params.p_min * idx.n_u:
             warnings.warn("total budget below the static power floor; the "

@@ -77,21 +77,34 @@ def power_forward(params: PowerModelParams, v, f, ceff, gain):
 
 def power_over_temperature(params: PowerModelParams, v, f, ceff):
     """Power at fixed operating points (v, f) as a function of silicon
-    temperature: ``p(t)`` gives the bits of ``power_forward(params, v, f,
-    ceff, params.leakage_gain(t, v))``, in their operand order, with the
-    temperature-independent terms k_v*v, icc*v and ceff*f*v*v computed
-    once, here, rather than at each ``p(t)``.
+    temperature: ``p(t, out)`` writes into ``out`` the bits of
+    ``power_forward(params, v, f, ceff, params.leakage_gain(t, v))``, in
+    their operand order, and returns ``out``. The temperature-independent
+    terms k_v*v, icc*v and ceff*f*v*v are computed once, here, rather than
+    at each ``p(t, out)``.
 
-    ``p`` takes float64 temperatures of v's shape. Its constants k_s0, k_t
-    and k_t0 are float64 arrays of that shape, made here too: the plant
-    calls ``p`` 40 times per step on vectors of a few dozen entries, where
-    converting a Python-float operand is much of each ufunc call."""
+    ``p`` takes float64 temperatures ``t`` and a float64 ``out`` of v's
+    shape; ``out`` may be ``t`` itself, as each step reads only the entry
+    it writes. Its constants k_s0, k_t and k_t0 are float64 arrays of that
+    shape, made here too, and each step is a ufunc called with ``out`` in
+    its positional slot: the plant calls ``p`` 40 times per step on
+    vectors of a few dozen entries, where converting a Python-float
+    operand, allocating a result and parsing an ``out=`` keyword are much
+    of each call."""
     kv_v, icc_v, dynamic = params.k_v * v, params.icc * v, ceff * f * v * v
     k_s0, k_t, k_t0 = (np.full(np.shape(dynamic), c, np.float64)
                        for c in (params.k_s0, params.k_t, params.k_t0))
+    add, multiply, exp = np.add, np.multiply, np.exp
 
-    def p(t_si):
-        return k_s0 + icc_v * np.exp(kv_v + k_t * t_si + k_t0) + dynamic
+    def p(t_si, out):
+        # k_s0 + icc_v * exp(kv_v + k_t * t_si + k_t0) + dynamic
+        multiply(k_t, t_si, out)
+        add(kv_v, out, out)
+        add(out, k_t0, out)
+        exp(out, out)
+        multiply(icc_v, out, out)
+        add(k_s0, out, out)
+        return add(out, dynamic, out)
 
     return p
 

@@ -260,31 +260,43 @@ def relaxation(settings: AdmmSettings, n, m):
 
 
 def admm_step(state: AdmmState, kkt: KktSystem, operands, q, l, u, coefficients):
-    """One relaxed splitting iteration, in place, with the per-row step
-    sizes of ``kkt`` and its factor's ``operands``, on q, l and u in its
-    storage precision.
+    """One relaxed splitting iteration, with the per-row step sizes of
+    ``kkt`` and its factor's ``operands``, on q, l and u in its storage
+    precision. It rebinds ``state.x``, ``z`` and ``y`` to new arrays and
+    writes into none of the arrays it was given.
 
     ``coefficients`` is ``relaxation(settings, n, m)``. They are arrays,
     not the settings' Python floats, because on the solver's vectors of a
     few dozen entries converting a scalar operand is much of a ufunc
     call's cost; the arrays hold the bits the floats round to, so the
-    iterates are the same."""
+    iterates are the same. For the same reason each operation is a direct
+    ``np.add``/``np.subtract``/``np.multiply`` call, not an operator, and
+    a result the step no longer reads takes the next one through the
+    positional ``out``; every call keeps its operands and their order."""
     sigma, alpha_x, beta_x, alpha_z, beta_z = coefficients
     rho, rho_inv = kkt.rho, kkt.rho_inv
+    x, z, y = state.x, state.z, state.y
+    add, subtract, multiply = np.add, np.subtract, np.multiply
     n = q.shape[0]
-    rho_inv_y = rho_inv * state.y
     rhs = np.empty(n + l.shape[0], kkt.dtype)
-    head = np.multiply(sigma, state.x, out=rhs[:n])
-    head -= q
-    np.subtract(state.z, rho_inv_y, out=rhs[n:])
+    head, tail = rhs[:n], rhs[n:]
+    rho_inv_y = multiply(rho_inv, y)
+    subtract(multiply(sigma, x, head), q, head)
+    subtract(z, rho_inv_y, tail)
     sol = kkt.factor.solve(rhs, operands)
     xtilde, nu = sol[:n], sol[n:]
-    ztilde = state.z + rho_inv * (nu - state.y)
-    state.x = alpha_x * xtilde + beta_x * state.x
-    z_pre = alpha_z * ztilde + beta_z * state.z
-    z_new = (z_pre + rho_inv_y).clip(l, u)
-    state.y = state.y + rho * (z_pre - z_new)
-    state.z = z_new
+    # ztilde = z + rho_inv * (nu - y)
+    ztilde = subtract(nu, y)
+    add(z, multiply(rho_inv, ztilde, ztilde), ztilde)
+    x_new = multiply(alpha_x, xtilde)
+    add(x_new, multiply(beta_x, x), x_new)
+    z_pre = multiply(alpha_z, ztilde, ztilde)
+    add(z_pre, multiply(beta_z, z), z_pre)
+    z_new = add(z_pre, rho_inv_y, rho_inv_y).clip(l, u)
+    # y + rho * (z_pre - z_new)
+    y_new = subtract(z_pre, z_new, z_pre)
+    add(y, multiply(rho, y_new, y_new), y_new)
+    state.x, state.z, state.y = x_new, z_new, y_new
     state.iterations += 1
 
 
@@ -303,7 +315,10 @@ class AdmmSolver:
 
     def solve(self) -> AdmmState:
         """Iterate from zero, or from the previous solve's iterate when
-        ``settings.warm_start`` is set.
+        ``settings.warm_start`` is set. That iterate is the solver's own
+        copy, made when the previous solve returned; it is read, not copied
+        again, since ``admm_step`` rebinds a state's arrays and never
+        writes into them.
 
         L's values and dinv are converted into the operands of the
         factor's plan once per solve, by ``LdlFactor.operands``, and every
@@ -321,7 +336,7 @@ class AdmmSolver:
         residuals of its final iterate."""
         settings, problem, kkt = self.settings, self.problem, self.kkt
         if settings.warm_start and self._last is not None:
-            state = AdmmState(*(v.copy() for v in self._last))
+            state = AdmmState(*self._last)
         else:
             state = AdmmState.zeros(problem.n, problem.m, settings.dtype)
         q, l, u = (kkt.stored(vec) for vec in (problem.q, problem.l, problem.u))

@@ -26,7 +26,10 @@ PLANT_SUBSTEPS = 10
 
 
 def timeline_value(timeline, t):
-    """Piecewise-constant lookup: the last breakpoint at or before t."""
+    """Piecewise-constant lookup: the last breakpoint at or before t. A t
+    before the first breakpoint has no value and raises ``ValueError``."""
+    if timeline[0][0] > t + 1e-12:
+        raise ValueError(f"t = {t} is before the timeline's first breakpoint")
     current = timeline[0][1]
     for t0, v in timeline:
         if t0 <= t + 1e-12:
@@ -55,6 +58,8 @@ class Scenario:
             times = [t0 for t0, _ in getattr(self, name)]
             if times != sorted(times):
                 raise ValueError(f"{name} breakpoints must be sorted in time")
+            if times and times[0] > 0.0:
+                raise ValueError(f"{name} must have a breakpoint at or before t = 0")
 
 
 def default_scenario(spec, params: PowerModelParams, duration=2.0,
@@ -117,36 +122,54 @@ def plant_step(model: ThermalPlantModel, params: PowerModelParams, state, v, f, 
     sample time; its leakage gain tracks each element's instantaneous
     temperature. The operating point (v, f, ceff) is held over the step,
     so its temperature-independent power terms (``power.power_over_temperature``)
-    and ``model.silicon_c``'s slice and offset are made once per call, not
-    in each of the 4 * ``PLANT_SUBSTEPS`` derivative evaluations.
+    are made once per call, not in each of the 4 * ``PLANT_SUBSTEPS``
+    derivative evaluations. Returns a new array; ``state`` is not written.
 
-    The step's factors (h/2, h, h/6) and the ambient offset are float64
-    arrays of their vector's length, made once per call: on vectors of a
-    few dozen entries, converting a scalar operand is much of a ufunc
-    call's cost. Each array holds the scalar's bits and the ×2 weights are
-    written k + k, which is exact, so the state has the bits of the scalar
-    form. The products are ``a_t.dot(s)``, not ``a_t @ s``, for a saving
-    of the same kind: NumPy hands both to the same BLAS matrix-vector
-    product, and ``dot`` skips the ufunc machinery that ``@`` goes
-    through."""
+    On vectors of a few dozen entries, dispatch is most of a NumPy call's
+    cost, so the substeps run on arrays made once per call: the call's
+    own copy of the state, advanced in place, the stage state, k1 to k4,
+    the power and the B*p product, and views of the two states' silicon
+    entries. Each sum and product is a direct ``np.add``/``np.multiply``
+    call with its ``out`` in the positional slot, and the matrix products
+    are ``a_t.dot(s, out)``, the BLAS matrix-vector product without the
+    ufunc machinery of ``@``. The step's factors (h/2, h, h/6) and the
+    ambient offset are float64 arrays, not Python floats, each holding the
+    scalar's bits; the ×2 weights are written k + k, which is exact. Every
+    operation keeps its operands and their order, so the state has the
+    bits of the RK4 written with operators and scalar factors."""
     h = model.spec.ts / PLANT_SUBSTEPS
     state = np.array(state, dtype=np.float64)
     p = power.power_over_temperature(params, np.asarray(v, dtype=np.float64),
                                      np.asarray(f, dtype=np.float64), ceff)
     a_t, b_t = model.a_t, model.b_t
     n_pe = model.spec.n_pe
-    si, t_amb = slice(0, 2 * n_pe, 2), np.full(n_pe, model.constants.t_amb, np.float64)
+    t_amb = np.full(n_pe, model.constants.t_amb, np.float64)
     half_h, full_h, sixth_h = (np.full(state.shape, c) for c in (0.5 * h, h, h / 6.0))
+    stage, k1, k2, k3, k4, b_p = (np.empty_like(state) for _ in range(6))
+    power_w = np.empty(n_pe)
+    si = slice(0, 2 * n_pe, 2)
+    state_si, stage_si = state[si], stage[si]
+    add, multiply = np.add, np.multiply
 
-    def deriv(s):
-        return a_t.dot(s) + b_t.dot(p(s[si] + t_amb))
+    def deriv(s, s_si, out):
+        # a_t @ s + b_t @ p(silicon temperatures of s)
+        a_t.dot(s, out)
+        b_t.dot(p(add(s_si, t_amb, power_w), power_w), b_p)
+        add(out, b_p, out)
 
     for _ in range(PLANT_SUBSTEPS):
-        k1 = deriv(state)
-        k2 = deriv(state + half_h * k1)
-        k3 = deriv(state + half_h * k2)
-        k4 = deriv(state + full_h * k3)
-        state = state + sixth_h * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        deriv(state, state_si, k1)
+        add(state, multiply(half_h, k1, stage), stage)
+        deriv(stage, stage_si, k2)
+        add(state, multiply(half_h, k2, stage), stage)
+        deriv(stage, stage_si, k3)
+        add(state, multiply(full_h, k3, stage), stage)
+        deriv(stage, stage_si, k4)
+        # state + sixth_h * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        add(k1, add(k2, k2, k2), k1)
+        add(k1, add(k3, k3, k3), k1)
+        add(k1, k4, k1)
+        add(state, multiply(sixth_h, k1, k1), state)
     return state
 
 
@@ -215,7 +238,8 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
     gain = params_.frozen_gain()
     # stage 1: target powers, which with the frozen gain change only at breakpoints
     stage1 = []
-    for t0 in sorted({t0 for t0, _ in scenario.freq_targets + scenario.classes}):
+    # both timelines start at or before t = 0, where the run starts
+    for t0 in sorted({max(t0, 0.0) for t0, _ in scenario.freq_targets + scenario.classes}):
         f_targ = timeline_value(scenario.freq_targets, t0)
         ceff = params_.ceff(timeline_value(scenario.classes, t0))
         p_star = power_forward(params_, rail_for_frequency(params_, f_targ), f_targ, ceff, gain)

@@ -583,6 +583,24 @@ def test_a_returned_state_does_not_alias_the_solver(precision, mode):
             getattr(res, name)[:] = 1e3
 
 
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+def test_admm_step_writes_none_of_the_arrays_it_is_given(precision):
+    # the solve warm-starts from its last iterate without copying it again
+    rng = np.random.default_rng(45)
+    problem = make_problem(*random_qp(rng, 7, 9))
+    settings = AdmmSettings(precision=precision)
+    kkt = assemble_kkt(problem, settings)
+    state = AdmmState(*(rng.standard_normal(k).astype(settings.dtype) for k in (7, 9, 9)))
+    iterate = [state.x, state.z, state.y]
+    q, l, u = (kkt.stored(vec) for vec in (problem.q, problem.l, problem.u))
+    coefficients = relaxation(settings, problem.n, problem.m)
+    given = iterate + [q, l, u, *coefficients, kkt.rho, kkt.rho_inv]
+    before = [a.copy() for a in given]
+    admm_step(state, kkt, kkt.factor.operands(), q, l, u, coefficients)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(given, before))
+    assert not any(new is old for new, old in zip((state.x, state.z, state.y), iterate))
+
+
 @pytest.mark.parametrize("mode", sorted(FROZEN_MODES))
 def test_numpy_float_settings_keep_fp32_iterates_and_their_bits(mode):
     # under NEP 50 a NumPy float64 is a strong type: kept as given, alpha

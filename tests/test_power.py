@@ -163,9 +163,13 @@ def test_power_over_temperature_has_the_bits_of_power_forward_at_the_leakage_gai
     p = power_over_temperature(params, v, f, ceff)
     temps = [np.full(v.shape, t) for t in np.linspace(-40.0, 150.0, 96)]
     temps += [rng.uniform(-40.0, 150.0, v.shape) for _ in range(20)]
+    out = np.empty(v.shape)
     for t in temps:
         want = power_forward(params, v, f, ceff, params.leakage_gain(t, v))
-        assert p(t).tobytes() == want.tobytes()
+        assert p(t, out) is out and out.tobytes() == want.tobytes()
+        # the plant passes the temperatures' own buffer as out
+        in_place = t.copy()
+        assert p(in_place, in_place) is in_place and in_place.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [dict(k_v=-1.2), dict(k_t=-0.02), dict(icc=-0.4)],

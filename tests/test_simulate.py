@@ -103,13 +103,26 @@ def test_array_dispatch_matches_scalar_oracle():
                 assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("side", [2, 4, 8])
-def test_plant_step_matches_the_rk4_that_evaluates_the_whole_power_model(side):
-    spec = GridSpec(side, side, hp=2, domains=default_domains(side, side))
+# test_power's second table: other rails and frequencies, and a higher cap
+OTHER_TABLE = PowerModelParams(vf_table=[(0.7, 1.5e9), (0.9, 2.4e9), (1.1, 3.2e9)],
+                               t_limit=95.0)
+
+
+@pytest.mark.parametrize("rows, cols, params, seed", [
+    (2, 2, PowerModelParams(), 2),
+    (4, 4, PowerModelParams(), 4),
+    (8, 8, PowerModelParams(), 8),
+    (1, 1, PowerModelParams(), 1),
+    (3, 2, PowerModelParams(), 32),
+    (3, 2, OTHER_TABLE, 33),
+], ids=["2", "4", "8", "1", "3x2", "3x2-other-table"])
+def test_plant_step_matches_the_rk4_that_evaluates_the_whole_power_model(rows, cols, params,
+                                                                          seed):
+    # one PE and a non-square grid check the shapes of the per-call buffers
+    spec = GridSpec(rows, cols, hp=2, domains=default_domains(rows, cols))
     model = build_thermal_model(spec)
-    params = PowerModelParams()
     rails = np.array(params.vf_table)
-    rng = np.random.default_rng(side)
+    rng = np.random.default_rng(seed)
     # from ambient the state's last bits still show a one-ulp change in power
     for state in (np.zeros(model.n_x), rng.uniform(0.0, 60.0, model.n_x)):
         for _ in range(5):
@@ -120,6 +133,21 @@ def test_plant_step_matches_the_rk4_that_evaluates_the_whole_power_model(side):
             want = plant_step_per_evaluation(model, params, state, v, f, ceff)
             assert got.tobytes() == want.tobytes()
             state = got
+
+
+def test_plant_step_writes_neither_its_state_nor_an_earlier_result():
+    spec, model = p2x2()
+    params = PowerModelParams()
+    v, f = np.full(4, 0.8), np.full(4, 1.5e9)
+    ceff = params.ceff(np.ones(4, dtype=int))
+    state = np.random.default_rng(9).uniform(0.0, 60.0, model.n_x)
+    given = state.copy()
+    first = plant_step(model, params, state, v, f, ceff)
+    assert state.tobytes() == given.tobytes() and first is not state
+    kept = first.copy()
+    second = plant_step(model, params, first, v, f, ceff)
+    assert first.tobytes() == kept.tobytes() and second is not first
+    assert second.tobytes() == plant_step(model, params, kept, v, f, ceff).tobytes()
 
 
 def test_fixed_iteration_settings_compute_residuals_once():
@@ -151,6 +179,30 @@ def test_timeline_value_is_piecewise_constant():
     timeline = [(0.0, "early"), (0.5, "late")]
     assert [timeline_value(timeline, t) for t in (0.0, 0.1, 0.5 - 1e-13, 0.7)] == \
         ["early", "early", "late", "late"]
+
+
+@pytest.mark.parametrize("name", ["freq_targets", "classes", "budget", "domain_budgets"])
+def test_scenario_rejects_a_timeline_that_starts_after_zero(name):
+    # before its first breakpoint a timeline has no value to hold
+    value = timelines()[name][0][1] if name in timelines() else 1.0
+    with pytest.raises(ValueError):
+        Scenario(**{**timelines(), name: [(0.5, value), (1.0, value)]})
+
+
+def test_timeline_value_rejects_a_time_before_its_first_breakpoint():
+    timeline = [(0.5, "late")]
+    assert timeline_value(timeline, 0.5) == "late"
+    with pytest.raises(ValueError):
+        timeline_value(timeline, 0.4)
+
+
+def test_a_timeline_that_starts_before_zero_holds_its_value_from_zero():
+    spec, model = p2x2()
+    early, late = timelines(), timelines()
+    early["freq_targets"] = [(-1.0, early["freq_targets"][0][1])]
+    early["classes"] = [(-0.5, early["classes"][0][1])]
+    traces = [run_closed_loop(model, Scenario(duration=3 * spec.ts, **kw)) for kw in (early, late)]
+    assert traces[0].plant_si.tobytes() == traces[1].plant_si.tobytes()
 
 
 @pytest.mark.parametrize("name, value", [
