@@ -23,15 +23,14 @@ the last and subtracts the column's products L[i, j] x[i] from x[j] in
 CSC order.
 
 - ``SolvePlan``, the generated solve. ``ldl_source`` writes the solve of
-  the pattern as straight-line Python: b is unpacked into one local per
-  entry, FE is one chained statement per row of L, the diagonal scale one
-  statement per entry, BS one chained statement per column, and x is
-  returned in the original order, so the permutation costs nothing. Each
-  statement subtracts the reference's products in the reference's order.
-  Its operands are L's values and dinv as lists. The source has two
-  forms, which differ only in how a product reads L's value: the locals
-  form unpacks L's values into one local each (``l3*x1``), the index form
-  reads them from the list (``l[3]*x1``). See the frame rule below.
+  the pattern as a straight-line Python generator: L's values and dinv
+  are unpacked into one local each when it starts, then each b sent to
+  it is unpacked into one local per entry, FE is one chained statement
+  per row of L, the diagonal scale one statement per entry, BS one
+  chained statement per column, and x is yielded in the original order,
+  so the permutation costs nothing. Each statement subtracts the
+  reference's products in the reference's order. Its operands are one
+  such generator, started on L's values and dinv as lists.
 - ``LevelPlan``, the level schedule. The FE level of a row is 1 + the
   largest level among the columns that update it, the BS level of a
   column 1 + the largest level among its rows. FE applies L's entries
@@ -48,25 +47,20 @@ group, nnz(L) / (levels - 1), reach ``SCHEDULE_MIN_WIDTH``, and generates
 the solve of the others. An L without entries has no group and is
 scheduled: its solve is the diagonal scale alone, and nothing is compiled.
 
-The frame rule. CPython 3.11-3.13 put each call's frame on a per-thread
-data stack made of 16 KiB chunks; a frame that does not fit in the rest
-of the current chunk gets a chunk of its own, allocated and freed on
-every call (3.10 puts every frame on the heap). The locals form's frame
-holds one local per entry of b, dinv and L, and a value stack as deep as
-its longest unpack: 2,889 slots, 22.6 KiB, at P4x4 (n = 234, nnz(L) =
-1,209), so every solve there paid for a fresh chunk. The index form's
-frame grows with n alone, 705 slots at P4x4, whose fp64 kernel went from
-61 to 55 us (Python 3.11.7, 2-vCPU x86 host). Reading a value by index
-costs more than reading a local: with the index form at P2x2 too, the
-benchmark's p2x2_loop ``solve_ms_p50`` was 1.8 % higher in 10 of 10
-pairs. So ``ldl_source`` writes the locals form while its frame,
-``locals_frame(n, nnz(L))``, fits in ``FRAME_SLOTS``, as P2x2 (517 slots)
-and P3x3 (1,391) do, and the index form otherwise. The index form's
-frame, 3n + 3 slots, passes ``FRAME_SLOTS`` itself from n = 512 on, and
-nothing bounds it there: no generated pattern of the controller comes
-near (P4x4, n = 234, is the largest; P5x5 and up are scheduled). On 3.10,
-which has no chunks, the index form is slower at every size (P4x4 kernel
-83-86 against 105-110 us); 3.10 is not a performance target.
+Why a generator. CPython 3.11-3.13 put each function call's frame on a
+per-thread data stack made of 16 KiB chunks; a frame that does not fit
+in the rest of the current chunk gets a chunk of its own, allocated and
+freed on every call. A function with one local per entry of b, dinv and
+L takes 2,889 slots, 22.6 KiB, at P4x4 (n = 234, nnz(L) = 1,209), so it
+would pay for a fresh chunk on every solve. A generator's frame lives in
+the generator object, on the heap, made once per conversion of L, and
+each ``send`` resumes it: every pattern reads L's values from its locals,
+``l3*x1``, four bytecodes per product against six for reading them from
+a list by index, ``l[3]*x1``. At P4x4, timed against that index form in
+alternating rounds, the fp64 kernel took 70-72 against 77-92 us (Python
+3.11.7, 2-vCPU x86 host). Making the generator, whose frame passes once
+through a chunk of its own and which unpacks L, costs about 30 us more
+than converting L to lists, once per ADMM solve.
 
 What this module keeps is the cached plans: their compiled code or
 groups, and the read-only pattern arrays, which factors of the pattern
@@ -129,92 +123,67 @@ STATEMENT_TERMS = 32
 PLAN_CACHE_SIZE = 8
 # Mean entries of L per schedule group, nnz(L) / (levels - 1), from which
 # a pattern runs on the level schedule instead of the solve generated for
-# it. Per KKT solve on a 2-vCPU x86 host (Python 3.11), against the
-# generated solve in the form ``ldl_source`` picks (the index form from
-# P4x4 on), the schedule took 2.6-2.7x its time in fp64 at P4x4 (36.6),
-# 2.2-2.3x at P5x5 (42.8), 1.8x at P6x6 (53.4) and 1.35x at P8x8 (77.1):
-# 459 against 339 us. In fp32 it took 1.0x at P4x4, 0.9x at P5x5, 0.7x at
-# P6x6 and 0.5x at P8x8. P8x8's generated solve would also cost a 70-90 ms
-# compile and 1 MiB (370 KiB of bytecode) per pattern. P8x8 stays on the
+# it. Per KKT solve on a 2-vCPU x86 host (Python 3.11.7), in two runs
+# that alternate the two plans, the schedule took 2.9-4.0x the generated
+# solve's time in fp64 at P4x4 (36.6), 2.7-2.8x at P5x5 (42.8), 2.3-2.4x
+# at P6x6 (53.4) and 1.7-2.2x at P8x8 (77.1): 560-800 against 330-360 us.
+# In fp32 it took 1.1-1.2x at P4x4, 0.93-0.97x at P5x5, 0.74-1.04x at
+# P6x6 and 0.55-0.59x at P8x8. P8x8's generated solve would also cost an
+# 80-90 ms compile and 650 KiB (256 KiB of bytecode) per pattern, and its
+# generator about 190 us per ADMM solve to start. P8x8 stays on the
 # schedule while the benchmark keeps every round's solvers: a faster P8x8
 # solve completes more rounds, which lifts its peak RSS (ROADMAP item 1).
 SCHEDULE_MIN_WIDTH = 40
-# The most slots, locals and value stack, that the frame of a generated
-# solve's locals form may take (see the frame rule above). A data-stack
-# chunk holds 2,048 slots of 8 bytes. Called from a shallow stack, a
-# function that unpacks a list into its locals took 3.1 us with a frame of
-# 1,901 slots and 10.5 us with one of 2,001 (3.11.7; 3.12.1 and 3.13.0
-# alike); 3.10.13 took 5.6 and 6.0 us. The callers' frames hold the rest
-# of the chunk: at the kernel's call site in the benchmark's closed loop, a
-# frame of 1,561 slots still fit and one of 1,601 did not. 1,536 slots,
-# 12 KiB, keep P2x2 (517 slots) and P3x3 (1,391) in the locals form;
-# P4x4's would take 2,889, 22.6 KiB.
-FRAME_SLOTS = 1536
 
 
 def _chained(target, terms):
     """Statements that subtract ``terms`` from ``target``, in order."""
-    return [f" {target} = {target} - {' - '.join(terms[a:a + STATEMENT_TERMS])}"
+    return [f"  {target} = {target} - {' - '.join(terms[a:a + STATEMENT_TERMS])}"
             for a in range(0, len(terms), STATEMENT_TERMS)]
 
 
-def locals_frame(n, nnz):
-    """``co_nlocals + co_stacksize`` of the locals form of the solve of an
-    n x n L with nnz entries: ``l``, ``d``, ``b`` and one local per entry
-    of b, dinv and L, and a value stack as deep as its longest unpack or
-    its returned list. ``locals_frame(n, 0)`` is the index form's frame,
-    which holds no local of L."""
-    return 2 * n + nnz + 3 + max(n, nnz, 3)
-
-
 def ldl_source(colptr, rowidx, inv_perm):
-    """Python source of ``solve(l, d, b)``, which solves K x = b as
-    straight-line code, for K[perm][:, perm] = (I+L) D (I+L)^T with L of
+    """Python source of the generator ``solve(l, d)``, which solves K x = b
+    as straight-line code, for K[perm][:, perm] = (I+L) D (I+L)^T with L of
     pattern (``colptr``, ``rowidx``) and ``perm`` the inverse of
-    ``inv_perm``. ``l`` holds L's values in CSC order, ``d`` the
-    reciprocal pivots, ``b`` the right-hand side in the original order;
-    it returns x in the original order.
+    ``inv_perm``. ``l`` holds L's values in CSC order and ``d`` the
+    reciprocal pivots; it unpacks them into the locals ``l{p}`` and
+    ``d{k}``, then yields None and, for each b in the original order sent
+    to it, yields x in the original order.
 
     ``x{k}`` is the k-th entry of the permuted vector, so unpacking ``b``
-    into ``x{inv_perm[i]}`` and returning them in that order applies the
+    into ``x{inv_perm[i]}`` and yielding them in that order applies the
     permutation and its inverse. FE is one chained statement per row of L,
     ``x5 = x5 - l0*x0 - l3*x1``: its products in column order, the order in
     which the reference's FE subtracts them. The diagonal scale follows,
     then BS, one chained statement per column from the last, its products
     in CSC order as in the reference's BS. Each product and difference
     has the operands of the reference's, in the same order, so it rounds
-    the same.
-
-    The source has one of two forms, chosen from n and nnz(L) alone. The
-    locals form unpacks ``l`` into one local per value, as above. Where
-    that frame, ``locals_frame``, would exceed ``FRAME_SLOTS``, the index
-    form reads each value from ``l`` where it is used,
-    ``x5 = x5 - l[0]*x0 - l[3]*x1``, and its frame grows with n alone."""
+    the same."""
     n = len(colptr) - 1
     Lp, Li = colptr.tolist(), rowidx.tolist()
-    indexed = locals_frame(n, Lp[n]) > FRAME_SLOTS
-    value = "l[{}]" if indexed else "l{}"
     rows = [[] for _ in range(n)]
     for j in range(n):
         for p in range(Lp[j], Lp[j + 1]):
-            rows[Li[p]].append(f"{value.format(p)}*x{j}")
+            rows[Li[p]].append(f"l{p}*x{j}")
     x = ", ".join(f"x{k}" for k in inv_perm.tolist())
-    lines = ["def solve(l, d, b):", f" [{x}] = b"]
-    if not indexed:
-        lines.append(f" [{', '.join(f'l{p}' for p in range(Lp[n]))}] = l")
-    lines.append(f" [{', '.join(f'd{k}' for k in range(n))}] = d")
+    lines = ["def solve(l, d):",
+             f" [{', '.join(f'l{p}' for p in range(Lp[n]))}] = l",
+             f" [{', '.join(f'd{k}' for k in range(n))}] = d",
+             " b = yield",
+             " while True:",
+             f"  [{x}] = b"]
     for i in range(n):
         lines += _chained(f"x{i}", rows[i])
-    lines += [f" x{k} = x{k} * d{k}" for k in range(n)]
+    lines += [f"  x{k} = x{k} * d{k}" for k in range(n)]
     for j in range(n - 1, -1, -1):
-        lines += _chained(f"x{j}", [f"{value.format(p)}*x{Li[p]}"
-                                    for p in range(Lp[j], Lp[j + 1])])
-    lines.append(f" return [{x}]")
+        lines += _chained(f"x{j}", [f"l{p}*x{Li[p]}" for p in range(Lp[j], Lp[j + 1])])
+    lines.append(f"  b = yield [{x}]")
     return "\n".join(lines)
 
 
 def ldl_kernel(colptr, rowidx, inv_perm):
-    """The function that ``ldl_source`` writes, compiled."""
+    """The generator function that ``ldl_source`` writes, compiled."""
     namespace = {}
     exec(compile(ldl_source(colptr, rowidx, inv_perm),
                  f"<LDL solve, n={len(inv_perm)}, nnz={len(rowidx)}>", "exec"), namespace)
@@ -235,9 +204,7 @@ class _Plan:
 
 
 class SolvePlan(_Plan):
-    """The solve that ``ldl_source`` writes for the pattern, compiled: in
-    the locals form while its frame fits in ``FRAME_SLOTS``, else in the
-    index form, which reads L's values from ``Lx`` by index."""
+    """The solve that ``ldl_source`` writes for the pattern, compiled."""
 
     __slots__ = ("kernel",)
 
@@ -246,13 +213,25 @@ class SolvePlan(_Plan):
         self.kernel = ldl_kernel(colptr, rowidx, inv_perm)
 
     def operands(self, Lx, dinv):
-        """L's values and dinv as ``as_list`` gives them."""
-        return as_list(Lx), as_list(dinv)
+        """A new generator of the solve, started on L's values and dinv as
+        ``as_list`` gives them, which it holds from then on. It runs one
+        solve at a time, so threads that solve at once each need their own."""
+        generator = self.kernel(as_list(Lx), as_list(dinv))
+        next(generator)
+        return (generator,)
 
-    def solve(self, Lx, dinv, b):
+    def solve(self, generator, b):
         """x of K x = b, for b an fp32 or fp64 vector in the original order
-        and the operands in b's dtype; x is returned in b's dtype."""
-        return np.array(self.kernel(Lx, dinv, as_list(b)), dtype=b.dtype)
+        and ``generator`` made from operands in b's dtype; x is returned in
+        b's dtype. An exception inside a solve, such as numpy's
+        FloatingPointError on fp32 operands, ends the generator: a later
+        solve on it raises RuntimeError."""
+        try:
+            x = generator.send(as_list(b))
+        except StopIteration:
+            raise RuntimeError("these operands ended with an error in an earlier solve; "
+                               "make new ones") from None
+        return np.array(x, dtype=b.dtype)
 
 
 def _groups(level, targets, sources):

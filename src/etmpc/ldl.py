@@ -30,10 +30,13 @@ through the plan, byte-identical to the sequential reference that the
 tests keep, ``ldl_reference`` in ``tests/oracles.py``.
 
 The plan's operands, L's values and dinv in the form the plan reads,
-are made by ``LdlFactor.operands``: ``AdmmSolver.solve`` makes them once
-and passes them to each of its KKT solves, and a ``solve`` given none
-makes them for that call alone. The factor keeps no conversion, so each
-reads ``L.values`` as it is then.
+are made by ``LdlFactor.operands``: for the generated solve, a generator
+of the solve that unpacks them into its locals once and is resumed by
+each solve; for the schedule, L's values gathered per group, and dinv.
+``AdmmSolver.solve`` makes them once and passes them to each of its KKT
+solves, and a ``solve`` given none makes them for that call alone. The
+factor keeps no conversion, so each reads ``L.values`` as it is then and
+keeps those values for as long as it is used.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ def prune_matrix(mat, cutoff, keep_mask=None):
     """Zero entries with \\|value\\| < cutoff, except kept positions.
 
     The diagonal is always kept; ``keep_mask`` marks additional protected
-    positions (typically the continuous-time nonzero structure).
+    positions (typically the continuous-time nonzero structure) and must
+    have the matrix's shape, since a broadcast row or column would protect
+    whole columns or rows.
     """
     if not cutoff >= 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
@@ -32,7 +34,11 @@ def prune_matrix(mat, cutoff, keep_mask=None):
     out = mat.copy()
     drop = np.abs(mat) < cutoff
     if keep_mask is not None:
-        drop &= ~np.asarray(keep_mask, dtype=bool)
+        keep_mask = np.asarray(keep_mask, dtype=bool)
+        if keep_mask.shape != mat.shape:
+            raise ValueError(f"keep_mask must have the matrix's shape {mat.shape}, "
+                             f"got {keep_mask.shape}")
+        drop &= ~keep_mask
     if mat.shape[0] == mat.shape[1]:
         np.fill_diagonal(drop, False)
     out[drop] = 0.0

@@ -322,9 +322,11 @@ class AdmmSolver:
 
         L's values and dinv are converted into the operands of the
         factor's plan once per solve, by ``LdlFactor.operands``, and every
-        KKT solve of its iterations reads that one conversion; the
-        relaxation coefficients are made once per solve too. Nothing
-        outlives the solve: a change to ``L.values`` shows in the next one.
+        KKT solve of its iterations reads that one conversion: for the
+        generated solve, one generator that holds L in its locals and is
+        resumed by each KKT solve. The relaxation coefficients are made
+        once per solve too. Nothing outlives the solve: a change to
+        ``L.values`` shows in the next one.
 
         Every ``check_interval`` iterations, and after the last, one call
         of ``residuals`` checks the iterate. r_prim is computed at every

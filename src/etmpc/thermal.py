@@ -164,7 +164,9 @@ def discretize(model: ThermalPlantModel):
     """Exact zero-order-hold discretization at ``model.spec.ts`` via the
     matrix exponential.
 
-    Returns (d, e) and stores them on the model. The exponential generally
+    Returns (d, e) and stores them on the model, as C-contiguous copies of
+    the exponential's blocks, which products such as ``d.dot(x)`` read
+    without first copying a strided view. The exponential generally
     fills in far beyond the continuous structure; that fill is what the
     pruning stage removes again.
     """
@@ -173,8 +175,6 @@ def discretize(model: ThermalPlantModel):
     block[:n, :n] = model.a_t
     block[:n, n:] = model.b_t
     phi = scipy.linalg.expm(block * model.spec.ts)
-    d = phi[:n, :n]
-    e = phi[:n, n:]
-    model.d = d
-    model.e = e
-    return d, e
+    model.d = phi[:n, :n].copy()
+    model.e = phi[:n, n:].copy()
+    return model.d, model.e

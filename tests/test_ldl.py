@@ -1,12 +1,11 @@
-import math
-import unittest.mock
+import inspect
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 import etmpc._kernels
-from etmpc._kernels import FRAME_SLOTS, LevelPlan, SolvePlan, locals_frame
+from etmpc._kernels import LevelPlan, SolvePlan
 from etmpc.csc import DimensionError, SparseCSC, column_indices
 from etmpc.ldl import FactorizationError, LdlFactor, ldl_numeric
 from etmpc.mpc import build_mpc_qp, update_mpc_step
@@ -243,31 +242,23 @@ def test_as_list_keeps_every_bit_and_rounds_in_the_vector_dtype(dtype):
         assert np.array(products, dtype=dtype).tobytes() == want.tobytes()
 
 
-def frame(kernel):
-    """The slots of a generated solve's frame: its locals and value stack."""
-    return kernel.__code__.co_nlocals + kernel.__code__.co_stacksize
+def holds_l0(kernel):
+    """The kernel is a generator function that reads L's first value from
+    a local of its own."""
+    return inspect.isgeneratorfunction(kernel) and "l0" in kernel.__code__.co_varnames
 
 
 def ldl_paths(L):
-    """Both plan classes built on L's pattern and a random permutation, the
-    generated solve in its locals form and in its index form, each as a
-    function of (dinv, x) that solves in place in the permuted order: it
-    permutes x back into b's original order, solves through the plan and
-    permutes the result into x."""
+    """Both plan classes built on L's pattern and a random permutation,
+    each as a function of (dinv, x) that solves in place in the permuted
+    order: it permutes x back into b's original order, solves through the
+    plan and permutes the result into x."""
     perm = np.random.default_rng(L.nnz).permutation(L.nrows).astype(L.colptr.dtype)
     pattern = (L.colptr, L.rowidx, perm, np.argsort(perm).astype(perm.dtype))
     level = etmpc._kernels.row_levels(L.rowidx.tolist(), column_indices(L.colptr).tolist(),
                                       L.nrows)
-    plans = []
-    for frame_slots in (math.inf, 0):   # every frame fits, then none does
-        with unittest.mock.patch.object(etmpc._kernels, "FRAME_SLOTS", frame_slots):
-            plans.append(SolvePlan(*pattern, level))
-    local, indexed = (plan.kernel for plan in plans)
-    assert ("l0" in local.__code__.co_varnames) == (L.nnz > 0)
-    assert "l0" not in indexed.__code__.co_varnames
-    assert frame(local) <= locals_frame(L.nrows, L.nnz)
-    assert frame(indexed) <= locals_frame(L.nrows, 0)
-    plans.append(LevelPlan(*pattern, level))
+    plans = [SolvePlan(*pattern, level), LevelPlan(*pattern, level)]
+    assert holds_l0(plans[0].kernel) == (L.nnz > 0)
 
     def path(plan):
         def solve(dinv, x):
@@ -309,10 +300,10 @@ def mpc_factor(grid, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_both_plans_are_byte_exact_with_the_array_reference(dtype):
-    """Both plans, the generated solve in both its forms, on every pattern,
-    a row of 2001 products included, must give the bits of FE, ``*= dinv``
-    and BS on arrays, on the controller's factors and on random ones, and
-    write the result into x, a strided view included."""
+    """Both plans, on every pattern, a row of 2001 products included, must
+    give the bits of FE, ``*= dinv`` and BS on arrays, on the controller's
+    factors and on random ones, and write the result into x, a strided
+    view included."""
     rng = np.random.default_rng(23)
     factors = [mpc_factor(grid, dtype) for grid in (2, 3, 4, 8)]
     factors += [ldl_numeric(scipy.sparse.csc_array(
@@ -382,6 +373,22 @@ def test_factor_solve_reads_L_values_on_every_call():
         np.testing.assert_array_equal(f.solve(b), before)
         f.L.values[np.argmax(np.abs(f.L.values))] *= 1 + 1e-6
         assert not np.array_equal(f.solve(b), before)
+
+
+def test_operands_ended_by_an_error_refuse_the_next_solve():
+    """A floating-point error raised inside the generated solve ends its
+    generator; the next solve on those operands says so, and new operands
+    solve as before."""
+    rng = np.random.default_rng(67)
+    f = ldl_numeric(scipy.sparse.csc_array(random_kkt_upper(rng, 6, 4).astype(np.float32)))
+    assert type(f.plan) is SolvePlan
+    operands = f.operands()
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):   # inf - inf
+        f.solve(np.full(f.n, np.inf, dtype=np.float32), operands)
+    b = rng.standard_normal(f.n)
+    with pytest.raises(RuntimeError, match="make new ones"):
+        f.solve(b, operands)
+    assert f.solve(b, f.operands()).tobytes() == factor_reference(f, b).tobytes()
 
 
 def test_solve_round_trip_fuzz():
@@ -467,7 +474,8 @@ def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_generated_solv
     """A pattern whose mean entries per schedule group, nnz(L) / (levels -
     1), reach ``SCHEDULE_MIN_WIDTH`` = 40 runs on the level schedule: P5x5
     and up. P2x2 (12.7), P3x3 (23.2) and P4x4 (36.6) run the solve
-    generated for their pattern, on two lists: L's values and dinv."""
+    generated for their pattern, one new generator per conversion, which
+    holds L's values and waits for its first right-hand side."""
     for grid, plan in ((2, SolvePlan), (3, SolvePlan), (4, SolvePlan), (5, LevelPlan),
                        (8, LevelPlan)):
         f = mpc_factor(grid, np.float64)
@@ -481,22 +489,55 @@ def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_generated_solv
             assert dinv is f.dinv
             assert sum(len(values) for values in fe + bs) == 2 * f.L.nnz
         else:
-            assert operands == (f.L.values.tolist(), f.dinv.tolist())
+            (generator,) = operands
+            assert inspect.getgeneratorstate(generator) == inspect.GEN_SUSPENDED
+            held = generator.gi_frame.f_locals
+            assert [held[f"l{p}"] for p in range(f.L.nnz)] == f.L.values.tolist()
+            assert f.operands()[0] is not generator
 
 
-def test_a_generated_solve_reads_L_by_index_once_its_locals_would_overflow_the_frame():
-    """The locals form's frame stays within ``FRAME_SLOTS`` at P2x2 (517
-    slots) and P3x3 (1,391); at P4x4 it would take 2,889, more than a 16
-    KiB data-stack chunk holds, so P4x4 reads L's values by index, in 705.
-    The kernels of these three grids, the ones whose solve is generated,
-    stay within ``FRAME_SLOTS``; ``ldl_paths`` checks both
-    forms' frames against ``locals_frame`` on every pattern it builds."""
-    for grid, local in ((2, True), (3, True), (4, False)):
-        f = mpc_factor(grid, np.float64)
-        kernel = f.plan.kernel
-        assert (locals_frame(f.n, f.L.nnz) <= FRAME_SLOTS) == local
-        assert ("l0" in kernel.__code__.co_varnames) == local
-        assert frame(kernel) <= FRAME_SLOTS
+def test_every_generated_solve_reads_L_from_its_locals():
+    """The solves generated for P2x2, P3x3 and P4x4, and for a factor with
+    a row and a column of 2001 products, are generator functions that
+    unpack L's values into locals, whatever the size of their frame: a
+    generator's frame lives on the heap, not on the interpreter's data
+    stack."""
+    factors = [mpc_factor(grid, np.float64) for grid in (2, 3, 4)]
+    assert all(type(f.plan) is SolvePlan for f in factors)
+    L, _ = long_row_factor(np.float64)
+    inv_perm = np.arange(L.nrows, dtype=L.colptr.dtype)
+    kernels = [f.plan.kernel for f in factors]
+    kernels.append(etmpc._kernels.ldl_kernel(L.colptr, L.rowidx, inv_perm))
+    assert all(holds_l0(kernel) for kernel in kernels)
+
+
+def test_two_solvers_of_one_pattern_stay_byte_exact_solved_alternately():
+    """Two factors of one cached pattern, with different values, solve
+    through generators of one compiled kernel that are alive at once; KKT
+    solves that alternate between them, and ADMM solves that alternate
+    between their solvers, give the bits each gives alone."""
+    rng = np.random.default_rng(61)
+    mpcqp, model = mpc_qp(4)
+    update_mpc_step(mpcqp, rng.uniform(30.0, 36.0, model.n_x), rng.uniform(0.5, 4.0, model.n_u))
+    settings = [AdmmSettings(), AdmmSettings(rho=0.4, sigma=1e-5)]
+    first, second = (AdmmSolver(mpcqp.qp, s) for s in settings)
+    a, b = first.kkt.factor, second.kkt.factor
+    assert a.plan is b.plan and type(a.plan) is SolvePlan
+    assert not np.array_equal(a.L.values, b.L.values)
+    ops_a, ops_b = a.operands(), b.operands()
+    for _ in range(3):
+        for f, ops in ((a, ops_a), (b, ops_b)):
+            rhs = rng.standard_normal(f.n)
+            assert f.solve(rhs, ops).tobytes() == factor_reference(f, rhs).tobytes()
+    alone = []
+    for s in settings:
+        solver = AdmmSolver(mpcqp.qp, s)
+        alone.append([solver.solve().x.tobytes() for _ in range(3)])
+    alternating = [[], []]
+    for _ in range(3):
+        for xs, solver in zip(alternating, (first, second)):
+            xs.append(solver.solve().x.tobytes())
+    assert alternating == alone
 
 
 @pytest.fixture
@@ -554,11 +595,14 @@ def test_shared_pattern_arrays_are_read_only_and_values_stay_live():
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = shared[0]
         b = np.random.default_rng(59).standard_normal(f.n)
-        before = f.solve(b, f.operands())
+        old = f.operands()
+        before = f.solve(b, old)
         f.L.values[np.argmax(np.abs(f.L.values))] *= 1 + 1e-6
         after = f.solve(b, f.operands())
         assert not np.array_equal(after, before)
         assert after.tobytes() == factor_reference(f, b).tobytes()
+        # operands made before the change still hold the values they took
+        assert f.solve(b, old).tobytes() == before.tobytes()
 
 
 def test_levels_match_a_longest_path_oracle():

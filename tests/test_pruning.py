@@ -39,6 +39,18 @@ def test_prune_matrix_rejects_a_cutoff_that_is_not_non_negative(cutoff):
         prune_matrix(np.ones((2, 2)), cutoff)
 
 
+@pytest.mark.parametrize("keep_mask", [[True, False, False], [[True], [False], [False]]])
+def test_prune_matrix_rejects_a_keep_mask_that_would_broadcast(keep_mask):
+    """Broadcast, a length-n mask would protect column 0, keeping 0.001 and
+    0.002 at a cutoff of 0.01, and an (n, 1) one row 0, keeping 0.003 and
+    0.004."""
+    mat = np.array([[1.0, 0.003, 0.004], [0.001, 1.0, 0.5], [0.002, 0.5, 1.0]])
+    with pytest.raises(ValueError, match="keep_mask"):
+        prune_matrix(mat, 0.01, keep_mask=keep_mask)
+    pruned = prune_matrix(mat, 0.01, keep_mask=np.eye(3, dtype=bool))
+    assert pruned.tobytes() == np.where(np.abs(mat) < 0.01, 0.0, mat).tobytes()
+
+
 @pytest.mark.parametrize("candidates", [[], [0.005, np.nan], [-0.01]])
 def test_select_cutoff_rejects_bad_candidates_before_any_run(p2x2, candidates, monkeypatch):
     def no_run(*args, **kwargs):

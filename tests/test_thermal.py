@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etmpc.thermal import (
     GridSpec,
@@ -71,6 +72,21 @@ def test_discretize_scalar_analytic():
     d, e = discretize(model)
     np.testing.assert_allclose(d, [[np.exp(-0.1)]], rtol=1e-12)
     np.testing.assert_allclose(e, [[1.0 - np.exp(-0.1)]], rtol=1e-12)
+
+
+def test_discretize_stores_contiguous_copies_of_the_exponential_blocks():
+    """D and E own their data in C order, so ``d.dot(x)`` reads them
+    without a copy, and hold the bits of the exponential's blocks."""
+    model = build_thermal_model(GridSpec(2, 2))
+    n, m = model.n_x, model.n_u
+    block = np.zeros((n + m, n + m))
+    block[:n, :n], block[:n, n:] = model.a_t, model.b_t
+    phi = scipy.linalg.expm(block * model.spec.ts)
+    d, e = discretize(model)
+    assert d is model.d and e is model.e
+    for stored, want in ((d, phi[:n, :n]), (e, phi[:n, n:])):
+        assert stored.flags.c_contiguous and stored.flags.owndata
+        assert stored.tobytes() == want.tobytes()
 
 
 def test_discretize_ts_to_zero_limit():
