@@ -85,22 +85,16 @@ def row_levels(Li, Lj, n):
     entries' rows ``Li`` and columns ``Lj`` in CSC order: 0 for a row that
     no entry updates, else 1 + the largest level among the columns that
     update it. A column's level is final before its entries are read,
-    since only columns to its left update its row."""
+    since only columns to its left update its row.
+
+    Run on L^T in reverse CSC order, ``row_levels(Lj[::-1], Li[::-1], n)``,
+    it gives the BS level of each column of L: 0 for a column with no
+    entry, else 1 + the largest level among its entries' rows, each of
+    which is final before its entries are read."""
     level = [0] * n
     for i, j in zip(Li, Lj):
         if level[j] >= level[i]:
             level[i] = level[j] + 1
-    return level
-
-
-def column_levels(Li, Lj, n):
-    """The BS level of each of the n columns of L: 0 for a column with no
-    entry, else 1 + the largest level among its entries' rows. Read in
-    reverse CSC order, a row's level is final before its entries are."""
-    level = [0] * n
-    for i, j in zip(reversed(Li), reversed(Lj)):
-        if level[i] >= level[j]:
-            level[j] = level[i] + 1
     return level
 
 
@@ -264,7 +258,7 @@ class LevelPlan(_Plan):
         super().__init__(colptr, rowidx, perm, inv_perm, level)
         index = rowidx.dtype
         columns = column_indices(colptr).astype(index)
-        bs = column_levels(rowidx.tolist(), columns.tolist(), len(perm))
+        bs = row_levels(columns.tolist()[::-1], rowidx.tolist()[::-1], len(perm))
         self.fe = _groups(np.array(level, dtype=index)[rowidx], rowidx, columns)
         self.bs = _groups(np.array(bs, dtype=index)[columns], columns, rowidx)
 

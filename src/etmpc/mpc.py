@@ -65,7 +65,9 @@ def _tile(block, row0, row_step, col0, col_step, stages):
 
 def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelParams,
                  weights=None) -> MpcQp:
-    """Assemble P, A and the static parts of q, l, u.
+    """Assemble P, A and the static parts of q, l, u. ``spec`` must have
+    the grid and sample time of the discretized ``model``; its horizon and
+    domains are the QP's.
 
     Constraint rows follow one layout table, in order: dynamics equalities
     per stage (D x_meas on the right at stage 0), silicon thermal caps for
@@ -77,9 +79,9 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
     """
     if model.d is None:
         raise ValueError("model must be discretized first")
-    if spec.ts != model.spec.ts:
-        raise ValueError("spec.ts differs from the sample time the model was discretized at")
-    params.validate()
+    if (spec.nw, spec.nh, spec.ts) != (model.spec.nw, model.spec.nh, model.spec.ts):
+        raise ValueError(f"spec is a {spec.nw}x{spec.nh} grid at ts = {spec.ts}, the model a "
+                         f"{model.spec.nw}x{model.spec.nh} grid at ts = {model.spec.ts}")
     n_x, n_u, hp = model.n_x, model.n_u, spec.hp
     nc = spec.n_pe
     n_domains = len(spec.domains)

@@ -11,25 +11,36 @@ the only place that evaluates the formula or searches ``vf_table``.
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class PowerModelParams:
+    """The power model's constants, frozen and checked when built: every
+    value finite, ``vf_table`` non-empty and strictly increasing in V and F
+    with positive entries, every ``ceff_by_class`` value positive, leakage
+    growing with V and T, and p_min <= p_max. ``vf_table`` is stored as a
+    tuple of (V, F) float pairs and ``ceff_by_class`` as a read-only
+    mapping, so a built instance stays the one that was checked."""
+
     k_s0: float = 0.2            # temperature/voltage independent static floor [W]
     k_v: float = 1.2             # leakage voltage sensitivity [1/V]
     k_t: float = 0.02            # leakage temperature sensitivity [1/degC]
     k_t0: float = -2.0           # leakage offset
     icc: float = 0.4             # per-element leakage current scale [A]
-    ceff_by_class: dict = field(default_factory=lambda: {0: 0.6e-9, 1: 1.0e-9, 2: 1.5e-9})
-    vf_table: list = field(default_factory=lambda: [(0.6, 1.2e9), (0.8, 2.0e9), (1.0, 2.8e9)])
+    ceff_by_class: types.MappingProxyType = field(
+        default_factory=lambda: {0: 0.6e-9, 1: 1.0e-9, 2: 1.5e-9})
+    vf_table: tuple = ((0.6, 1.2e9), (0.8, 2.0e9), (1.0, 2.8e9))
     p_min: float = 0.0
     p_max: float = 4.0
     t_limit: float = 85.0        # silicon cap [degC]
 
-    def validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "vf_table", tuple((float(v), float(f)) for v, f in self.vf_table))
+        object.__setattr__(self, "ceff_by_class", types.MappingProxyType(dict(self.ceff_by_class)))
         scalars = [self.k_s0, self.k_v, self.k_t, self.k_t0, self.icc, self.p_min,
                    self.p_max, self.t_limit, *np.ravel(self.vf_table),
                    *self.ceff_by_class.values()]
@@ -47,7 +58,6 @@ class PowerModelParams:
             raise ValueError("k_v, k_t and icc must be non-negative: leakage grows with V and T")
         if self.p_min > self.p_max:
             raise ValueError("p_min must not exceed p_max")
-        return self
 
     def ceff(self, classes):
         """Effective switched capacitance per PE of the workload classes."""
@@ -63,9 +73,9 @@ class PowerModelParams:
         """Gain at the worst-case corner, the top table rail at ``t_limit``;
         keeps the controller model linear.
 
-        With k_v, k_t >= 0 (see ``validate``) it bounds the plant's gain
-        ``leakage_gain(t, v)`` on every table rail v while silicon is at or
-        below the cap, t <= t_limit.
+        With k_v, k_t >= 0, checked when the params are built, it bounds
+        the plant's gain ``leakage_gain(t, v)`` on every table rail v while
+        silicon is at or below the cap, t <= t_limit.
         """
         return float(self.leakage_gain(self.t_limit, self.vf_table[-1][0]))
 

@@ -170,7 +170,7 @@ class KktSystem:
     ``A`` and ``At`` are the ``scipy.sparse`` operators of the residual
     products, and ``rho``/``rho_inv`` the per-row step sizes and their
     reciprocals, all in the storage ``dtype``. q, l and u are not held
-    here: they are read from the problem through ``stored``.
+    here: they are read from the problem, cast to ``dtype``.
     The solves need only the factor, so K itself is not kept: ``K``
     assembles it again from the frozen parts, with the bits it was
     factored from.
@@ -191,10 +191,6 @@ class KktSystem:
     def K(self) -> SparseCSC:
         """The upper triangle of [[P + sigma I, A'], [A, -diag(1/rho)]]."""
         return kkt_upper(self.P_upper, self.A, self.sigma, self.rho_inv)
-
-    def stored(self, vec):
-        """q, l or u in storage precision; the vector itself in fp64."""
-        return vec.astype(self.dtype, copy=False)
 
 
 def kkt_upper(P: SparseCSC, A, sigma, rho_inv) -> SparseCSC:
@@ -244,7 +240,7 @@ def residuals(state: AdmmState, problem: QpProblem, kkt: KktSystem, prim_bound=I
     r_prim = float(np.abs(rp).max(initial=0.0))
     if prim_bound < r_prim < INF:
         return r_prim, INF
-    rd = kkt.P @ state.x + kkt.stored(problem.q) + kkt.At @ state.y
+    rd = kkt.P @ state.x + problem.q.astype(kkt.dtype, copy=False) + kkt.At @ state.y
     return r_prim, float(np.abs(rd).max(initial=0.0))
 
 
@@ -341,7 +337,7 @@ class AdmmSolver:
             state = AdmmState(*self._last)
         else:
             state = AdmmState.zeros(problem.n, problem.m, settings.dtype)
-        q, l, u = (kkt.stored(vec) for vec in (problem.q, problem.l, problem.u))
+        q, l, u = (vec.astype(kkt.dtype, copy=False) for vec in (problem.q, problem.l, problem.u))
 
         residual_mode = settings.termination_mode == "residual"
         operands = kkt.factor.operands()

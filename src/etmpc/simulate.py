@@ -206,13 +206,16 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
     ``controller_model`` (default: the plant model itself) provides the
     discretized matrices the QP is condensed from; pass a pruned model to
     study the pruning error. The controller (``mpcqp`` if given) must share
-    the plant's sample time. A diverged solve holds the previous operating
-    point and flags the step.
+    the plant's grid, sample time and domains and the scenario's power
+    model parameters, which stages 1 and 3 and the plant use. A diverged solve
+    holds the previous operating point and flags the step.
     """
     import time as _time
 
     spec = model.spec
     ts = spec.ts
+    if not np.isfinite(scenario.duration):
+        raise ValueError("duration must be finite")
     n_steps = round(scenario.duration / ts)
     if n_steps < 1:
         raise ValueError("duration shorter than one sample time")
@@ -220,17 +223,20 @@ def run_closed_loop(model: ThermalPlantModel, scenario: Scenario,
         raise ValueError("duration is not a whole number of sample times")
     if not scenario.noise_sigma >= 0:
         raise ValueError("noise_sigma must be non-negative")
-    params_ = (scenario.params if scenario.params is not None else PowerModelParams()).validate()
+    params_ = scenario.params if scenario.params is not None else PowerModelParams()
     nc = spec.n_pe
     for name in ("freq_targets", "classes"):
         if any(np.shape(value) != (nc,) for _, value in getattr(scenario, name)):
             raise ValueError(f"every {name} value must have shape ({nc},)")
-    if controller_model is None:
-        controller_model = model
     if mpcqp is None:
-        mpcqp = build_mpc_qp(controller_model, spec, params_)
-    if mpcqp.spec.ts != ts:   # build_mpc_qp checks spec.ts against its model
-        raise ValueError("the controller's sample time differs from the plant's")
+        mpcqp = build_mpc_qp(controller_model or model, spec, params_)
+    # build_mpc_qp checks spec's grid and ts against its model
+    if (mpcqp.spec.nw, mpcqp.spec.nh, mpcqp.spec.ts) != (spec.nw, spec.nh, ts):
+        raise ValueError("the controller's grid or sample time differs from the plant's")
+    if mpcqp.params != params_:
+        raise ValueError("the controller's power model parameters differ from the scenario's")
+    if [list(d) for d in mpcqp.spec.domains] != [list(d) for d in spec.domains]:
+        raise ValueError("the controller's domains differ from the plant's")
     settings = solver_settings or mpc_solver_settings()
     solver = AdmmSolver(mpcqp.qp, settings)
     rng = np.random.default_rng(scenario.seed)

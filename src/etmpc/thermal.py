@@ -78,10 +78,12 @@ def default_domains(nw, nh):
     return [left, right]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThermalConstants:
     """Lumped RC values [K/W] and [J/K]; time constants sit in the
-    millisecond-to-tens-of-ms range typical of die-level silicon."""
+    millisecond-to-tens-of-ms range typical of die-level silicon. Frozen,
+    and checked when built: every R and C positive and finite, t_amb
+    finite."""
 
     r_si_lat: float = 8.0     # silicon <-> lateral silicon neighbour
     r_si_cu: float = 2.0      # silicon <-> its copper element
@@ -92,14 +94,13 @@ class ThermalConstants:
     c_sink: float = 5.0
     t_amb: float = 45.0       # ambient reference [degC]
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("r_si_lat", "r_si_cu", "r_cu_sink", "r_sink_amb",
                      "c_si", "c_cu", "c_sink"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"thermal constant {name} must be positive and finite")
         if not np.isfinite(self.t_amb):
             raise ValueError("thermal constant t_amb must be finite")
-        return self
 
 
 @dataclass
@@ -128,7 +129,7 @@ class ThermalPlantModel:
 
 def build_thermal_model(spec: GridSpec, constants: ThermalConstants | None = None) -> ThermalPlantModel:
     """Assemble the continuous-time matrices from the RC grid."""
-    constants = (constants or ThermalConstants()).validate()
+    constants = constants or ThermalConstants()
     nc = spec.n_pe
     n_x = 2 * nc + 1
     sink = 2 * nc

@@ -38,7 +38,7 @@ def one_step(state, problem, kkt, settings):
     """``admm_step`` on its own, with the operands, q, l, u and the
     relaxation coefficients made as the solve makes them."""
     admm_step(state, kkt, kkt.factor.operands(),
-              *(kkt.stored(vec) for vec in (problem.q, problem.l, problem.u)),
+              *(vec.astype(kkt.dtype, copy=False) for vec in (problem.q, problem.l, problem.u)),
               relaxation(settings, problem.n, problem.m))
 
 
@@ -592,7 +592,7 @@ def test_admm_step_writes_none_of_the_arrays_it_is_given(precision):
     kkt = assemble_kkt(problem, settings)
     state = AdmmState(*(rng.standard_normal(k).astype(settings.dtype) for k in (7, 9, 9)))
     iterate = [state.x, state.z, state.y]
-    q, l, u = (kkt.stored(vec) for vec in (problem.q, problem.l, problem.u))
+    q, l, u = (vec.astype(kkt.dtype, copy=False) for vec in (problem.q, problem.l, problem.u))
     coefficients = relaxation(settings, problem.n, problem.m)
     given = iterate + [q, l, u, *coefficients, kkt.rho, kkt.rho_inv]
     before = [a.copy() for a in given]

@@ -556,7 +556,9 @@ def test_solvers_of_one_grid_share_one_plan_built_at_bring_up(kernel_compiles, m
     """Every bring-up of a grid gives the same pattern: the first builds its
     plan, levels included, the next takes the cached plan and its arrays,
     and the solves themselves build nothing. P2x2 compiles its generated
-    solve; P8x8 runs on the level schedule and compiles nothing."""
+    solve; P8x8 runs on the level schedule and compiles nothing. Levels
+    run once per pattern and direction: P2x2's FE levels, P8x8's FE and BS
+    levels, which ``row_levels`` gives on L^T."""
     k = etmpc._kernels
     level_runs = []
     real = k.row_levels
@@ -572,7 +574,7 @@ def test_solvers_of_one_grid_share_one_plan_built_at_bring_up(kernel_compiles, m
         update_mpc_step(mpcqp, np.full(model.n_x, 33.0), np.full(model.n_u, 2.0))
         for _ in range(2):
             assert first.solve().x.tobytes() == second.solve().x.tobytes()
-    assert len(kernel_compiles) == 1 and len(level_runs) == 2
+    assert len(kernel_compiles) == 1 and len(level_runs) == 3
 
 
 def test_a_factor_keeps_its_plan_after_the_cache_drops_it(kernel_compiles):
@@ -616,7 +618,8 @@ def test_levels_match_a_longest_path_oracle():
         rows, cols = L.rowidx.tolist(), column_indices(L.colptr).tolist()
         fe, bs = longest_path_levels(index_pattern(L))
         assert etmpc._kernels.row_levels(rows, cols, f.n) == fe.tolist()
-        assert etmpc._kernels.column_levels(rows, cols, f.n) == bs.tolist()
+        # the BS levels are the FE levels of L^T read in reverse CSC order
+        assert etmpc._kernels.row_levels(cols[::-1], rows[::-1], f.n) == bs.tolist()
         assert f.plan.levels == fe.max() + 1 == bs.max() + 1
     assert factors[-1].plan.levels == 82
 

@@ -210,6 +210,17 @@ def test_build_rejects_a_spec_with_another_sample_time():
         build_mpc_qp(model, GridSpec(2, 2, hp=2), PowerModelParams())
 
 
+def test_build_rejects_a_spec_for_another_grid():
+    # unchecked, a P3x3 spec on a P2x2 model failed with an IndexError
+    spec = GridSpec(2, 2, hp=2)
+    model = build_thermal_model(spec)
+    discretize(model)
+    for other in (GridSpec(3, 3, hp=2), GridSpec(4, 1, hp=2)):
+        with pytest.raises(ValueError, match=f"{other.nw}x{other.nh} grid.*2x2 grid"):
+            build_mpc_qp(model, other, PowerModelParams())
+    build_mpc_qp(model, GridSpec(2, 2, hp=3, domains=[[0, 1, 2, 3]]), PowerModelParams())
+
+
 def test_pruned_assembly_strictly_smaller():
     mpcqp_full, _ = make_mpcqp(3, 3, hp=2)
     mpcqp_pruned, _ = make_mpcqp(3, 3, hp=2, cutoff=0.005)

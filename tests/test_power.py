@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ def test_ceff_per_element():
 
 def test_vf_table_must_increase():
     with pytest.raises(ValueError):
-        PowerModelParams(vf_table=[(0.8, 2e9), (0.6, 1e9)]).validate()
+        PowerModelParams(vf_table=[(0.8, 2e9), (0.6, 1e9)])
 
 
 @pytest.mark.parametrize("bad", [
@@ -132,7 +134,7 @@ def test_vf_table_must_increase():
         "negative_ceff"])
 def test_validate_rejects_bad_tables(bad):
     with pytest.raises(ValueError):
-        PowerModelParams(**bad).validate()
+        PowerModelParams(**bad)
 
 
 def test_frozen_gain_at_corner():
@@ -142,7 +144,7 @@ def test_frozen_gain_at_corner():
 
 def test_frozen_gain_bounds_the_plant_gain_at_or_below_the_cap():
     params = PowerModelParams(vf_table=[(0.7, 1.5e9), (0.9, 2.4e9), (1.1, 3.2e9)],
-                              t_limit=95.0).validate()
+                              t_limit=95.0)
     assert params.frozen_gain() == params.leakage_gain(95.0, 1.1)
     rails = np.array(params.vf_table)[:, 0]
     t = np.linspace(-20.0, 95.0, 116)[:, None]
@@ -177,8 +179,7 @@ def test_power_over_temperature_has_the_bits_of_power_forward_at_the_leakage_gai
 def test_validate_rejects_leakage_falling_with_v_or_t(bad):
     # the frozen corner bounds the plant's gain only if leakage grows with V and T
     with pytest.raises(ValueError):
-        PowerModelParams(**bad).validate()
-
+        PowerModelParams(**bad)
 
 
 SCALARS = ("k_s0", "k_v", "k_t", "k_t0", "icc", "p_min", "p_max", "t_limit")
@@ -194,4 +195,27 @@ SCALARS = ("k_s0", "k_v", "k_t", "k_t0", "icc", "p_min", "p_max", "t_limit")
         "vf_table-nan_v", "vf_table-inf_f", "ceff-nan", "ceff-inf"])
 def test_validate_rejects_non_finite_parameters(name, value):
     with pytest.raises(ValueError, match="finite"):
-        PowerModelParams(**{name: value}).validate()
+        PowerModelParams(**{name: value})
+
+
+def test_params_are_frozen_and_their_tables_read_only():
+    """A field or table entry changed after construction would skip the
+    checks, which run once, when the params are built."""
+    ceff = {0: 1e-9, 1: 2e-9}
+    params = PowerModelParams(ceff_by_class=ceff, vf_table=[[0.6, 1], (0.8, 2e9)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.t_limit = np.nan
+    with pytest.raises(TypeError):
+        params.vf_table[0] = (0.8, 2e9)
+    with pytest.raises(TypeError):
+        params.vf_table[0][1] = -1.0
+    with pytest.raises(TypeError):
+        params.ceff_by_class[1] = -1.0
+    # the caller's dict stays the caller's
+    ceff[1] = -1.0
+    assert params.ceff_by_class == {0: 1e-9, 1: 2e-9}
+    assert params.vf_table == ((0.6, 1.0), (0.8, 2e9))
+    assert all(type(x) is float for pair in params.vf_table for x in pair)
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(params, t_limit=np.nan)
+    assert dataclasses.replace(params, t_limit=95.0).ceff_by_class == params.ceff_by_class

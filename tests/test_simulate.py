@@ -257,6 +257,54 @@ def test_run_rejects_a_duration_between_sample_times(steps):
     assert run_closed_loop(model, scenario).n_steps == int(steps + 0.5)
 
 
+@pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+def test_run_rejects_a_non_finite_duration(duration):
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=2 * spec.ts)
+    scenario.duration = duration
+    with pytest.raises(ValueError, match="duration must be finite"):
+        run_closed_loop(model, scenario)
+
+
+def test_run_rejects_a_controller_for_another_grid():
+    # a 4x1 controller has the 2x2 plant's state and input sizes, so it ran
+    spec, model = p2x2()
+    other_spec = GridSpec(4, 1, hp=2, domains=spec.domains)
+    other = build_thermal_model(other_spec)
+    discretize(other)
+    scenario = default_scenario(spec, PowerModelParams(), duration=2 * spec.ts)
+    with pytest.raises(ValueError, match="grid"):
+        run_closed_loop(model, scenario,
+                        mpcqp=build_mpc_qp(other, other_spec, PowerModelParams()))
+
+
+def test_run_rejects_a_controller_for_other_power_params():
+    # the QP's caps and boxes would come from the controller's params, the
+    # targets, dispatch and plant from the scenario's
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=2 * spec.ts)
+    for params in (PowerModelParams(t_limit=50.0), PowerModelParams(ceff_by_class={0: 1e-9})):
+        with pytest.raises(ValueError, match="power model parameters"):
+            run_closed_loop(model, scenario, mpcqp=build_mpc_qp(model, spec, params))
+    # equal by value is the same configuration
+    run_closed_loop(model, scenario, mpcqp=build_mpc_qp(model, spec, PowerModelParams()))
+
+
+def test_run_rejects_a_controller_for_other_domains():
+    # the QP's domain rows would disagree with the rails dispatch shares
+    spec, model = p2x2()
+    scenario = default_scenario(spec, PowerModelParams(), duration=2 * spec.ts)
+    assert spec.domains == [[0, 2], [1, 3]]
+    for domains in ([[0, 1], [2, 3]], [[0, 1, 2, 3]]):
+        other = GridSpec(2, 2, hp=2, domains=domains)
+        scenario.domain_budgets = [(0.0, [10.0] * len(domains))]
+        with pytest.raises(ValueError, match="domains"):
+            run_closed_loop(model, scenario, mpcqp=build_mpc_qp(model, other, PowerModelParams()))
+    same = GridSpec(2, 2, hp=3, domains=[np.array(d) for d in spec.domains])
+    scenario.domain_budgets = [(0.0, [10.0, 10.0])]
+    run_closed_loop(model, scenario, mpcqp=build_mpc_qp(model, same, PowerModelParams()))
+
+
 @pytest.mark.parametrize("sigma", [-0.05, np.nan])
 def test_run_rejects_negative_or_nan_noise(sigma):
     spec, model = p2x2()

@@ -62,7 +62,7 @@ def test_rejects_nan_constants(name):
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_rejects_non_finite_constants(name, value):
     with pytest.raises(ValueError, match=name):
-        ThermalConstants(**{name: value}).validate()
+        ThermalConstants(**{name: value})
 
 
 def test_discretize_scalar_analytic():
@@ -158,6 +158,14 @@ def test_grid_spec_is_frozen():
     spec = GridSpec(2, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.ts = 5e-3
+
+
+def test_thermal_constants_are_frozen_and_replace_checks_again():
+    constants = ThermalConstants()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        constants.c_si = -1.0
+    with pytest.raises(ValueError, match="c_si"):
+        dataclasses.replace(constants, c_si=-1.0)
 
 
 def test_default_domains_partition():
