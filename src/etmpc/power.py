@@ -97,7 +97,7 @@ def power_over_temperature(params: PowerModelParams, v, f, ceff):
     shape; ``out`` may be ``t`` itself, as each step reads only the entry
     it writes. Its constants k_s0, k_t and k_t0 are float64 arrays of that
     shape, made here too, and each step is a ufunc called with ``out`` in
-    its positional slot: the plant calls ``p`` 40 times per step on
+    its positional slot: the plant calls ``p`` 12 times per step on
     vectors of a few dozen entries, where converting a Python-float
     operand, allocating a result and parsing an ``out=`` keyword are much
     of each call."""

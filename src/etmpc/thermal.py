@@ -121,6 +121,14 @@ class ThermalPlantModel:
     def n_u(self):
         return self.b_t.shape[1]
 
+    @property
+    def capacitance(self):
+        """Heat capacity [J/K] of each state node, in state order: a_t is
+        C⁻¹G with C = diag(capacitance) and G the symmetric conductance
+        matrix."""
+        c = self.constants
+        return np.append(np.tile([c.c_si, c.c_cu], self.spec.n_pe), c.c_sink)
+
     def silicon_c(self, state):
         """Silicon temperatures [degC] of an ambient-relative state vector,
         in the state's dtype (an fp32 prediction stays fp32)."""

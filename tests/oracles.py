@@ -4,21 +4,22 @@ Everything here is deliberately naive (dense algebra, enumeration,
 sequential loops) and shares no code with the package's own
 factorization/solve/schedule paths. ``ldl_reference`` is the one
 sequential LDL^T solve: FE, the diagonal scale and BS, entry by entry on
-L's CSC arrays, which every solve plan must match bit for bit. The loops
-that the package's fast paths must match bit for bit,
-``admm_solve_checking_both_residuals`` and ``plant_step_per_evaluation``,
-call the package's KKT factor and power model as their building blocks.
+L's CSC arrays, which every solve plan must match bit for bit. The ADMM
+loop that the package's fast path must match bit for bit,
+``admm_solve_checking_both_residuals``, calls the package's KKT factor as
+its building block, and ``plant_step_per_evaluation``, the RK4 against
+which the plant's integrator is measured, calls its power model.
 """
 
 import itertools
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 
 from etmpc.csc import DimensionError
 from etmpc.power import power_forward
 from etmpc.qp import DIVERGENCE_LIMIT
-from etmpc.simulate import PLANT_SUBSTEPS
 
 
 def dense_ldl(a):
@@ -271,10 +272,10 @@ def admm_solve_checking_both_residuals(problem, kkt, settings, start=None):
                            status=status)
 
 
-def plant_step_per_evaluation(model, params, state, v, f, ceff):
-    """The plant's RK4 step with the full power model, gain and all, at
-    every derivative evaluation."""
-    h = model.spec.ts / PLANT_SUBSTEPS
+def plant_step_per_evaluation(model, params, state, v, f, ceff, substeps):
+    """``substeps`` RK4 substeps of the plant over one sample time, with the
+    full power model, gain and all, at every derivative evaluation."""
+    h = model.spec.ts / substeps
     state = np.array(state, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
@@ -284,13 +285,26 @@ def plant_step_per_evaluation(model, params, state, v, f, ceff):
         p = power_forward(params, v, f, ceff, gain)
         return model.a_t @ s + model.b_t @ p
 
-    for _ in range(PLANT_SUBSTEPS):
+    for _ in range(substeps):
         k1 = deriv(state)
         k2 = deriv(state + 0.5 * h * k1)
         k3 = deriv(state + 0.5 * h * k2)
         k4 = deriv(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return state
+
+
+def phi_blocks_by_expm(a, b, t):
+    """e^{at} and φ₁(at) tb, φ₂(at) tb, φ₃(at) tb, read off the top block
+    row of the exponential of the augmented matrix
+    [[at, tb, 0, 0], [0, 0, I, 0], [0, 0, 0, I], [0, 0, 0, 0]]."""
+    n, m = b.shape
+    block = np.zeros((n + 3 * m, n + 3 * m))
+    block[:n, :n] = a * t
+    block[:n, n:n + m] = b * t
+    block[n:n + 2 * m, n + m:] = np.eye(2 * m)
+    top = scipy.linalg.expm(block)[:n]
+    return top[:, :n], top[:, n:n + m], top[:, n + m:n + 2 * m], top[:, n + 2 * m:]
 
 
 def scalar_dispatch(params, u0, classes, gain, domains):

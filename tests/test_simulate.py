@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,27 +8,30 @@ from etmpc.power import PowerModelParams
 from etmpc.pruning import DEFAULT_CUTOFF, prune_model
 from etmpc.qp import AdmmSettings
 import etmpc.simulate
-from etmpc.simulate import (Scenario, default_scenario, dispatch, mpc_solver_settings,
-                            plant_step, rmse_series, run_closed_loop, timeline_value)
+from etmpc.simulate import (PLANT_SUBSTEPS, Scenario, default_scenario, dispatch,
+                            mpc_solver_settings, plant_integrator, plant_step, rmse_series,
+                            run_closed_loop, timeline_value)
 from etmpc.thermal import GridSpec, build_thermal_model, default_domains, discretize
 
-from oracles import plant_step_per_evaluation, scalar_dispatch
+from oracles import phi_blocks_by_expm, plant_step_per_evaluation, scalar_dispatch
 
 STEPS = 30
 
-# The trajectories must not move by a bit unless the solver's arithmetic or
-# the QP layout changes on purpose (they depend on the per-row step sizes,
-# and on the measured state entering as D x_meas rather than through an x_0
-# column). Per mode: sum of the plant silicon temperatures, sum of the
-# dispatched power, iterations per step, and the status counts.
+# The trajectories must not move by a bit unless the solver's arithmetic,
+# the QP layout or the plant integrator changes on purpose (they depend on
+# the per-row step sizes, on the measured state entering as D x_meas rather
+# than through an x_0 column, and on the rounding of plant_integrator's
+# matrices and of plant_step's ETDRK4 substeps). Per mode: sum of the plant
+# silicon temperatures, sum of the dispatched power, iterations per step,
+# and the status counts.
 REFERENCE = {
-    "fixed": (5679.551109884731, 198.53139514452516, [15] * STEPS,
+    "fixed": (5679.551110002969, 198.53139514452442, [15] * STEPS,
               {"max_iter": 7, "solved": 23}),
-    "residual": (5679.624492437206, 198.60841745622375,
+    "residual": (5679.624492555728, 198.60841745621923,
                  [52, 17, 16, 16, 16, 15, 15, 15, 14, 14, 15, 15, 14, 15, 14,
                   116, 16, 15, 15, 14, 14, 14, 15, 15, 14, 14, 14, 16, 16, 14],
                  {"solved": 30}),
-    "fp32": (5679.550932164041, 198.53135550022125, [15] * STEPS,
+    "fp32": (5679.550805363311, 198.5312578678131, [15] * STEPS,
              {"max_iter": 7, "solved": 23}),
 }
 
@@ -116,38 +121,81 @@ OTHER_TABLE = PowerModelParams(vf_table=[(0.7, 1.5e9), (0.9, 2.4e9), (1.1, 3.2e9
     (3, 2, PowerModelParams(), 32),
     (3, 2, OTHER_TABLE, 33),
 ], ids=["2", "4", "8", "1", "3x2", "3x2-other-table"])
-def test_plant_step_matches_the_rk4_that_evaluates_the_whole_power_model(rows, cols, params,
-                                                                          seed):
+def test_plant_step_is_closer_to_a_fine_rk4_than_a_ten_substep_rk4_is(rows, cols, params, seed):
     # one PE and a non-square grid check the shapes of the per-call buffers
     spec = GridSpec(rows, cols, hp=2, domains=default_domains(rows, cols))
     model = build_thermal_model(spec)
+    integrator = plant_integrator(model)
     rails = np.array(params.vf_table)
     rng = np.random.default_rng(seed)
-    # from ambient the state's last bits still show a one-ulp change in power
+    step_error = rk4_error = 0.0
     for state in (np.zeros(model.n_x), rng.uniform(0.0, 60.0, model.n_x)):
         for _ in range(5):
             v, fmax = rails[rng.integers(len(rails), size=spec.n_pe)].T
             f = np.where(rng.random(spec.n_pe) < 0.2, 0.0, rng.uniform(0.0, fmax))
             ceff = params.ceff(rng.integers(0, 3, spec.n_pe))
-            got = plant_step(model, params, state, v, f, ceff)
-            want = plant_step_per_evaluation(model, params, state, v, f, ceff)
-            assert got.tobytes() == want.tobytes()
+            got = plant_step(integrator, params, state, v, f, ceff)
+            fine = plant_step_per_evaluation(model, params, state, v, f, ceff, 400)
+            coarse = plant_step_per_evaluation(model, params, state, v, f, ceff, 10)
+            step_error = max(step_error, np.abs(got - fine).max())
+            rk4_error = max(rk4_error, np.abs(coarse - fine).max())
             state = got
+    assert step_error <= rk4_error
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (3, 2), (8, 8)])
+def test_plant_integrator_matches_the_phi_functions_of_an_augmented_expm(rows, cols):
+    spec = GridSpec(rows, cols, hp=2, domains=default_domains(rows, cols))
+    model = build_thermal_model(spec)
+    integrator = plant_integrator(model)
+    h = spec.ts / PLANT_SUBSTEPS
+    exp_h, phi_1, phi_2, phi_3 = phi_blocks_by_expm(model.a_t, model.b_t, h)
+    exp_half, half_1, _, _ = phi_blocks_by_expm(model.a_t, model.b_t, h / 2)
+    want = dict(exp_h=exp_h, exp_half=exp_half, half_b=half_1,
+                b_1=phi_1 - 3 * phi_2 + 4 * phi_3, b_2=2 * (phi_2 - 2 * phi_3),
+                b_3=4 * phi_3 - phi_2)
+    for name, w in want.items():
+        got = getattr(integrator, name)
+        assert np.abs(got - w).max() <= 1e-13 * np.abs(w).max(), name
+
+
+def test_plant_integrator_rejects_a_network_without_symmetric_conductances():
+    model = build_thermal_model(GridSpec(2, 2))
+    plant_integrator(model)
+    a_t = model.a_t.copy()
+    a_t[0, 1] *= 1.01    # silicon 0 now draws more from copper 0 than it gives
+    with pytest.raises(ValueError, match="symmetric"):
+        plant_integrator(replace(model, a_t=a_t))
+
+
+def test_a_run_builds_the_plant_integrator_once(monkeypatch):
+    builds = []
+    real = etmpc.simulate.plant_integrator
+
+    def counted(model):
+        builds.append(model)
+        return real(model)
+
+    monkeypatch.setattr(etmpc.simulate, "plant_integrator", counted)
+    spec, model = p2x2()
+    run_closed_loop(model, default_scenario(spec, PowerModelParams(), duration=5 * spec.ts))
+    assert builds == [model]
 
 
 def test_plant_step_writes_neither_its_state_nor_an_earlier_result():
     spec, model = p2x2()
+    integrator = plant_integrator(model)
     params = PowerModelParams()
     v, f = np.full(4, 0.8), np.full(4, 1.5e9)
     ceff = params.ceff(np.ones(4, dtype=int))
     state = np.random.default_rng(9).uniform(0.0, 60.0, model.n_x)
     given = state.copy()
-    first = plant_step(model, params, state, v, f, ceff)
+    first = plant_step(integrator, params, state, v, f, ceff)
     assert state.tobytes() == given.tobytes() and first is not state
     kept = first.copy()
-    second = plant_step(model, params, first, v, f, ceff)
+    second = plant_step(integrator, params, first, v, f, ceff)
     assert first.tobytes() == kept.tobytes() and second is not first
-    assert second.tobytes() == plant_step(model, params, kept, v, f, ceff).tobytes()
+    assert second.tobytes() == plant_step(integrator, params, kept, v, f, ceff).tobytes()
 
 
 def test_fixed_iteration_settings_compute_residuals_once():
@@ -276,6 +324,26 @@ def test_run_rejects_a_controller_for_another_grid():
     with pytest.raises(ValueError, match="grid"):
         run_closed_loop(model, scenario,
                         mpcqp=build_mpc_qp(other, other_spec, PowerModelParams()))
+
+
+def test_run_rejects_an_mpcqp_built_from_another_controller_model():
+    # the QP's dynamics are mpcqp's, so a controller_model beside it went unread
+    spec = GridSpec(3, 3, hp=2, domains=default_domains(3, 3))
+    model = build_thermal_model(spec)
+    discretize(model)
+    pruned = prune_model(model, 0.05)
+    assert not np.array_equal(pruned.d, model.d)
+    params = PowerModelParams()
+    scenario = default_scenario(spec, params, duration=2 * spec.ts)
+    with pytest.raises(ValueError, match="controller_model"):
+        run_closed_loop(model, scenario, controller_model=pruned,
+                        mpcqp=build_mpc_qp(model, spec, params))
+    # the benchmark's pair: the QP built from the controller model it names
+    run_closed_loop(model, scenario, controller_model=pruned,
+                    mpcqp=build_mpc_qp(pruned, spec, params))
+    # equal by value is the same controller model
+    run_closed_loop(model, scenario, controller_model=replace(pruned, d=pruned.d.copy()),
+                    mpcqp=build_mpc_qp(pruned, spec, params))
 
 
 def test_run_rejects_a_controller_for_other_power_params():
