@@ -11,16 +11,15 @@ pattern's first bring-up in a process and keeps it in a cache of
 ``PLAN_CACHE_SIZE`` patterns.
 
 The two plan classes share one interface: the pattern's read-only arrays
-``colptr``, ``rowidx``, ``perm`` and ``inv_perm``, its number of
-``levels``, ``operands(Lx, dinv)``, called once per conversion of L's
-values, and ``solve(*operands, b)``, which takes b and returns x in the
-original order. Both are byte-identical to the sequential reference,
-``ldl_reference`` in ``tests/oracles.py``: FE, ``x *= dinv`` and BS on
-the permuted right-hand side, on L's three CSC arrays (column pointers,
-row indices, values), column by column. FE takes the columns in order
-and subtracts L[i, j] x[j] from x[i] down each column; BS takes them from
-the last and subtracts the column's products L[i, j] x[i] from x[j] in
-CSC order.
+``colptr``, ``rowidx``, ``perm`` and ``inv_perm``, ``operands(Lx, dinv)``,
+called once per conversion of L's values, and ``solve(*operands, b)``,
+which takes b and returns x in the original order. Both are
+byte-identical to the sequential reference, ``ldl_reference`` in
+``tests/oracles.py``: FE, ``x *= dinv`` and BS on the permuted right-hand
+side, on L's three CSC arrays (column pointers, row indices, values),
+column by column. FE takes the columns in order and subtracts
+L[i, j] x[j] from x[i] down each column; BS takes them from the last and
+subtracts the column's products L[i, j] x[i] from x[j] in CSC order.
 
 - ``SolvePlan``, the generated solve. ``ldl_source`` writes the solve of
   the pattern as a straight-line Python generator: L's values and dinv
@@ -33,19 +32,22 @@ CSC order.
   such generator, started on L's values and dinv as lists.
 - ``LevelPlan``, the level schedule. The FE level of a row is 1 + the
   largest level among the columns that update it, the BS level of a
-  column 1 + the largest level among its rows. FE applies L's entries
-  grouped by the level of their row, BS grouped by the level of their
-  column, each group with one ``np.subtract.at`` on the permuted x. The
-  stable sort that groups them keeps CSC order inside a group, so each
-  entry of x sees the reference's subtractions in the reference's order.
-  Its operands are L's values gathered per group, and dinv as it is.
+  column 1 + the largest level among its rows; it alone computes levels,
+  and keeps their number as ``levels``. FE applies L's entries grouped by
+  the level of their row, BS grouped by the level of their column, each
+  group with one ``np.subtract.at`` on the permuted x. The stable sort
+  that groups them keeps CSC order inside a group, so each entry of x
+  sees the reference's subtractions in the reference's order. Its
+  operands are L's values gathered per group, and dinv as it is.
 
-The generated solve costs one interpreted step per entry of L and a
-compile that grows with n + nnz(L); the schedule costs one numpy call per
-group. ``solve_plan`` therefore schedules a pattern whose mean entries per
-group, nnz(L) / (levels - 1), reach ``SCHEDULE_MIN_WIDTH``, and generates
-the solve of the others. An L without entries has no group and is
-scheduled: its solve is the diagonal scale alone, and nothing is compiled.
+The generated solve costs one interpreted step per entry of L; the
+schedule costs one numpy call per group. In fp64 the generated solve is
+the faster at every controller grid measured, in fp32 up to P4x4. What
+limits it is its build, a source and a compile that grow with
+n + nnz(L): from 49 KiB and 31 ms at P4x4 to 252 KiB, 119 ms and 28.5 MB
+of peak RSS at P8x8. ``solve_plan`` therefore picks the plan by size
+alone: a pattern with n + nnz(L) of at least ``SCHEDULE_MIN_SIZE`` runs
+on the level schedule, any other on the solve generated for it.
 
 Why a generator. CPython 3.11-3.13 put each function call's frame on a
 per-thread data stack made of 16 KiB chunks; a frame that does not fit
@@ -56,11 +58,7 @@ would pay for a fresh chunk on every solve. A generator's frame lives in
 the generator object, on the heap, made once per conversion of L, and
 each ``send`` resumes it: every pattern reads L's values from its locals,
 ``l3*x1``, four bytecodes per product against six for reading them from
-a list by index, ``l[3]*x1``. At P4x4, timed against that index form in
-alternating rounds, the fp64 kernel took 70-72 against 77-92 us (Python
-3.11.7, 2-vCPU x86 host). Making the generator, whose frame passes once
-through a chunk of its own and which unpacks L, costs about 30 us more
-than converting L to lists, once per ADMM solve.
+a list by index, ``l[3]*x1``.
 
 What this module keeps is the cached plans: their compiled code or
 groups, and the read-only pattern arrays, which factors of the pattern
@@ -115,19 +113,17 @@ def as_list(x):
 STATEMENT_TERMS = 32
 # Sparsity patterns whose plans stay cached in a process.
 PLAN_CACHE_SIZE = 8
-# Mean entries of L per schedule group, nnz(L) / (levels - 1), from which
-# a pattern runs on the level schedule instead of the solve generated for
-# it. Per KKT solve on a 2-vCPU x86 host (Python 3.11.7), in two runs
-# that alternate the two plans, the schedule took 2.9-4.0x the generated
-# solve's time in fp64 at P4x4 (36.6), 2.7-2.8x at P5x5 (42.8), 2.3-2.4x
-# at P6x6 (53.4) and 1.7-2.2x at P8x8 (77.1): 560-800 against 330-360 us.
-# In fp32 it took 1.1-1.2x at P4x4, 0.93-0.97x at P5x5, 0.74-1.04x at
-# P6x6 and 0.55-0.59x at P8x8. P8x8's generated solve would also cost an
-# 80-90 ms compile and 650 KiB (256 KiB of bytecode) per pattern, and its
-# generator about 190 us per ADMM solve to start. P8x8 stays on the
-# schedule while the benchmark keeps every round's solvers: a faster P8x8
-# solve completes more rounds, which lifts its peak RSS (ROADMAP item 1).
-SCHEDULE_MIN_WIDTH = 40
+# n + nnz(L) from which a pattern runs on the level schedule instead of
+# the solve generated for it. On a 2-vCPU x86 host (Python 3.11.7), the
+# generated solve took 0.2-0.6x the schedule's time per KKT solve in fp64
+# from P3x3 to P8x8, and in fp32 0.5x at P3x3, 0.8x at P4x4 (n + nnz(L) =
+# 1,443), 1.7x at P5x5 (2,416) and 1.5-1.9x above. Its build grows with
+# n + nnz(L): source, compile and growth of peak RSS came to 49 KiB and
+# 31 ms at P4x4, 126 KiB, 49 ms and 15.9 MB at P6x6 (3,610), 252 KiB,
+# 119 ms and 28.5 MB at P8x8 (7,150), and 750 KiB, 418 ms and 72.6 MB at
+# P12x12 (19,466). The bound sits at fp32's crossover; above it, the fp64
+# solves it gives up would each cost a build of tens of MB.
+SCHEDULE_MIN_SIZE = 2048
 
 
 def _chained(target, terms):
@@ -186,15 +182,12 @@ def ldl_kernel(colptr, rowidx, inv_perm):
 
 class _Plan:
     """What both plans hold: the pattern's arrays, read-only and shared by
-    every factor of the pattern, and its number of FE levels, which is
-    also its number of BS levels. ``level`` is the FE level of each row,
-    as ``row_levels`` gives it."""
+    every factor of the pattern."""
 
-    __slots__ = ("colptr", "rowidx", "perm", "inv_perm", "levels")
+    __slots__ = ("colptr", "rowidx", "perm", "inv_perm")
 
-    def __init__(self, colptr, rowidx, perm, inv_perm, level):
+    def __init__(self, colptr, rowidx, perm, inv_perm):
         self.colptr, self.rowidx, self.perm, self.inv_perm = colptr, rowidx, perm, inv_perm
-        self.levels = max(level, default=0) + 1
 
 
 class SolvePlan(_Plan):
@@ -202,9 +195,9 @@ class SolvePlan(_Plan):
 
     __slots__ = ("kernel",)
 
-    def __init__(self, colptr, rowidx, perm, inv_perm, level):
-        super().__init__(colptr, rowidx, perm, inv_perm, level)
-        self.kernel = ldl_kernel(colptr, rowidx, inv_perm)
+    def __init__(self, *pattern):
+        super().__init__(*pattern)
+        self.kernel = ldl_kernel(self.colptr, self.rowidx, self.inv_perm)
 
     def operands(self, Lx, dinv):
         """A new generator of the solve, started on L's values and dinv as
@@ -229,11 +222,12 @@ class SolvePlan(_Plan):
 
 
 def _groups(level, targets, sources):
-    """L's entries grouped by ``level``, one level per entry, in ascending
-    order: per level, the entries' ``targets`` and ``sources``, in their
-    dtype, and their positions in CSC order, in numpy's native index type,
-    which gathers L's values without a cast. The stable sort keeps CSC
-    order inside a group."""
+    """L's entries grouped by the ``level`` of their target, one level per
+    row or column, in ascending order: per level, the entries' ``targets``
+    and ``sources``, in their dtype, and their positions in CSC order, in
+    numpy's native index type, which gathers L's values without a cast.
+    The stable sort keeps CSC order inside a group."""
+    level = np.array(level, dtype=targets.dtype)[targets]
     order = np.argsort(level, kind="stable")
     starts = np.flatnonzero(np.diff(level[order], prepend=-1)).tolist()
     return [(targets[p], sources[p], p)
@@ -248,19 +242,22 @@ def _apply(groups, values, x):
 class LevelPlan(_Plan):
     """The level schedule of the pattern: ``fe`` groups L's entries by the
     level of their row, ``bs`` by the level of their column, one group per
-    level above 0. Levels, like indices, are below n, so the grouped
-    targets and sources and the level keys are in L's index dtype: 16
-    bits for a factor that fits, whose level key numpy then radix-sorts."""
+    level above 0, and ``levels`` is the number of FE levels, which is
+    also the number of BS levels. Levels, like indices, are below n, so
+    the grouped targets and sources and the level keys are in L's index
+    dtype: 16 bits for a factor that fits, whose level key numpy then
+    radix-sorts."""
 
-    __slots__ = ("fe", "bs")
+    __slots__ = ("levels", "fe", "bs")
 
-    def __init__(self, colptr, rowidx, perm, inv_perm, level):
-        super().__init__(colptr, rowidx, perm, inv_perm, level)
-        index = rowidx.dtype
-        columns = column_indices(colptr).astype(index)
-        bs = row_levels(columns.tolist()[::-1], rowidx.tolist()[::-1], len(perm))
-        self.fe = _groups(np.array(level, dtype=index)[rowidx], rowidx, columns)
-        self.bs = _groups(np.array(bs, dtype=index)[columns], columns, rowidx)
+    def __init__(self, *pattern):
+        super().__init__(*pattern)
+        rows, columns = self.rowidx, column_indices(self.colptr).astype(self.rowidx.dtype)
+        Li, Lj, n = rows.tolist(), columns.tolist(), len(self.perm)
+        fe = row_levels(Li, Lj, n)
+        self.levels = max(fe, default=0) + 1
+        self.fe = _groups(fe, rows, columns)
+        self.bs = _groups(row_levels(Lj[::-1], Li[::-1], n), columns, rows)
 
     def operands(self, Lx, dinv):
         """L's values gathered per FE group, dinv, and per BS group."""
@@ -283,17 +280,14 @@ class LevelPlan(_Plan):
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _cached_plan(*pattern):
     colptr, rowidx, perm, inv_perm = (np.frombuffer(data, dtype) for dtype, data in pattern)
-    level = row_levels(rowidx.tolist(), column_indices(colptr).tolist(), len(perm))
-    groups = max(level, default=0)   # levels - 1: one per level above 0
-    scheduled = len(rowidx) >= SCHEDULE_MIN_WIDTH * groups
-    return (LevelPlan if scheduled else SolvePlan)(colptr, rowidx, perm, inv_perm, level)
+    scheduled = len(perm) + len(rowidx) >= SCHEDULE_MIN_SIZE
+    return (LevelPlan if scheduled else SolvePlan)(colptr, rowidx, perm, inv_perm)
 
 
 def solve_plan(colptr, rowidx, perm, inv_perm):
-    """The plan of this pattern: a ``LevelPlan`` if L's mean entries per
-    schedule group, nnz(L) / (levels - 1), reach ``SCHEDULE_MIN_WIDTH``,
-    else a ``SolvePlan``. It is built on the first call, then taken from a
-    cache of the last ``PLAN_CACHE_SIZE`` patterns, keyed by the arrays'
-    dtypes and bytes. Its arrays are read-only copies, made once per
-    pattern."""
+    """The plan of this pattern: a ``LevelPlan`` if n + nnz(L) reaches
+    ``SCHEDULE_MIN_SIZE``, else a ``SolvePlan``. It is built on the first
+    call, then taken from a cache of the last ``PLAN_CACHE_SIZE`` patterns,
+    keyed by the arrays' dtypes and bytes. Its arrays are read-only copies,
+    made once per pattern."""
     return _cached_plan(*((a.dtype.str, a.tobytes()) for a in (colptr, rowidx, perm, inv_perm)))

@@ -21,11 +21,12 @@ Bring-up runs once per model, ahead of time. SuperLU computes in double
 precision whatever the storage precision, fp32 or fp64, and L, d and dinv
 are rounded to it once. ``ldl_numeric`` then takes the plan of L's
 pattern and permutation from ``_kernels.solve_plan``, which alone picks
-how the pattern is solved: the straight-line solve generated for it
-(``_kernels.SolvePlan``) or its level schedule (``_kernels.LevelPlan``).
-The plan is built once per pattern in a process, and the factor's index
-arrays, ``perm`` and ``inv_perm`` are the plan's read-only arrays, one
-copy per pattern. ``LdlFactor.solve`` runs FE, the diagonal scale and BS
+how the pattern is solved, by its size n + nnz(L): the straight-line
+solve generated for it (``_kernels.SolvePlan``) below
+``_kernels.SCHEDULE_MIN_SIZE``, its level schedule (``_kernels.LevelPlan``)
+from there. The plan is built once per pattern in a process, and the
+factor's index arrays, ``perm`` and ``inv_perm`` are the plan's read-only
+arrays, one copy per pattern. ``LdlFactor.solve`` runs FE, the diagonal scale and BS
 through the plan, byte-identical to the sequential reference that the
 tests keep, ``ldl_reference`` in ``tests/oracles.py``.
 
@@ -111,7 +112,8 @@ def ldl_numeric(upper) -> LdlFactor:
     plan's read-only index arrays, ``perm`` and ``inv_perm``.
 
     A storage precision other than fp32 or fp64 raises ``TypeError``, an
-    entry of ``upper`` below the diagonal ``ValueError``. A pivot below
+    entry of ``upper`` below the diagonal or one that is not finite
+    ``ValueError``. A pivot below
     ``DEFAULT_PIVOT_TOL`` of the storage precision (rounded to it), a row
     pivot off the diagonal and an exactly zero pivot raise
     ``FactorizationError``.
@@ -125,6 +127,9 @@ def ldl_numeric(upper) -> LdlFactor:
         raise TypeError(f"ldl_numeric accepts only float32 and float64 matrices, not {dtype}")
     if has_entry_below_diagonal(upper.colptr, upper.rowidx):
         raise ValueError("input matrix is not upper triangular")
+    # SuperLU would factor an inf, and call a NaN an exactly zero pivot
+    if not np.isfinite(upper.values).all():
+        raise ValueError("input matrix has a non-finite entry")
     full = symmetric_from_upper(upper)
     full.values = full.values.astype(np.float64, copy=False)
     try:

@@ -145,8 +145,8 @@ def build_mpc_qp(model: ThermalPlantModel, spec: GridSpec, params: PowerModelPar
 def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
                     budget_domains=None):
     """Write the time-varying data for one controller step. A non-finite
-    state or target and a NaN or -inf budget raise ``ValueError``; +inf is
-    no budget.
+    state or target and a bool, NaN or -inf budget raise ``ValueError``;
+    +inf is no budget.
 
     Touches only q, l, u; P and A stay frozen so the cached KKT
     factorization remains valid.
@@ -164,6 +164,9 @@ def update_mpc_step(mpcqp: MpcQp, x_init, p_star, budget_total=None,
         if len(budget_domains) != idx.n_domains:
             raise ValueError("one budget per domain required")
         budgets.extend(budget_domains)
+    # bool is a number to Python, but True is no budget of 1 W
+    if any(isinstance(b, (bool, np.bool_)) for b in budgets):
+        raise ValueError("a budget must be a number of watts, not a bool")
     if any(map(math.isnan, budgets)):
         raise ValueError("NaN budget")
     if -INF in budgets:   # an upper bound of -inf: the solve would diverge

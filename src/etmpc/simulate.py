@@ -32,7 +32,10 @@ PLANT_SUBSTEPS = 3
 
 def timeline_value(timeline, t):
     """Piecewise-constant lookup: the last breakpoint at or before t. A t
-    before the first breakpoint has no value and raises ``ValueError``."""
+    before the first breakpoint, or NaN, has no value and raises
+    ``ValueError``."""
+    if t != t:   # NaN compares false with every breakpoint
+        raise ValueError("t is NaN")
     if timeline[0][0] > t + 1e-12:
         raise ValueError(f"t = {t} is before the timeline's first breakpoint")
     current = timeline[0][1]

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse
 
 import etmpc.qp
-from etmpc._kernels import LevelPlan
+from etmpc._kernels import SCHEDULE_MIN_SIZE, LevelPlan
 from etmpc.csc import DimensionError
 from etmpc.ldl import LdlFactor
 from etmpc.qp import (
@@ -126,8 +126,8 @@ def test_in_place_q_update_reaches_the_solver(precision):
 def fixed_solver(blocks=1):
     """A 15-iteration solver, without warm start, whose factor has L entries:
     of one random QP, or of ``blocks`` of them side by side, whose factor
-    has one QP's levels and ``blocks`` times its entries, so that 40 of
-    them make a wide factor."""
+    has ``blocks`` times its rows and entries, so that 64 of them make a
+    factor whose n + nnz(L) reaches ``SCHEDULE_MIN_SIZE``."""
     rng = np.random.default_rng(4)
     parts = [random_qp(rng, 6, 5) for _ in range(blocks)]
     P, A = (scipy.linalg.block_diag(*(part[k] for part in parts)) for k in (0, 2))
@@ -135,14 +135,15 @@ def fixed_solver(blocks=1):
     solver = AdmmSolver(make_problem(P, q, A, l, u), AdmmSettings(max_iter=15, warm_start=False))
     factor = solver.kkt.factor
     assert factor.L.nnz > 0
-    assert isinstance(factor.plan, LevelPlan) == (blocks >= 40)
+    large = factor.n + factor.L.nnz >= SCHEDULE_MIN_SIZE
+    assert isinstance(factor.plan, LevelPlan) == large == (blocks >= 64)
     return solver
 
 
-def narrow_and_wide_solvers():
-    """``fixed_solver`` with a narrow factor, which runs the solve generated
-    for its pattern, and with a wide one, which runs on the level schedule."""
-    return fixed_solver(), fixed_solver(blocks=40)
+def small_and_large_solvers():
+    """``fixed_solver`` with a small factor, which runs the solve generated
+    for its pattern, and with a large one, which runs on the level schedule."""
+    return fixed_solver(), fixed_solver(blocks=64)
 
 
 def holds_no_conversion(factor):
@@ -152,7 +153,7 @@ def holds_no_conversion(factor):
 
 def test_kkt_solves_of_one_admm_solve_share_one_conversion(factor_conversions):
     conversions = factor_conversions
-    for solver in narrow_and_wide_solvers():
+    for solver in small_and_large_solvers():
         conversions.clear()
         solver.solve()
         solver.solve()
@@ -162,7 +163,7 @@ def test_kkt_solves_of_one_admm_solve_share_one_conversion(factor_conversions):
 
 
 def test_a_change_to_L_between_solves_shows_in_the_next_solve():
-    for solver in narrow_and_wide_solvers():
+    for solver in small_and_large_solvers():
         values = solver.kkt.factor.L.values
         first = solver.solve().x
         np.testing.assert_array_equal(solver.solve().x, first)
@@ -172,7 +173,7 @@ def test_a_change_to_L_between_solves_shows_in_the_next_solve():
 
 def test_factor_holds_no_conversion_after_a_solve_returns_or_raises(monkeypatch):
     real = etmpc.qp.admm_step
-    for solver in narrow_and_wide_solvers():
+    for solver in small_and_large_solvers():
         factor = solver.kkt.factor
         solver.solve()
         assert holds_no_conversion(factor)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 import etmpc._kernels
-from etmpc._kernels import LevelPlan, SolvePlan
+from etmpc._kernels import SCHEDULE_MIN_SIZE, LevelPlan, SolvePlan
 from etmpc.csc import DimensionError, SparseCSC, column_indices
 from etmpc.ldl import FactorizationError, LdlFactor, ldl_numeric
 from etmpc.mpc import build_mpc_qp, update_mpc_step
@@ -87,6 +87,15 @@ def test_factor_rejects_below_diagonal_entry():
     k = np.array([[2.0, 1.0], [1.0, 3.0]])  # both triangles stored
     with pytest.raises(ValueError):
         ldl_numeric(scipy.sparse.csc_array(k))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_factor_rejects_a_non_finite_entry(dtype, bad):
+    """SuperLU would factor an inf, to pivots d = [inf, 4] here, and call a
+    NaN an exactly zero pivot; both are bad input, found before it runs."""
+    with pytest.raises(ValueError, match="non-finite entry"):
+        ldl_numeric(upper_csc(np.array([[4.0, 1.0], [1.0, bad]], dtype=dtype)))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.complex128])
@@ -255,9 +264,7 @@ def ldl_paths(L):
     plan and permutes the result into x."""
     perm = np.random.default_rng(L.nnz).permutation(L.nrows).astype(L.colptr.dtype)
     pattern = (L.colptr, L.rowidx, perm, np.argsort(perm).astype(perm.dtype))
-    level = etmpc._kernels.row_levels(L.rowidx.tolist(), column_indices(L.colptr).tolist(),
-                                      L.nrows)
-    plans = [SolvePlan(*pattern, level), LevelPlan(*pattern, level)]
+    plans = [SolvePlan(*pattern), LevelPlan(*pattern)]
     assert holds_l0(plans[0].kernel) == (L.nnz > 0)
 
     def path(plan):
@@ -470,17 +477,18 @@ def test_kkt_solves_inside_an_admm_solve_are_byte_exact(precision):
         assert exact == [True] * (solves * iters)
 
 
-def test_wide_factors_take_the_level_schedule_and_narrow_ones_the_generated_solve():
-    """A pattern whose mean entries per schedule group, nnz(L) / (levels -
-    1), reach ``SCHEDULE_MIN_WIDTH`` = 40 runs on the level schedule: P5x5
-    and up. P2x2 (12.7), P3x3 (23.2) and P4x4 (36.6) run the solve
-    generated for their pattern, one new generator per conversion, which
-    holds L's values and waits for its first right-hand side."""
-    for grid, plan in ((2, SolvePlan), (3, SolvePlan), (4, SolvePlan), (5, LevelPlan),
-                       (8, LevelPlan)):
-        f = mpc_factor(grid, np.float64)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_every_controller_grid_takes_the_plan_of_its_size(dtype):
+    """A pattern with n + nnz(L) of at least ``SCHEDULE_MIN_SIZE`` = 2048
+    runs on the level schedule: P5x5 (2416) to P12x12 (19466). P1x1 (47)
+    to P4x4 (1443) run the solve generated for their pattern, one new
+    generator per conversion, which holds L's values and waits for its
+    first right-hand side."""
+    for grid in range(1, 13):
+        f = mpc_factor(grid, dtype)
+        plan = SolvePlan if grid <= 4 else LevelPlan
         assert type(f.plan) is plan
-        assert (f.L.nnz >= 40 * (f.plan.levels - 1)) == (plan is LevelPlan)
+        assert (f.n + f.L.nnz >= SCHEDULE_MIN_SIZE) == (plan is LevelPlan)
         operands = f.operands()
         if plan is LevelPlan:
             fe, dinv, bs = operands
@@ -540,29 +548,77 @@ def test_two_solvers_of_one_pattern_stay_byte_exact_solved_alternately():
     assert alternating == alone
 
 
-@pytest.fixture
-def kernel_compiles(monkeypatch):
-    """The list that grows by one per generated solve compiled, from an
-    empty plan cache."""
+def counting(monkeypatch, name):
+    """The list that grows by one per call of ``etmpc._kernels.<name>``,
+    from an empty plan cache."""
     k = etmpc._kernels
     k._cached_plan.cache_clear()
     calls = []
-    real = k.ldl_kernel
-    monkeypatch.setattr(k, "ldl_kernel", lambda *pattern: calls.append(1) or real(*pattern))
+    real = getattr(k, name)
+    monkeypatch.setattr(k, name, lambda *args: calls.append(1) or real(*args))
     return calls
 
 
-def test_solvers_of_one_grid_share_one_plan_built_at_bring_up(kernel_compiles, monkeypatch):
+@pytest.fixture
+def kernel_compiles(monkeypatch):
+    """The list that grows by one per generated solve compiled."""
+    return counting(monkeypatch, "ldl_kernel")
+
+
+@pytest.fixture
+def level_runs(monkeypatch):
+    """The list that grows by one per level pass, ``row_levels``."""
+    return counting(monkeypatch, "row_levels")
+
+
+def lower_pattern(n, nnz):
+    """The int16 colptr and rowidx of the first ``nnz`` entries, in CSC
+    order, of a strictly lower triangular n x n pattern."""
+    cols, rows = np.nonzero(np.tri(n, n, -1).T)   # by column, then row
+    colptr = np.searchsorted(cols[:nnz], np.arange(n + 1))
+    return colptr.astype(np.int16), rows[:nnz].astype(np.int16)
+
+
+def test_the_plan_follows_n_plus_nnz_and_only_a_schedule_runs_levels(kernel_compiles,
+                                                                     level_runs):
+    """A pattern whose n + nnz(L) is 2047, one below ``SCHEDULE_MIN_SIZE``,
+    compiles its generated solve and runs no level pass; with 2048 it
+    runs on the level schedule, whose levels take one pass per direction,
+    and compiles nothing. Either plan solves it byte-exactly."""
+    n = 64
+    rng = np.random.default_rng(71)
+    for size, plan, compiles, runs in ((2047, SolvePlan, 1, 0), (2048, LevelPlan, 1, 2)):
+        colptr, rowidx = lower_pattern(n, size - n)
+        perm = rng.permutation(n).astype(np.int16)
+        got = etmpc._kernels.solve_plan(colptr, rowidx, perm, np.argsort(perm).astype(np.int16))
+        assert type(got) is plan and len(kernel_compiles) == compiles and len(level_runs) == runs
+        values = rng.standard_normal(size - n) / n
+        L = SparseCSC(scipy.sparse.csc_array((values, rowidx, colptr), shape=(n, n)))
+        dinv, b = rng.uniform(0.5, 2.0, n), rng.standard_normal(n)
+        want = np.empty(n)
+        want[perm] = ldl_reference(L, dinv, b[perm])
+        assert got.solve(*got.operands(L.values, dinv), b).tobytes() == want.tobytes()
+
+
+def test_a_diagonal_K_below_the_bound_compiles_its_solve(kernel_compiles):
+    """An L without entries is sized by n alone: at n = 2047 it compiles a
+    generated solve, which is the diagonal scale alone, and at n = 2048 it
+    runs on the level schedule, with no group."""
+    for n, plan in ((2047, SolvePlan), (2048, LevelPlan)):
+        diag = np.linspace(1.0, 2.0, n)
+        f = ldl_numeric(scipy.sparse.diags_array(diag, format="csc"))
+        assert f.L.nnz == 0 and type(f.plan) is plan
+        assert f.solve(diag).tobytes() == factor_reference(f, diag).tobytes()
+    assert len(kernel_compiles) == 1
+
+
+def test_solvers_of_one_grid_share_one_plan_built_at_bring_up(kernel_compiles, level_runs):
     """Every bring-up of a grid gives the same pattern: the first builds its
-    plan, levels included, the next takes the cached plan and its arrays,
-    and the solves themselves build nothing. P2x2 compiles its generated
-    solve; P8x8 runs on the level schedule and compiles nothing. Levels
-    run once per pattern and direction: P2x2's FE levels, P8x8's FE and BS
-    levels, which ``row_levels`` gives on L^T."""
-    k = etmpc._kernels
-    level_runs = []
-    real = k.row_levels
-    monkeypatch.setattr(k, "row_levels", lambda *args: level_runs.append(1) or real(*args))
+    plan, the next takes the cached plan and its arrays, and the solves
+    themselves build nothing. P2x2 compiles its generated solve and runs
+    no level pass; P8x8 runs on the level schedule and compiles nothing.
+    Its levels run once per direction: the FE levels, and the BS levels,
+    which ``row_levels`` gives on L^T."""
     for grid, plan in ((2, SolvePlan), (8, LevelPlan)):
         mpcqp, model = mpc_qp(grid)
         first, second = (AdmmSolver(mpcqp.qp) for _ in range(2))
@@ -574,7 +630,7 @@ def test_solvers_of_one_grid_share_one_plan_built_at_bring_up(kernel_compiles, m
         update_mpc_step(mpcqp, np.full(model.n_x, 33.0), np.full(model.n_u, 2.0))
         for _ in range(2):
             assert first.solve().x.tobytes() == second.solve().x.tobytes()
-    assert len(kernel_compiles) == 1 and len(level_runs) == 3
+    assert len(kernel_compiles) == 1 and len(level_runs) == 2
 
 
 def test_a_factor_keeps_its_plan_after_the_cache_drops_it(kernel_compiles):
@@ -620,15 +676,17 @@ def test_levels_match_a_longest_path_oracle():
         assert etmpc._kernels.row_levels(rows, cols, f.n) == fe.tolist()
         # the BS levels are the FE levels of L^T read in reverse CSC order
         assert etmpc._kernels.row_levels(cols[::-1], rows[::-1], f.n) == bs.tolist()
-        assert f.plan.levels == fe.max() + 1 == bs.max() + 1
-    assert factors[-1].plan.levels == 82
+        plan = LevelPlan(L.colptr, L.rowidx, f.perm, f.inv_perm)
+        assert plan.levels == fe.max() + 1 == bs.max() + 1
+    assert type(factors[-1].plan) is LevelPlan and factors[-1].plan.levels == 82
 
 
 def test_factor_indices_are_16_bit_while_n_and_nnz_are_below_2_to_the_15(kernel_compiles):
     """perm, inv_perm and L's index arrays are int16 while n and nnz(L) are
     below 2**15, and int32 from there; the solve is the same either way.
-    An L without entries, and a dense one, run on the level schedule, so
-    none of these factors compiles a generated solve."""
+    Each of these factors, an L without entries and a dense one, has an
+    n + nnz(L) above ``SCHEDULE_MIN_SIZE``, so it runs on the level
+    schedule and none compiles a generated solve."""
     for n in (2**15 - 1, 2**15):
         diag = np.linspace(1.0, 2.0, n)
         f = ldl_numeric(scipy.sparse.diags_array(diag, format="csc"))

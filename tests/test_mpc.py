@@ -294,6 +294,21 @@ def test_update_rejects_non_finite_step_data_and_writes_nothing(name, bad):
         np.testing.assert_array_equal(old, new)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_], ids=["True", "np.True_"])
+def test_update_rejects_a_bool_budget_and_writes_nothing(bad):
+    """A bool compares and adds as 0 or 1, but True is no budget of 1 W,
+    as a total or as the budget of one domain."""
+    mpcqp, model = make_mpcqp(2, 2, hp=2, domains=default_domains(2, 2))
+    step = dict(x_init=np.full(model.n_x, 30.0), p_star=np.ones(4))
+    update_mpc_step(mpcqp, **step, budget_total=8.0, budget_domains=[4.0, 4.0])
+    before = [v.copy() for v in (mpcqp.qp.q, mpcqp.qp.l, mpcqp.qp.u)]
+    for budgets in (dict(budget_total=bad), dict(budget_domains=[4.0, bad])):
+        with pytest.raises(ValueError, match="bool"):
+            update_mpc_step(mpcqp, **step, **budgets)
+        for old, new in zip(before, (mpcqp.qp.q, mpcqp.qp.l, mpcqp.qp.u)):
+            np.testing.assert_array_equal(old, new)
+
+
 def test_infinite_budget_is_no_budget():
     mpcqp, model = make_mpcqp(2, 2, hp=2, domains=default_domains(2, 2))
     update_mpc_step(mpcqp, np.zeros(model.n_x), np.ones(4), np.inf, [np.inf, np.inf])

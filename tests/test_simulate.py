@@ -244,6 +244,14 @@ def test_timeline_value_rejects_a_time_before_its_first_breakpoint():
         timeline_value(timeline, 0.4)
 
 
+def test_timeline_value_rejects_a_nan_time_and_holds_the_last_value_at_inf():
+    timeline = [(0.0, "early"), (0.5, "late")]
+    assert timeline_value(timeline, float("inf")) == "late"
+    for t in (float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="NaN"):
+            timeline_value(timeline, t)
+
+
 def test_a_timeline_that_starts_before_zero_holds_its_value_from_zero():
     spec, model = p2x2()
     early, late = timelines(), timelines()
